@@ -34,7 +34,7 @@ from jsschema_ray.schema.registry import (
 from jsschema_ray.stages.drift import DriftProfile, drift_check
 from jsschema_ray.stages.referential import referential_check
 from jsschema_ray.stages.stats import StatsSpec, collect_stats
-from jsschema_ray.stages.uniqueness import top_duplicates, uniqueness_report
+from jsschema_ray.stages.uniqueness import uniqueness_reports
 from jsschema_ray.stages.validate import ValidateBatch
 
 
@@ -42,18 +42,13 @@ from jsschema_ray.stages.validate import ValidateBatch
 
 @register_constraint("x-uniqueness")
 def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
-    full = ctx.dataset()
-    out = []
-    for spec in specs:
-        rep = uniqueness_report(full, spec["column"],
-                                batch_size=ctx.batch_size)
-        rep["report_only"] = bool(spec.get("report_only", False))
-        if rep["dup_keys"]:
-            rep["top_duplicates"] = top_duplicates(
-                full, spec["column"], k=10, batch_size=ctx.batch_size
-            ).take_all()
-        out.append(rep)
-    return out
+    # one read and one exchange for every distinct key column
+    columns = list(dict.fromkeys(spec["column"] for spec in specs))
+    reports = uniqueness_reports(ctx.dataset(), columns,
+                                 batch_size=ctx.batch_size)
+    return [dict(reports[spec["column"]],
+                 report_only=bool(spec.get("report_only", False)))
+            for spec in specs]
 
 
 @register_constraint("x-referential")
@@ -121,7 +116,9 @@ def _handle_decode(value: dict, ctx: ConstraintContext):
         return {"skipped": f"payload column {col!r} not in input"}
     ds = rd.read_parquet(ctx.input_files, columns=[key_col, col, fmt_col])
     vio = decode_violations(ds, key_column=key_col, column=col,
-                            fmt_column=fmt_col, batch_size=1024).take_all()
+                            fmt_column=fmt_col, batch_size=1024,
+                            min_psnr_db=value.get("min_psnr_db", 40.0)
+                            ).take_all()
     vio.sort(key=lambda r: (r["key"], r["reason"]))  # arrival order varies
     return {
         "n_violations": len(vio),

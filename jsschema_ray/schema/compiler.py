@@ -332,9 +332,10 @@ def compile_schema(src: Union[str, Path, dict[str, Any]]) -> ConstraintNode:
     the driver and shipped to workers via closure capture / actor __init__.
     """
     if isinstance(src, (str, Path)):
-        p = Path(src)
-        if isinstance(src, Path) or (len(str(src)) < 4096 and p.is_file()):
-            raw = json.loads(p.read_text())
+        # JSON text starts with a bracket; anything else names a file, so a
+        # missing file raises FileNotFoundError, not a JSON parse error
+        if isinstance(src, Path) or not src.lstrip().startswith(("{", "[")):
+            raw = json.loads(Path(src).read_text())
         else:
             raw = json.loads(src)
     else:

@@ -1,7 +1,7 @@
 """Minimal pure-Python PNG codec (RGB8, filter 0) built on zlib + numpy.
 
 The container has no image libraries (no PIL), so the BASELINE's
-decoded-image invariant (PSNR >= 40 dB / lossless byte-equal; BASELINE.json
+decoded-image invariant (PSNR >= 40 dB, lossless for PNG; BASELINE.json
 input_hint) is exercised with REAL PNG bytes produced and parsed here —
 the PNG format is public (RFC 2083). Lossy codecs (JPEG/WebP) are stubbed
 at the decode step (stages/multimodal.py) with the Ray-side plumbing kept
@@ -40,36 +40,50 @@ def encode_png(img: np.ndarray) -> bytes:
     return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
-def decode_png(data: bytes, verify_crc: bool = False) -> np.ndarray:
+def decode_png(data: bytes) -> np.ndarray:
     """PNG bytes -> RGB8 HxWx3 uint8 array. Supports what encode_png emits
-    (8-bit RGB, filter 0); anything else raises ValueError."""
+    (8-bit RGB, filter 0); anything else raises ValueError.
+
+    The stream must also be intact: every chunk's CRC matches, the IDAT
+    zlib stream passes its Adler-32 check, and IEND is the last chunk with
+    no bytes after it. Ancillary chunks are skipped, IDAT may be split
+    across chunks and any zlib level decodes."""
     if data[:8] != _SIG:
         raise ValueError("not a PNG: bad signature")
     pos = 8
     w = h = None
-    idat = b""
-    while pos + 8 <= len(data):
+    idat = []
+    while True:
+        if pos + 12 > len(data):
+            raise ValueError("truncated PNG: no IEND chunk")
         (length,) = struct.unpack_from(">I", data, pos)
-        tag = data[pos + 4 : pos + 8]
-        payload = data[pos + 8 : pos + 8 + length]
-        if len(payload) != length:
+        end = pos + 12 + length
+        if end > len(data):
             raise ValueError("truncated PNG chunk")
-        if verify_crc:
-            (crc,) = struct.unpack_from(">I", data, pos + 8 + length)
-            if crc != (zlib.crc32(tag + payload) & 0xFFFFFFFF):
-                raise ValueError(f"bad CRC in {tag!r}")
+        tag = data[pos + 4 : pos + 8]
+        payload = data[pos + 8 : end - 4]
+        (crc,) = struct.unpack_from(">I", data, end - 4)
+        if crc != zlib.crc32(data[pos + 4 : end - 4]):
+            raise ValueError(f"bad CRC in {tag!r}")
         if tag == b"IHDR":
+            if length != 13:
+                raise ValueError("bad IHDR length")
             w, h, depth, ctype, comp, filt, ilace = struct.unpack(">IIBBBBB", payload)
             if (depth, ctype, comp, filt, ilace) != (8, 2, 0, 0, 0):
                 raise ValueError("unsupported PNG variant (need 8-bit RGB)")
         elif tag == b"IDAT":
-            idat += payload
+            idat.append(payload)
         elif tag == b"IEND":
+            if end != len(data):
+                raise ValueError("bytes after IEND")
             break
-        pos += 12 + length
+        pos = end
     if w is None or not idat:
         raise ValueError("missing IHDR/IDAT")
-    raw = np.frombuffer(zlib.decompress(idat), dtype=np.uint8)
+    try:
+        raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
+    except zlib.error as e:  # includes a failed Adler-32 check
+        raise ValueError(f"bad IDAT stream: {e}") from None
     stride = 1 + w * 3
     if len(raw) != h * stride:
         raise ValueError("bad decompressed size")

@@ -176,8 +176,6 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
     rows = partials.groupby("bucket").map_groups(
         reduce_bucket, batch_format="pandas"
     ).take_all()
-    schema_types = {n: t for n, t in zip(ds.schema().names,
-                                         ds.schema().types)}
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
         tabs = [_unpack(r["blob"]) for r in rows if r["col_idx"] == ci]
@@ -187,9 +185,11 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
                 {column: merged_t.column("key"),
                  "dup_count": merged_t.column("dup_count").cast(
                      pa.int64())})
-        else:
+        else:  # empty input: no bucket reduced, type the key from the schema
+            sch = ds.schema()
             out[column] = pa.table(
-                {column: pa.array([], type=schema_types[column]),
+                {column: pa.array([], type=dict(zip(sch.names,
+                                                    sch.types))[column]),
                  "dup_count": pa.array([], type=pa.int64())})
     return out
 
@@ -286,16 +286,32 @@ def uniqueness_violations(
     )
 
 
+def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
+                       ) -> dict[str, dict[str, Any]]:
+    """Summary numbers for the manifest, per key column: distinct duplicated
+    keys, total violating rows and, when there are duplicates, the top-10
+    keys in the same total order as ``top_duplicates`` (dup_count
+    descending, then key ascending, null keys last). All columns share one
+    read and one exchange (duplicate_keys_multi); the rest is derived in
+    this process from the collected duplicate-key tables."""
+    out = {}
+    for column, dup in duplicate_keys_multi(ds, columns, batch_size).items():
+        rep: dict[str, Any] = {
+            "column": column,
+            "dup_keys": dup.num_rows,
+            "dup_rows": int(pc.sum(dup.column("dup_count")).as_py() or 0),
+        }
+        if dup.num_rows:
+            rep["top_duplicates"] = dup.sort_by(
+                [("dup_count", "descending"), (column, "ascending")]
+            ).slice(0, 10).to_pylist()
+        out[column] = rep
+    return out
+
+
 def uniqueness_report(ds, column: str, batch_size: int = 65536) -> dict[str, Any]:
-    """Summary numbers for the manifest: distinct duplicated keys and total
-    violating rows, computed from the pre-aggregated counts only."""
-    dup = duplicate_keys(ds, column, batch_size)
-    rows = dup.take_all()
-    return {
-        "column": column,
-        "dup_keys": len(rows),
-        "dup_rows": int(sum(r["dup_count"] for r in rows)),
-    }
+    """``uniqueness_reports`` for one key column."""
+    return uniqueness_reports(ds, [column], batch_size)[column]
 
 
 def distinct_rows(ds, columns: Optional[list[str]] = None,

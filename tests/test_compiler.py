@@ -98,6 +98,20 @@ def test_ref_errors():
         compile_schema({"$ref": "http://example.com/schema.json"})
 
 
+def test_schema_path_and_text_sources(tmp_path):
+    """A string that is not JSON text names a file: a missing one raises
+    FileNotFoundError, not a JSON parse error."""
+    missing = tmp_path / "missing.json"
+    with pytest.raises(FileNotFoundError):
+        compile_schema(str(missing))
+    with pytest.raises(FileNotFoundError):
+        compile_schema(missing)
+    path = tmp_path / "s.json"
+    path.write_text('{"type": "integer"}')
+    assert compile_schema(str(path)).types == ("integer",)
+    assert compile_schema(' {"type": "integer"}').types == ("integer",)
+
+
 def test_roundtrip_fixpoint():
     """compile -> to_json -> compile -> to_json is a fixpoint (the tabular
     analogue of the reference's marshal round-trip, marshal_test.go:13-65)."""

@@ -72,6 +72,89 @@ def test_no_duplicates_empty_result(ray_session):
     assert uniqueness_violations(ds, "k").count() == 0
 
 
+def _uniqueness_table() -> pa.Table:
+    """sku: a/b tie at 3 rows, c/null tie at 2 and twelve more keys at 2
+    (so the top-10 cut drops some); n: 7 and null tie at 3; uid: unique."""
+    sku = ["b", "a", "b", "a", "b", "a", "c", None, "c", None, "d"]
+    for i in range(12):
+        sku += [f"e{i:02d}", f"e{i:02d}"]
+    sku += [f"u{i}" for i in range(9)]
+    n = [7, 7, 7, None, None, None, 2, 2] + list(range(100, 100 + len(sku) - 8))
+    return pa.table({"sku": sku, "n": pa.array(n, type=pa.int64()),
+                     "uid": [f"id{i}" for i in range(len(sku))]})
+
+
+def _pandas_uniqueness(table: pa.Table, spec: dict) -> dict:
+    """The x-uniqueness report entry from pandas ``value_counts`` (null is a
+    key); top_duplicates by dup_count descending, then key ascending with
+    the null key last."""
+    column = spec["column"]
+    vc = pd.Series(table.column(column).to_pylist(),
+                   dtype=object).value_counts(dropna=False)
+    dup = [(None if pd.isna(key) else key, int(cnt))
+           for key, cnt in vc.items() if cnt > 1]
+    dup.sort(key=lambda kc: (-kc[1], kc[0] is None, kc[0]))
+    rep = {"column": column, "dup_keys": len(dup),
+           "dup_rows": sum(cnt for _, cnt in dup),
+           "report_only": bool(spec.get("report_only", False))}
+    if dup:
+        rep["top_duplicates"] = [{column: key, "dup_count": cnt}
+                                 for key, cnt in dup[:10]]
+    return rep
+
+
+def test_uniqueness_report_matches_pandas(ray_session, tmp_path):
+    """The pipeline's uniqueness report equals pandas value_counts answers:
+    dup_keys, dup_rows and the exact top_duplicates order (ties broken by
+    key, null key included and ranked last among its tie), a column named
+    twice, report_only, and a unique column with no top_duplicates."""
+    import pyarrow.parquet as pq
+
+    from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
+
+    table = _uniqueness_table()
+    src = tmp_path / "in"
+    src.mkdir()
+    for i, lo in enumerate(range(0, table.num_rows, 15)):
+        pq.write_table(table.slice(lo, 15), str(src / f"part-{i}.parquet"))
+    specs = [{"column": "sku"}, {"column": "n", "report_only": True},
+             {"column": "sku", "report_only": True}, {"column": "uid"}]
+    report = ValidationPipeline(
+        {"type": "object", "x-uniqueness": specs}, str(src),
+        str(tmp_path / "out"), key_column="uid", batch_size=8).run()
+    assert report["uniqueness"] == [_pandas_uniqueness(table, s)
+                                    for s in specs]
+
+
+def test_uniqueness_handler_runs_one_execution(ray_session, monkeypatch):
+    """Two key columns share one read and one exchange: the x-uniqueness
+    handler starts exactly one Ray Data execution."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    import jsschema_ray.pipelines.validate_pipeline  # noqa: F401 (registers)
+    from jsschema_ray.schema.registry import ConstraintContext, get_handler
+
+    table = _uniqueness_table()
+    ctx = ConstraintContext(
+        schema={}, input_files=[], batch_size=8,
+        dataset_factory=lambda _wp=False: rd.from_arrow(table))
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    out = get_handler("x-uniqueness")(
+        [{"column": "sku"}, {"column": "n", "report_only": True}], ctx)
+    assert len(executions) == 1
+    assert [r["dup_keys"] for r in out] == [16, 3]
+
+
 def test_referential_violations(img_ds):
     ds, table, manifest = img_ds
     vio = referential_violations(

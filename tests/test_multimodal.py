@@ -1,6 +1,10 @@
 """Decode invariant + multimodal plumbing (FIXTURES.md decode_invariant):
-corrupted payloads are flagged, clean PNGs round-trip byte-equal, lossy
-codecs stay stubbed without breaking the pipeline."""
+corrupted payloads are flagged, intact PNGs pass the pixel-level invariant
+whichever encoder wrote them, lossy codecs stay stubbed without breaking
+the pipeline."""
+
+import struct
+import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -82,6 +86,162 @@ def test_decode_violations_on_ray(ray_session):
     clean_png = {i for i, f in fmts.items()
                  if f == "png" and i not in manifest["bad_bytes"]}
     assert not (flagged & clean_png)
+
+
+class _Local:
+    """Stands in for a Dataset: ``map_batches`` hands back the batch
+    function, so decode_violations' checker runs in-process on a table."""
+
+    def map_batches(self, fn, **_):
+        return fn
+
+
+def _chunk(tag: bytes, payload: bytes, crc=None) -> bytes:
+    if crc is None:
+        crc = zlib.crc32(tag + payload)
+    return struct.pack(">I", len(payload)) + tag + payload + \
+        struct.pack(">I", crc)
+
+
+def _png_vectors():
+    """(image, valid, corrupt): PNG byte strings edited from encode_png's
+    output. Each valid one differs from what encode_png emits for the same
+    pixels; each corrupt one breaks one stream check."""
+    from jsschema_ray.sources.png import encode_png
+
+    rng = np.random.default_rng(3)
+    y, x = np.mgrid[0:32, 0:32]
+    img = np.stack([x * 8, y * 8, (x + y) * 4], axis=-1).astype(np.uint8)
+    img = (img + rng.integers(0, 4, img.shape)).astype(np.uint8)
+    clean = encode_png(img)
+    sig = clean[:8]
+    (ihdr_len,) = struct.unpack_from(">I", clean, 8)
+    ihdr = clean[16:16 + ihdr_len]
+    pos = 8 + 12 + ihdr_len
+    (idat_len,) = struct.unpack_from(">I", clean, pos)
+    idat = clean[pos + 8:pos + 8 + idat_len]
+    head, iend = _chunk(b"IHDR", ihdr), _chunk(b"IEND", b"")
+    half = len(idat) // 2
+    valid = {
+        "zlib_level_9": sig + head + _chunk(
+            b"IDAT", zlib.compress(zlib.decompress(idat), 9)) + iend,
+        "text_chunk": sig + head + _chunk(b"IDAT", idat)
+        + _chunk(b"tEXt", b"Comment\x00written elsewhere") + iend,
+        "split_idat": sig + head + _chunk(b"IDAT", idat[:half])
+        + _chunk(b"IDAT", idat[half:]) + iend,
+    }
+    flipped = bytearray(idat)
+    flipped[half] ^= 0x01
+    corrupt = {
+        "idat_byte_flipped": sig + head + _chunk(
+            b"IDAT", bytes(flipped), crc=zlib.crc32(b"IDAT" + idat)) + iend,
+        "ihdr_crc_flipped": sig + _chunk(
+            b"IHDR", ihdr, crc=zlib.crc32(b"IHDR" + ihdr) ^ 1)
+        + _chunk(b"IDAT", idat) + iend,
+        "bytes_after_iend": clean + b"\x00trailer",
+        "missing_iend": sig + head + _chunk(b"IDAT", idat),
+    }
+    for data in valid.values():
+        assert data != clean
+    return img, valid, corrupt
+
+
+def test_decode_invariant_png_vectors():
+    """A PNG passes when it decodes with intact CRCs, Adler-32 and IEND, so
+    another encoder's valid output is not a round-trip mismatch, while any
+    broken stream is decode_failed."""
+    from jsschema_ray.sources.png import decode_png
+
+    img, valid, corrupt = _png_vectors()
+    for data in valid.values():
+        assert np.array_equal(decode_png(data), img)
+    names = list(valid) + list(corrupt)
+    table = pa.table({
+        "image_id": names,
+        "bytes": pa.array(list(valid.values()) + list(corrupt.values()),
+                          type=pa.binary()),
+        "fmt": ["png"] * len(names),
+    })
+    out = DecodeImages()(table)
+    ok = dict(zip(names, out.column("decode_ok").to_pylist()))
+    rt = dict(zip(names, out.column("roundtrip_ok").to_pylist()))
+    assert {n: (ok[n], rt[n]) for n in valid} == {
+        n: (True, True) for n in valid}
+    assert {n: (ok[n], rt[n]) for n in corrupt} == {
+        n: (False, False) for n in corrupt}
+    vio = decode_violations(_Local())(table)
+    assert dict(zip(vio.column("key").to_pylist(),
+                    vio.column("reason").to_pylist())) == {
+        n: "decode_failed" for n in corrupt}
+
+
+class _FakePIL:
+    """Stands in for PIL.Image: any payload decodes to a flat grey 8x8
+    image, and its re-encode decodes 2 levels brighter everywhere
+    (PSNR = 10 log10(255^2 / 4) = 42.1 dB)."""
+
+    class _Img:
+        def __init__(self, arr):
+            self.arr = arr
+
+        def convert(self, _mode):
+            return self.arr
+
+        def save(self, buf, **_):
+            buf.write(b"re-encoded")
+
+    @staticmethod
+    def open(buf):
+        grey = np.full((8, 8, 3), 100, dtype=np.uint8)
+        return _FakePIL._Img(grey + 2 if buf.read() == b"re-encoded"
+                             else grey)
+
+    @staticmethod
+    def fromarray(arr):
+        return _FakePIL._Img(arr)
+
+
+def test_decode_violations_min_psnr_db():
+    """``min_psnr_db`` reaches the lossy round-trip check: a 42.1 dB
+    re-encode passes a 40 dB floor and fails a 45 dB one."""
+    table = pa.table({"image_id": ["j0"], "bytes": [b"jpeg payload"],
+                      "fmt": ["jpeg"]})
+    reasons = {}
+    for floor in (40.0, 45.0):
+        check = decode_violations(_Local(), min_psnr_db=floor)
+        check._pil = _FakePIL
+        reasons[floor] = check(table).column("reason").to_pylist()
+    assert reasons == {40.0: [], 45.0: ["roundtrip_mismatch"]}
+
+
+def test_decode_handler_passes_min_psnr_db(ray_session, tmp_path,
+                                           monkeypatch):
+    """The x-decode handler forwards the schema's min_psnr_db."""
+    import pyarrow.parquet as pq
+
+    import jsschema_ray.pipelines.validate_pipeline  # noqa: F401 (registers)
+    from jsschema_ray.schema.registry import ConstraintContext, get_handler
+    from jsschema_ray.stages import multimodal
+
+    seen = {}
+
+    class _NoRows:
+        def take_all(self):
+            return []
+
+    def fake_decode_violations(ds, **kwargs):
+        seen.update(kwargs)
+        return _NoRows()
+
+    monkeypatch.setattr(multimodal, "decode_violations",
+                        fake_decode_violations)
+    path = str(tmp_path / "part-0.parquet")
+    pq.write_table(pa.table({"image_id": ["a"], "bytes": [b"x"],
+                             "fmt": ["jpeg"]}), path)
+    ctx = ConstraintContext(schema={}, input_files=[path], batch_size=1024,
+                            dataset_factory=None)
+    get_handler("x-decode")({"column": "bytes", "min_psnr_db": 33.0}, ctx)
+    assert seen["min_psnr_db"] == 33.0
 
 
 def test_image_meta_matches_sharded(tmp_path):

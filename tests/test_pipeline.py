@@ -101,7 +101,9 @@ def test_referential_violations_counted(img_dir, ray_session, tmp_path):
 def test_cli_dump(capsys):
     from jsschema_ray.cli import main
 
-    rc = main(["dump", "--schema", "/root/reference/test/business.json"])
+    schema = os.path.join(os.path.dirname(__file__), "fixtures",
+                          "business.json")
+    rc = main(["dump", "--schema", schema])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert "definitions" in out
