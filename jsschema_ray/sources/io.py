@@ -132,26 +132,18 @@ def write_partitioned(ds: "rd.Dataset", path: str, by: str,
 
     Scale shape: one hash(by) co-partition (map_groups) so each
     partition's rows land in one task; each task writes its files and
-    emits ONE manifest row — the driver never sees data rows."""
-    import numpy as np
-    import pandas as pd
+    emits ONE manifest row — the driver never sees data rows.
+    ``batch_size`` is unused: the exchange maps whole blocks."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from jsschema_ray.state.hll import hash64, normalize_zeros
+    from jsschema_ray.stages.exchange import by_key
 
     os.makedirs(path, exist_ok=True)
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(normalize_zeros(
-            batch.column(by).combine_chunks()))
-            % np.uint64(num_parts)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def write_group(g: "pa.Table") -> "pa.Table":
         from urllib.parse import quote
 
-        g = g.drop_columns(["__part"])
         out = {by: [], "rows": [], "files": [], "skipped": []}
         if not g.num_rows:
             return pa.table({by: g.column(by),
@@ -194,7 +186,4 @@ def write_partitioned(ds: "rd.Dataset", path: str, by: str,
             "skipped": pa.array(out["skipped"], pa.bool_()),
         })
 
-    return ds.map_batches(
-        add_part, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ).groupby("__part").map_groups(write_group, batch_format="pyarrow")
+    return by_key(ds, [by], write_group, num_parts)

@@ -16,6 +16,8 @@ import pyarrow as pa
 
 from ray.data.aggregate import Sum
 
+from jsschema_ray.stages.exchange import PART, by_key, by_part, partition_ids
+
 
 def grouped_sums(
     ds,
@@ -199,17 +201,11 @@ def grouped_count_distinct(ds, group: str, col: str,
     pairs, never raw rows), and each partition drops cross-batch
     duplicates and counts in one vectorized pass. Output:
     (group, n_distinct int64)."""
-    import numpy as np
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
     def pre_trim(batch: pa.Table) -> pa.Table:
-        d = batch.select([group, col]).group_by(
+        return batch.select([group, col]).group_by(
             [group, col]).aggregate([])
-        part = (hash64(d.column(group).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return d.append_column("__part", pa.array(part))
 
     def per_partition(t: pa.Table) -> pa.Table:
         # Arrow-native finish (r3 ADVICE fix, both halves): cross-batch
@@ -226,16 +222,16 @@ def grouped_count_distinct(ds, group: str, col: str,
             "n_distinct": pc.cast(out.column(f"{col}_count"), pa.int64()),
         })
 
-    return ds.select_columns([group, col]).map_batches(
+    return by_key(ds.select_columns([group, col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [group], per_partition, num_partitions)
 
 
 def _hash_part_arrow(ds, key: str, num_partitions: int, batch_size: int):
-    """Append the co-partition column ``__part = hash(key) % n`` PLUS the
-    exact grouping surrogates ``__gv`` (is_valid) / ``__gf`` (null-filled
-    key on its native type) in an ARROW step, before any pandas
+    """Append the co-partition column ``__part`` (exchange.partition_ids)
+    PLUS the exact grouping surrogates ``__gv`` (is_valid) / ``__gf``
+    (null-filled key on its native type) in an ARROW step, before any pandas
     conversion (r5 fix, extended after review): Ray's arrow→pandas batch
     conversion promotes an int64 key column to float64 exactly when THAT
     batch holds a null — so (a) a pandas-computed hash gave the SAME key
@@ -247,14 +243,10 @@ def _hash_part_arrow(ds, key: str, num_partitions: int, batch_size: int):
     column from them (_restore_group) before returning. Float keys keep
     the documented NaN-splits-groups caveat (NaN is a data value, not a
     null — fill_null cannot canonicalize it)."""
-    import numpy as np
-
-    from jsschema_ray.state.hll import hash64
-
     def add(tbl: pa.Table) -> pa.Table:
         col = tbl.column(key).combine_chunks()
-        part = (hash64(col) % np.uint64(num_partitions)).astype(np.int32)
-        tbl = tbl.append_column("__part", pa.array(part))
+        tbl = tbl.append_column(PART, pa.array(
+            partition_ids(tbl, [key], num_partitions)))
         t = col.type
         fill = None
         try:
@@ -367,18 +359,17 @@ def argmax_per_group(ds, group: str, value: str, tiebreak: str,
         return df.iloc[keep].reset_index(drop=True)
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _restore_group(winners(g.drop(columns=["__part"])), group)
+        return _restore_group(winners(g), group)
 
     from jsschema_ray.stages._blocks import arrow_out
 
     # __part comes from the ARROW view of the group column (see
     # _hash_part_arrow) and rides through the pandas pre-trim as data
     # (functionally dependent on group, so the dedup keeps it correct)
-    return _hash_part_arrow(ds, group, num_partitions,
-                            batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, num_partitions,
+                                    batch_size).map_batches(
         winners, batch_format="pandas", batch_size=batch_size,
-    ).groupby("__part").map_groups(arrow_out(per_partition),
-                                   batch_format="pandas")
+    ), arrow_out(per_partition), batch_format="pandas")
 
 
 def top_n_per_group(ds, group: str, value: str, tiebreak: str,
@@ -441,19 +432,17 @@ def top_n_per_group(ds, group: str, value: str, tiebreak: str,
         return topn(df, with_rank=False)
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _restore_group(topn(g.drop(columns=["__part"]),
-                                   with_rank=True), group)
+        return _restore_group(topn(g, with_rank=True), group)
 
     from jsschema_ray.stages._blocks import arrow_out
 
     # __part from the ARROW view of the group column (_hash_part_arrow):
     # pandas-view hashing was batch-composition-dependent for nullable
     # int keys
-    return _hash_part_arrow(ds, group, num_partitions,
-                            batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, num_partitions,
+                                    batch_size).map_batches(
         pre_trim, batch_format="pandas", batch_size=batch_size,
-    ).groupby("__part").map_groups(arrow_out(per_partition),
-                                   batch_format="pandas")
+    ), arrow_out(per_partition), batch_format="pandas")
 
 
 def top_n_with_ties(ds, group: str, value: str, n: int = 1,
@@ -542,19 +531,17 @@ def top_n_with_ties(ds, group: str, value: str, n: int = 1,
         return topties(df, with_rank=False)
 
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        return _restore_group(topties(g.drop(columns=["__part"]),
-                                      with_rank=True), group)
+        return _restore_group(topties(g, with_rank=True), group)
 
     from jsschema_ray.stages._blocks import arrow_out
 
     # __part from the ARROW view of the group column (_hash_part_arrow):
     # pandas-view hashing was batch-composition-dependent for nullable
     # int keys
-    return _hash_part_arrow(ds, group, num_partitions,
-                            batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, num_partitions,
+                                    batch_size).map_batches(
         pre_trim, batch_format="pandas", batch_size=batch_size,
-    ).groupby("__part").map_groups(arrow_out(per_partition),
-                                   batch_format="pandas")
+    ), arrow_out(per_partition), batch_format="pandas")
 
 
 def grouped_string_agg(ds, key: str, col: str, order_cols: list[str],
@@ -574,15 +561,7 @@ def grouped_string_agg(ds, key: str, col: str, order_cols: list[str],
     import numpy as np
     import pandas as pd
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
-
     def per_partition(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__part"])
         if not len(g):
             return pd.DataFrame({key: g[key].iloc[:0],
                                  out_name: pd.Series([], dtype="object")})
@@ -597,10 +576,8 @@ def grouped_string_agg(ds, key: str, col: str, order_cols: list[str],
     from jsschema_ray.stages._blocks import arrow_out
 
     cols = [key, col] + [c for c in order_cols if c != col]
-    return ds.select_columns(cols).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(arrow_out(per_partition),
-                                   batch_format="pandas")
+    return by_key(ds.select_columns(cols), [key], arrow_out(per_partition),
+                  num_partitions, batch_format="pandas")
 
 
 def grouped_mode(ds, group: str, col: str, out_name: str = "mode",
@@ -1529,19 +1506,13 @@ def cooccurrence_counts(ds, key: str, col: str, out_a: str = "item_a",
     import numpy as np
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
     def pretrim(batch: pa.Table) -> pa.Table:
         b = batch.select([key, col]).filter(
             pc.and_(pc.is_valid(batch.column(key)),
                     pc.is_valid(batch.column(col))))
-        g = b.group_by([key, col]).aggregate([])
-        part = (hash64(g.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
+        return b.group_by([key, col]).aggregate([])
 
     def expand(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__part"])
         # cross-batch distinct within the partition (keys are whole here)
         g = g.group_by([key, col]).aggregate([])
         vt = g.column(col).slice(0, 0)
@@ -1586,10 +1557,10 @@ def cooccurrence_counts(ds, key: str, col: str, out_a: str = "item_a",
             [count_alias if c == "count_all" else c
              for c in cnt.column_names])
 
-    partials = ds.select_columns([key, col]).map_batches(
+    partials = by_key(ds.select_columns([key, col]).map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(expand, batch_format="pyarrow")
+    ), [key], expand, num_partitions)
     return grouped_sums(partials, [out_a, out_b],
                         {count_alias: count_alias}, count_alias=None)
 
@@ -1869,53 +1840,33 @@ def grouped_sums_partitioned(ds, keys: list[str], sum_cols: dict[str, str],
     output is globally combined per key already); use THIS when the key
     is an id-like column (per-order, per-document totals). Returns
     keys + out_names [+ count_alias]; NULL keys group together
-    (SQL GROUP BY), -0.0/0.0 float keys merge as one key."""
-    import numpy as np
-
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
+    (SQL GROUP BY), -0.0/0.0 float keys merge as one key (the exchange
+    normalizes them before the merge)."""
     in_cols = list(dict.fromkeys(sum_cols.values()))
 
     def partial(batch: pa.Table) -> pa.Table:
-        b = batch.select(keys + in_cols)
-        for k in keys:
-            # normalize -0.0/0.0 BEFORE grouping (SQL GROUP BY merges
-            # them; pyarrow group_by would keep two keys) — and the
-            # same normalized column feeds the partition hash below
-            kcol = b.column(k).combine_chunks()
-            norm = normalize_zeros(kcol)
-            if norm is not kcol:
-                b = b.set_column(b.column_names.index(k), k, norm)
         aggs = [(c, "sum") for c in in_cols]
         if count_alias:
             aggs.append(([], "count_all"))
-        g = b.group_by(keys).aggregate(aggs)
+        g = batch.select(keys + in_cols).group_by(keys).aggregate(aggs)
         renames = {f"{c}_sum": out for out, c in sum_cols.items()}
         if count_alias:
             renames["count_all"] = count_alias
-        g = g.rename_columns(
+        return g.rename_columns(
             [renames.get(name, name) for name in g.column_names])
-        h = None
-        for k in keys:
-            hk = hash64(g.column(k).combine_chunks())
-            with np.errstate(over="ignore"):
-                h = hk if h is None else h * np.uint64(1000003) + hk
-        part = (h % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
 
     out_names = list(sum_cols) + ([count_alias] if count_alias else [])
 
     def merge_part(t: pa.Table) -> pa.Table:
-        g = t.drop_columns(["__part"]).group_by(keys).aggregate(
-            [(c, "sum") for c in out_names])
+        g = t.group_by(keys).aggregate([(c, "sum") for c in out_names])
         return g.rename_columns(
             [n[:-4] if n.endswith("_sum") and n[:-4] in out_names else n
              for n in g.column_names])
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(merge_part, batch_format="pyarrow")
+    ), keys, merge_part, num_parts)
 
 
 def grouped_extrema(ds, keys: list[str], cols: dict,
@@ -1934,10 +1885,6 @@ def grouped_extrema(ds, keys: list[str], cols: dict,
     No jsschema analogue (it validates one value at a time,
     /root/reference/validator/validator.go:57); this extends the §2.C
     column-statistics surface to grouped form."""
-    import numpy as np
-
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
     for out, (c, fn) in cols.items():
         if fn not in ("min", "max"):
             raise ValueError(f"grouped_extrema: {out} wants {fn!r}; "
@@ -1947,35 +1894,23 @@ def grouped_extrema(ds, keys: list[str], cols: dict,
     renames = {f"{c}_{fn}": out for out, (c, fn) in cols.items()}
 
     def partial(batch: pa.Table) -> pa.Table:
-        b = batch.select(keys + in_cols)
-        for k in keys:
-            kcol = b.column(k).combine_chunks()
-            norm = normalize_zeros(kcol)
-            if norm is not kcol:
-                b = b.set_column(b.column_names.index(k), k, norm)
-        g = b.group_by(keys).aggregate(list(in_aggs))
-        g = g.rename_columns(
+        g = batch.select(keys + in_cols).group_by(keys).aggregate(
+            list(in_aggs))
+        return g.rename_columns(
             [renames.get(name, name) for name in g.column_names])
-        h = None
-        for k in keys:
-            hk = hash64(g.column(k).combine_chunks())
-            with np.errstate(over="ignore"):
-                h = hk if h is None else h * np.uint64(1000003) + hk
-        part = (h % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
 
     merge_aggs = [(out, fn) for out, (_, fn) in cols.items()]
     back = {f"{out}_{fn}": out for out, (_, fn) in cols.items()}
 
     def merge_part(t: pa.Table) -> pa.Table:
-        g = t.drop_columns(["__part"]).group_by(keys).aggregate(merge_aggs)
+        g = t.group_by(keys).aggregate(merge_aggs)
         return g.rename_columns(
             [back.get(n, n) for n in g.column_names])
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(merge_part, batch_format="pyarrow")
+    ), keys, merge_part, num_parts)
 
 
 def pareto_front(ds, x: str, y: str, num_parts: int = 32,

@@ -1,0 +1,82 @@
+"""The keyed exchange: how a key becomes a partition, and the group step
+that hands each partition's rows to one function call.
+
+Every hash-partitioned operator (windows, grouped aggregates and
+quantiles, uniqueness, set ops, referential checks, sampling quotas,
+partitioned writes) co-locates equal keys the same way:
+
+* a row's partition is ``hash64(key) % n``; several key columns combine
+  as ``h * 1000003 + hash64(key_i)`` (uint64, wrapping);
+* float key columns are signed-zero-normalized first, because SQL GROUP
+  BY / PARTITION BY merges -0.0 and +0.0 while ``hash64`` and pyarrow's
+  hash kernels split them;
+* the partition id rides in the ``__part`` column through Ray's
+  sort-based ``groupby("__part").map_groups`` and is dropped before the
+  per-partition function sees the rows.
+
+``by_key`` is the whole exchange for a Dataset keyed on named columns.
+Callers that must compute ``__part`` themselves (inside a map step that
+packs or tags rows before the exchange) call ``partition_ids`` there
+and finish with ``by_part``.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pyarrow as pa
+
+from jsschema_ray.state.hll import hash64, normalize_zeros
+
+PART = "__part"
+
+
+def partition_ids(table: pa.Table, keys: list[str], n: int) -> np.ndarray:
+    """int32 partition id per row of ``table`` for the key columns
+    ``keys``. Equal keys get equal ids regardless of which rows share the
+    batch (``hash64``'s batch-composition invariant), and -0.0/+0.0 get
+    one id."""
+    if not table.num_rows:
+        return np.empty(0, dtype=np.int32)
+    h = None
+    for k in keys:
+        hk = hash64(normalize_zeros(table.column(k).combine_chunks()))
+        with np.errstate(over="ignore"):
+            h = hk if h is None else h * np.uint64(1000003) + hk
+    return (h % np.uint64(n)).astype(np.int32)
+
+
+def by_part(ds, fn, batch_format: str = "pyarrow"):
+    """Run ``fn`` once per ``__part`` group of ``ds`` (Ray's sort
+    shuffle), with ``__part`` dropped from the rows ``fn`` receives."""
+
+    @functools.wraps(fn)  # Ray names the operator after fn
+    def call(group):
+        if isinstance(group, pa.Table):
+            return fn(group.drop_columns([PART]))
+        return fn(group.drop(columns=[PART]))
+
+    return ds.groupby(PART).map_groups(call, batch_format=batch_format)
+
+
+def by_key(ds, keys: list[str], fn, num_partitions: int,
+           batch_format: str = "pyarrow"):
+    """Hash-partition ``ds`` on ``keys`` into ``num_partitions`` groups and
+    run ``fn`` once per group, so all rows of a key arrive in one call.
+    Float key columns reach ``fn`` signed-zero-normalized. The partition
+    column is added by a task-pool map with ``batch_size=None``, which Ray
+    fuses into the caller's preceding map step."""
+
+    def add_part(batch: pa.Table) -> pa.Table:
+        for k in keys:
+            i = batch.schema.get_field_index(k)
+            col = batch.column(i)
+            if pa.types.is_floating(col.type):
+                batch = batch.set_column(i, k, normalize_zeros(col))
+        return batch.append_column(
+            PART, pa.array(partition_ids(batch, keys, num_partitions)))
+
+    return by_part(ds.map_batches(add_part, batch_format="pyarrow",
+                                  batch_size=None, zero_copy_batch=True),
+                   fn, batch_format)

@@ -28,6 +28,8 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
+from jsschema_ray.stages.exchange import by_key
+
 
 def _scan_partials(ds, column: str, lo: float, hi: float, bins: int,
                    batch_size: int):
@@ -193,7 +195,6 @@ def grouped_quantile_disc(ds, group_col: str, column: str, q: float,
         raise ValueError(f"quantiles must be in [0, 1], got {q_list}")
 
     def select_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             return pd.DataFrame(
                 {group_col: gdf[group_col]}
@@ -208,40 +209,31 @@ def grouped_quantile_disc(ds, group_col: str, column: str, q: float,
             out[nm] = vals[np.searchsorted(csum, base + k, side="left")]
         return pd.DataFrame(out)
 
-    return _grouped_value_counts(
-        ds, group_col, column, num_parts, batch_size
-    ).groupby("__part").map_groups(select_part, batch_format="pandas")
+    return _grouped_value_counts(ds, group_col, column, num_parts,
+                                 batch_size, select_part)
 
 
 def _grouped_value_counts(ds, group_col: str, column: str, num_parts: int,
-                          batch_size: int):
+                          batch_size: int, finish):
     """Shared histogram-trick pre-aggregation of the grouped quantile
     family: per batch, collapse to (group, value, cnt) rows (NULL values
-    drop) and append a hash(group) partition id — only COUNT rows ever
-    shuffle."""
-    from jsschema_ray.state.hll import hash64, normalize_zeros
+    drop), then run ``finish`` (a pandas fn) once per hash(group)
+    partition — only COUNT rows ever shuffle."""
 
     def pre(batch: pa.Table) -> pa.Table:
         df = batch.select([group_col, column]).to_pandas()
         df = df[df[column].notna()]
         g = (df.groupby([group_col, column], sort=False, dropna=False)
              .size().reset_index(name="cnt"))
-        gcol = normalize_zeros(
-            pa.Table.from_pandas(g, preserve_index=False)
-            .column(group_col).combine_chunks()
-        )
-        part = (hash64(gcol) % np.uint64(num_parts)).astype(np.int32)
         # strip the pandas schema metadata from_pandas attaches: dict
         # metadata makes the schema unhashable, which disables Ray's
         # shuffle schema-dedup fast path and spams reduce-task logs
         return pa.Table.from_pandas(
-            g, preserve_index=False
-        ).replace_schema_metadata(None).append_column(
-            "__part", pa.array(part)
-        )
+            g, preserve_index=False).replace_schema_metadata(None)
 
-    return ds.map_batches(pre, batch_format="pyarrow",
-                          batch_size=batch_size, zero_copy_batch=True)
+    return by_key(ds.map_batches(pre, batch_format="pyarrow",
+                                 batch_size=batch_size, zero_copy_batch=True),
+                  [group_col], finish, num_parts, batch_format="pandas")
 
 
 def _sorted_segments(gdf, group_col: str, column: str):
@@ -295,7 +287,6 @@ def grouped_quantile_cont(ds, group_col: str, column: str, q: float,
         raise ValueError(f"q must be in [0, 1], got {q}")
 
     def select_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             return pd.DataFrame({
                 group_col: gdf[group_col],
@@ -316,9 +307,8 @@ def grouped_quantile_cont(ds, group_col: str, column: str, q: float,
         return pd.DataFrame({group_col: uniq, "n": n_g,
                              "q_cont": vlo + (vhi - vlo) * frac})
 
-    return _grouped_value_counts(
-        ds, group_col, column, num_parts, batch_size
-    ).groupby("__part").map_groups(select_part, batch_format="pandas")
+    return _grouped_value_counts(ds, group_col, column, num_parts,
+                                 batch_size, select_part)
 
 
 def value_cdf(ds, col: str, batch_size: int = 262144,
@@ -345,28 +335,22 @@ def value_cdf(ds, col: str, batch_size: int = 262144,
     and SQL both order NaN after +inf)."""
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
     def pre(batch: pa.Table) -> pa.Table:
-        c = normalize_zeros(batch.column(col).combine_chunks().drop_null())
+        c = batch.column(col).combine_chunks().drop_null()
         g = pa.table({col: c}).group_by([col]).aggregate(
             [([], "count_all")])
-        g = g.rename_columns(
+        return g.rename_columns(
             ["cnt" if n == "count_all" else n for n in g.column_names])
-        part = (hash64(g.column(col).combine_chunks())
-                % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
 
     def merge_part(t: pa.Table) -> pa.Table:
-        g = t.drop_columns(["__part"]).group_by([col]).aggregate(
-            [("cnt", "sum")])
+        g = t.group_by([col]).aggregate([("cnt", "sum")])
         return g.rename_columns(
             ["cnt" if n == "cnt_sum" else n for n in g.column_names])
 
-    counts = ds.select_columns([col]).map_batches(
+    counts = by_key(ds.select_columns([col]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(merge_part, batch_format="pyarrow")
+    ), [col], merge_part, num_parts)
 
     # range partition: one Dataset sort; blocks hold disjoint, ordered
     # value ranges and every distinct value exactly once
@@ -541,7 +525,6 @@ def grouped_tdigest_quantiles(ds, group_col: str, column: str,
 
     import pandas as pd
 
-    from jsschema_ray.state.hll import hash64, normalize_zeros
     from jsschema_ray.state.tdigest import TDigest
 
     if not qs or any(not 0.0 <= q <= 1.0 for q in qs):
@@ -578,12 +561,8 @@ def grouped_tdigest_quantiles(ds, group_col: str, column: str,
                 # raw sorted values, implicit weight 1 — exact partial
                 blobs.append(struct.pack("<qdd", len(seg), seg[0], seg[-1])
                              + seg.tobytes())
-        gt = pa.array(uniques)
-        out = pa.table({group_col: gt,
-                        "blob": pa.array(blobs, type=pa.binary())})
-        part = (hash64(normalize_zeros(gt)) % np.uint64(num_parts)).astype(
-            np.int32)
-        return out.append_column("__part", pa.array(part))
+        return pa.table({group_col: pa.array(uniques),
+                         "blob": pa.array(blobs, type=pa.binary())})
 
     def merge_part(gdf: pd.DataFrame) -> pd.DataFrame:
         out = {group_col: [], "n": [], "vmin": [], "vmax": []}
@@ -609,10 +588,10 @@ def grouped_tdigest_quantiles(ds, group_col: str, column: str,
                 out[c].append(td.quantile(q))
         return pd.DataFrame(out)
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(merge_part, batch_format="pandas")
+    ), [group_col], merge_part, num_parts, batch_format="pandas")
 
 
 def decile_assign(ds, id_cols: list, col: str, k: int = 10,
@@ -788,7 +767,6 @@ def grouped_trimmed_mean(ds, group_col: str, column: str, p: float = 0.1,
         raise ValueError(f"p must be in [0, 0.5), got {p}")
 
     def finish(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             return pd.DataFrame({
                 group_col: gdf[group_col],
@@ -837,9 +815,8 @@ def grouped_trimmed_mean(ds, group_col: str, column: str, p: float = 0.1,
                              "n_kept": n_kept_g[keep_g],
                              "trimmed_mean": mean})
 
-    return _grouped_value_counts(
-        ds, group_col, column, num_parts, batch_size
-    ).groupby("__part").map_groups(finish, batch_format="pandas")
+    return _grouped_value_counts(ds, group_col, column, num_parts,
+                                 batch_size, finish)
 
 
 def grouped_weighted_median(ds, group_col: str, column: str,
@@ -882,7 +859,6 @@ def grouped_weighted_median(ds, group_col: str, column: str,
     import pandas as pd
 
     from jsschema_ray.stages.windows import round_half_away
-    from jsschema_ray.state.hll import hash64, normalize_zeros
 
     if not 0.0 < q <= 1.0:
         raise ValueError(f"q must be in (0, 1], got {q}")
@@ -901,16 +877,12 @@ def grouped_weighted_median(ds, group_col: str, column: str,
         df = df[wt > 0]
         g = (df.groupby([group_col, column], sort=False, dropna=False)
              ["cnt"].sum().reset_index())
-        tbl = pa.Table.from_pandas(g, preserve_index=False)
-        gcol = normalize_zeros(tbl.column(group_col).combine_chunks())
-        part = (hash64(gcol) % np.uint64(num_parts)).astype(np.int32)
         # strip pandas schema metadata (unhashable dict disables Ray's
         # shuffle schema-dedup fast path — the _grouped_value_counts fix)
-        return tbl.replace_schema_metadata(None).append_column(
-            "__part", pa.array(part))
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata(None)
 
     def select_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             return pd.DataFrame({group_col: gdf[group_col],
                                  out_name: gdf[column]})
@@ -926,10 +898,10 @@ def grouped_weighted_median(ds, group_col: str, column: str,
         out = vals[np.searchsorted(csum, base + k, side="left")]
         return pd.DataFrame({group_col: uniq, out_name: out})
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(select_part, batch_format="pandas")
+    ), [group_col], select_part, num_parts, batch_format="pandas")
 
 
 def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
@@ -968,7 +940,6 @@ def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
     import pandas as pd
 
     from jsschema_ray.stages.windows import round_half_away
-    from jsschema_ray.state.hll import hash64, normalize_zeros
 
     def pre(batch: pa.Table) -> pa.Table:
         df = batch.select([group_col, column]).to_pandas()
@@ -983,16 +954,12 @@ def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
         g = (df.assign(__v=v)
              .groupby([group_col, "__v"], sort=False, dropna=False)
              .size().reset_index(name="cnt"))
-        tbl = pa.Table.from_pandas(g, preserve_index=False)
-        gcol = normalize_zeros(tbl.column(group_col).combine_chunks())
-        part = (hash64(gcol) % np.uint64(num_parts)).astype(np.int32)
         # strip pandas schema metadata (unhashable dict disables Ray's
         # shuffle schema-dedup fast path — the _grouped_value_counts fix)
-        return tbl.replace_schema_metadata(None).append_column(
-            "__part", pa.array(part))
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata(None)
 
     def gini_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             return pd.DataFrame({
                 group_col: gdf[group_col],
@@ -1034,10 +1001,10 @@ def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
         return pd.DataFrame({group_col: uniq, "n": n_g, "s1": s1,
                              "sw": sw, "gini": gini})
 
-    return ds.select_columns([group_col, column]).map_batches(
+    return by_key(ds.select_columns([group_col, column]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(gini_part, batch_format="pandas")
+    ), [group_col], gini_part, num_parts, batch_format="pandas")
 
 
 def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
@@ -1082,7 +1049,6 @@ def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
     import pandas as pd
 
     from jsschema_ray.stages.windows import round_half_away
-    from jsschema_ray.state.hll import hash64, normalize_zeros
 
     if k_num <= 0 or k_den <= 0 or k_num + k_den > 16:
         raise ValueError(
@@ -1109,14 +1075,10 @@ def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
         g = (df.assign(__v=v)
              .groupby([group_col, "__v"], sort=False, dropna=False)
              .size().reset_index(name="cnt"))
-        tbl = pa.Table.from_pandas(g, preserve_index=False)
-        gcol = normalize_zeros(tbl.column(group_col).combine_chunks())
-        part = (hash64(gcol) % np.uint64(num_parts)).astype(np.int32)
-        return tbl.replace_schema_metadata(None).append_column(
-            "__part", pa.array(part))
+        return pa.Table.from_pandas(
+            g, preserve_index=False).replace_schema_metadata(None)
 
     def fence_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        gdf = gdf.drop(columns=["__part"])
         if not len(gdf):
             z = np.array([], dtype=np.int64)
             return pd.DataFrame({group_col: gdf[group_col], "q1_cents": z,
@@ -1142,10 +1104,10 @@ def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
                              "q3_cents": q3, "n": n_g,
                              "n_outliers": n_out.astype(np.int64)})
 
-    return ds.select_columns([group_col, column]).map_batches(
+    return by_key(ds.select_columns([group_col, column]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(fence_part, batch_format="pandas")
+    ), [group_col], fence_part, num_parts, batch_format="pandas")
 
 
 def rank_blend(ds, id_cols: list, cols: list, blend_col: str = "blend",

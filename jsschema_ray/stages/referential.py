@@ -22,6 +22,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from jsschema_ray.stages.exchange import by_key
+
 
 def _ref_key_array(ref, ref_column: Optional[str], batch_size: int) -> pa.Array:
     if isinstance(ref, (list, tuple)):
@@ -213,22 +215,15 @@ def functional_dependency(ds, det_col: str, dep_col: str,
     Arrow group_bys: merge cross-batch partials, then per det SUM(cnt)
     + COUNT(valid dep) — Arrow "count" counts valid values only, giving
     the distinct-pair count per det since pairs are already distinct."""
-    import numpy as np
-
-    from jsschema_ray.state.hll import hash64
 
     def pre_trim(batch: pa.Table) -> pa.Table:
         g = batch.select([det_col, dep_col]).group_by(
             [det_col, dep_col]).aggregate([([], "count_all")])
-        g = g.rename_columns(
+        return g.rename_columns(
             ["cnt" if n == "count_all" else n for n in g.column_names])
-        part = (hash64(g.column(det_col).combine_chunks())
-                % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
 
     def per_partition(t: pa.Table) -> pa.Table:
-        m = t.drop_columns(["__part"]).group_by(
-            [det_col, dep_col]).aggregate([("cnt", "sum")])
+        m = t.group_by([det_col, dep_col]).aggregate([("cnt", "sum")])
         out = m.group_by(det_col).aggregate(
             [("cnt_sum", "sum"), (dep_col, "count")])
         res = pa.table({
@@ -239,10 +234,10 @@ def functional_dependency(ds, det_col: str, dep_col: str,
         })
         return res.filter(pc.greater(res.column("n_distinct_dep"), 1))
 
-    return ds.select_columns([det_col, dep_col]).map_batches(
+    return by_key(ds.select_columns([det_col, dep_col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [det_col], per_partition, num_parts)
 
 
 def id_gaps(ds, col: str, num_parts: int = 32,
@@ -278,8 +273,6 @@ def id_gaps(ds, col: str, num_parts: int = 32,
 
     import ray.data as rd
 
-    from jsschema_ray.state.hll import hash64
-
     s = ds.schema()  # Ray Schema: parallel .names / .types (Arrow dtypes)
     col_type = dict(zip(s.names, s.types))[col]
     if not pa.types.is_integer(col_type):
@@ -289,21 +282,16 @@ def id_gaps(ds, col: str, num_parts: int = 32,
 
     def pre_trim(batch: pa.Table) -> pa.Table:
         c = batch.column(col).combine_chunks().drop_null()
-        d = pa.table({col: pc.cast(c, pa.int64())}).group_by(
+        return pa.table({col: pc.cast(c, pa.int64())}).group_by(
             [col]).aggregate([])
-        part = (hash64(d.column(col).combine_chunks())
-                % np.uint64(num_parts)).astype(np.int32)
-        return d.append_column("__part", pa.array(part))
 
     def merge_part(t: pa.Table) -> pa.Table:
-        return t.drop_columns(["__part"]).group_by([col]).aggregate([])
+        return t.group_by([col]).aggregate([])
 
-    sorted_ids = ds.select_columns([col]).map_batches(
+    sorted_ids = by_key(ds.select_columns([col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(
-        merge_part, batch_format="pyarrow",
-    ).sort(col).materialize()
+    ), [col], merge_part, num_parts).sort(col).materialize()
 
     def block_ends(t: pa.Table) -> pa.Table:
         if not t.num_rows:

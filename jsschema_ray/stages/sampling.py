@@ -34,6 +34,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jsschema_ray.stages.exchange import by_key
+
 #: Knuth's 32-bit multiplicative hashing constant (public, TAOCP vol. 3)
 KNUTH_A = 2654435761
 _M32 = 1 << 32
@@ -138,8 +140,6 @@ def cap_per_key(ds, key_column: str, n: int, order_col: str,
 
     Partitioning assumption (documented): one partition's pre-trimmed rows
     fit a worker; raise num_parts with cluster size."""
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
     proj = keep_columns or None
 
     def pretrim(batch: pa.Table) -> pa.Table:
@@ -151,22 +151,18 @@ def cap_per_key(ds, key_column: str, n: int, order_col: str,
         trimmed = df.sort_values(order_col, kind="stable").groupby(
             key_column, sort=False, dropna=False
         ).head(n)
-        out = pa.Table.from_pandas(trimmed, preserve_index=False,
-                                   schema=batch.schema)
-        kcol = normalize_zeros(out.column(key_column).combine_chunks())
-        part = (hash64(kcol) % np.uint64(num_parts)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
+        return pa.Table.from_pandas(trimmed, preserve_index=False,
+                                    schema=batch.schema)
 
     def cap_part(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.sort_values(order_col, kind="stable").groupby(
+        return g.sort_values(order_col, kind="stable").groupby(
             key_column, sort=False, dropna=False
         ).head(n)
-        return out.drop(columns=["__part"])
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(cap_part, batch_format="pandas")
+    ), [key_column], cap_part, num_parts, batch_format="pandas")
 
 
 def weighted_hash_sample(ds, key_column: str, weight_col: str, scale: int,
@@ -275,7 +271,6 @@ def stratified_exact_n(ds, strata_col: str, counts: dict, key_column: str,
         raise ValueError("counts must be non-empty")
     if any(n < 0 for n in counts.values()):
         raise ValueError("quotas must be >= 0")
-    from jsschema_ray.state.hll import hash64, normalize_zeros
 
     strata_vals = pa.array(list(counts.keys()))
 
@@ -296,22 +291,17 @@ def stratified_exact_n(ds, strata_col: str, counts: dict, key_column: str,
         k = batch.column(key_column).combine_chunks().cast(
             pa.int64()).to_numpy(zero_copy_only=False)
         batch = batch.append_column("__mix", pa.array(_mix32(k, seed)))
-        out = pa.Table.from_pandas(
+        return pa.Table.from_pandas(
             _trim_df(batch.to_pandas()), preserve_index=False,
             schema=batch.schema)
-        part = (hash64(normalize_zeros(
-            out.column(strata_col).combine_chunks()))
-            % np.uint64(num_parts)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
 
     def final_part(gdf: pd.DataFrame) -> pd.DataFrame:
-        return _trim_df(gdf.drop(columns=["__part"])) \
-            .drop(columns=["__mix"])
+        return _trim_df(gdf).drop(columns=["__mix"])
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(final_part, batch_format="pandas")
+    ), [strata_col], final_part, num_parts, batch_format="pandas")
 
 
 def split_assign(ds, key_column: str, fractions: tuple = (0.98, 0.01),

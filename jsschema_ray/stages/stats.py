@@ -23,6 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jsschema_ray.stages.exchange import by_key
 from jsschema_ray.state.hll import HyperLogLog, hash64
 from jsschema_ray.state.tdigest import TDigest
 
@@ -637,12 +638,9 @@ def grouped_distinct_sketch(ds, group_col: str, column: str, p: int = 12,
                              + hll.registers.tobytes())
             else:
                 blobs.append(struct.pack("<q", len(seg)) + seg.tobytes())
-        out = pa.table({group_col: pa.array(uniques),
-                        "blob": pa.array(blobs, type=pa.binary()),
-                        "n_rows": pa.array(n_rows)})
-        part = (hash64(normalize_zeros(out.column(group_col)))
-                % np.uint64(num_parts)).astype(np.int32)
-        return out.append_column("__part", pa.array(part))
+        return pa.table({group_col: pa.array(uniques),
+                         "blob": pa.array(blobs, type=pa.binary()),
+                         "n_rows": pa.array(n_rows)})
 
     def merge_part(gdf: pd.DataFrame) -> pd.DataFrame:
         out = {group_col: [], "distinct_est": [], "is_exact": [],
@@ -673,10 +671,10 @@ def grouped_distinct_sketch(ds, group_col: str, column: str, p: int = 12,
             out["n_rows"].append(int(sub["n_rows"].sum()))
         return pd.DataFrame(out)
 
-    return ds.map_batches(
+    return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(merge_part, batch_format="pandas")
+    ), [group_col], merge_part, num_parts, batch_format="pandas")
 
 
 def benford_digits(ds, column: str, scale: int = 100,

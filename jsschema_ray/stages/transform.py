@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jsschema_ray.schema.compiler import compile_schema
+from jsschema_ray.stages.exchange import PART, by_part, partition_ids
 
 
 def apply_defaults(ds, schema: dict[str, Any], batch_size: int = 65536):
@@ -149,8 +150,6 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
     referential/uniqueness auditing to cross-version form."""
     import numpy as np
 
-    from jsschema_ray.state.hll import hash64
-
     cols = [key] + list(compare_cols)
 
     def tag(side: int):
@@ -160,8 +159,8 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
             if k.null_count:
                 raise ValueError(f"table_diff: NULL {key} on side "
                                  f"{'B' if side else 'A'}")
-            part = (hash64(k) % np.uint64(num_parts)).astype(np.int32)
-            return b.append_column("__part", pa.array(part)) \
+            return b.append_column(PART, pa.array(
+                partition_ids(b, [key], num_parts))) \
                     .append_column("__side", pa.array(
                         np.full(b.num_rows, side, dtype=np.int8)))
         return fn
@@ -214,8 +213,7 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
              for a_ in out_keys]),
             "status": pa.concat_arrays(out_status)})
 
-    return a.union(b).groupby("__part").map_groups(
-        classify, batch_format="pyarrow")
+    return by_part(a.union(b), classify)
 
 
 def upsert(base, updates, key: str, num_parts: int = 32,
@@ -246,8 +244,6 @@ def upsert(base, updates, key: str, num_parts: int = 32,
     the §2.C cross-version family (diff -> apply)."""
     import numpy as np
 
-    from jsschema_ray.state.hll import hash64
-
     # an all-empty side reports schema() None (Ray emits no blocks):
     # treat it as "no rows on that side" instead of crashing the check
     bs, us = base.schema(), updates.schema()
@@ -270,8 +266,8 @@ def upsert(base, updates, key: str, num_parts: int = 32,
                 raise ValueError(
                     f"upsert: NULL {key} on side "
                     f"{'updates' if side else 'base'}")
-            part = (hash64(k) % np.uint64(num_parts)).astype(np.int32)
-            return b.append_column("__part", pa.array(part)) \
+            return b.append_column(PART, pa.array(
+                partition_ids(b, [key], num_parts))) \
                     .append_column("__side", pa.array(
                         np.full(b.num_rows, side, dtype=np.int8)))
         return fn
@@ -286,10 +282,8 @@ def upsert(base, updates, key: str, num_parts: int = 32,
     def merge_part(t: pa.Table) -> pa.Table:
         t = t.combine_chunks()
         side = t.column("__side").to_numpy(zero_copy_only=False)
-        tb = t.filter(pa.array(side == 0)).drop_columns(
-            ["__part", "__side"])
-        tu = t.filter(pa.array(side == 1)).drop_columns(
-            ["__part", "__side"])
+        tb = t.filter(pa.array(side == 0)).drop_columns(["__side"])
+        tu = t.filter(pa.array(side == 1)).drop_columns(["__side"])
         ku = tu.column(key).combine_chunks()
         # same key always lands in the same partition, so per-partition
         # distinctness IS global distinctness (the table_diff argument)
@@ -300,5 +294,4 @@ def upsert(base, updates, key: str, num_parts: int = 32,
         keep = tb.filter(shadowed.is_null())
         return pa.concat_tables([tu, keep])
 
-    return tagged.groupby("__part").map_groups(
-        merge_part, batch_format="pyarrow")
+    return by_part(tagged, merge_part)

@@ -9,8 +9,10 @@ Scale design (SURVEY.md §7 hard part 3 — Zipf-skewed phash):
      matter how many times it appears there, so the shuffle payload is
      O(distinct keys per block), not O(rows); this is the skew-salting
      effect without explicit salts (the block is the salt);
-  2. partial counts hash-bucket into ~num_buckets groups, each reduced by
-     ONE vectorized pandas groupby (not a per-key Ray aggregate);
+  2. partial counts are packed per key bucket and cross the keyed
+     exchange of stages/exchange.py (``partition_ids`` buckets the keys,
+     ``by_part`` is the one group step); each bucket is reduced by ONE
+     vectorized Arrow group_by (not a per-key Ray aggregate);
   3. keys with total > 1 are collected (bounded: duplicate KEYS are rare
      even when duplicate ROWS are many) and broadcast via `ray.put`; a
      final map_batches pass flags member rows with a vectorized `pc.is_in`
@@ -31,6 +33,9 @@ import pyarrow.compute as pc
 
 import ray
 
+from jsschema_ray.stages.exchange import PART, by_part, partition_ids
+from jsschema_ray.state.hll import normalize_zeros
+
 
 def _pack(tbl: pa.Table) -> bytes:
     sink = pa.BufferOutputStream()
@@ -43,33 +48,41 @@ def _unpack(b: bytes) -> pa.Table:
     return pa.ipc.open_stream(pa.BufferReader(b)).read_all()
 
 
-def _precount(column: str, num_buckets: int):
-    from jsschema_ray.state.hll import hash64, normalize_zeros
+def _precount(columns: list[str], num_buckets: int):
+    """Map-side pre-count of the uniqueness exchange: per key column, the
+    batch's ``pc.value_counts`` split by key bucket and packed into ONE
+    Arrow IPC blob per (column, bucket), so the all-to-all exchange moves
+    O(batches × buckets × columns) rows instead of O(distinct keys) — Ray's
+    shuffle cost is per-row, and a mostly-unique key column would otherwise
+    ship every key as its own row (measured 8.5s -> ~2s on 4M unique keys).
+    ``__part`` is ``bucket * len(columns) + column index``."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        # -0.0/+0.0 float keys must count as ONE key (SQL GROUP BY merges
-        # them; value_counts hashes them apart)
-        vc = pc.value_counts(
-            normalize_zeros(batch.column(column).combine_chunks()))
-        values = vc.field("values")
-        counts = vc.field("counts").cast(pa.int64())
-        bucket = (hash64(values) % np.uint64(num_buckets)).astype(np.int32)
-        order = np.argsort(bucket, kind="stable")
-        tbl = pa.table({column: values, "partial_count": counts}).take(
-            pa.array(order)
-        )
-        sb = bucket[order]
-        bounds = np.searchsorted(sb, np.arange(num_buckets + 1))
-        out_b, out_blob = [], []
-        for b in range(num_buckets):
-            lo, hi = bounds[b], bounds[b + 1]
-            if lo == hi:
-                continue
-            out_b.append(b)
-            out_blob.append(_pack(tbl.slice(lo, hi - lo)))
+        out_p, out_c, out_blob = [], [], []
+        for ci, column in enumerate(columns):
+            # -0.0/+0.0 float keys must count as ONE key (SQL GROUP BY
+            # merges them; value_counts hashes them apart)
+            vc = pc.value_counts(
+                normalize_zeros(batch.column(column).combine_chunks()))
+            tbl = pa.table({"key": vc.field("values"),
+                            "partial_count": vc.field("counts").cast(
+                                pa.int64())})
+            bucket = partition_ids(tbl, ["key"], num_buckets)
+            order = np.argsort(bucket, kind="stable")
+            tbl = tbl.take(pa.array(order))
+            bounds = np.searchsorted(bucket[order],
+                                     np.arange(num_buckets + 1))
+            for b in range(num_buckets):
+                lo, hi = bounds[b], bounds[b + 1]
+                if lo == hi:
+                    continue
+                out_p.append(b * len(columns) + ci)
+                out_c.append(ci)
+                out_blob.append(_pack(tbl.slice(lo, hi - lo)))
         return pa.table(
             {
-                "bucket": pa.array(out_b, type=pa.int32()),
+                PART: pa.array(out_p, type=pa.int32()),
+                "col_idx": pa.array(out_c, type=pa.int32()),
                 "blob": pa.array(out_blob, type=pa.binary()),
             }
         )
@@ -77,38 +90,52 @@ def _precount(column: str, num_buckets: int):
     return fn
 
 
+def _dup_counts(g: pd.DataFrame) -> pa.Table:
+    """(key, dup_count) for the keys of one bucket whose summed partial
+    count exceeds 1. Arrow-native (r5 fix): a pandas groupby promoted an
+    int64 key to float64 whenever the bucket held a NULL key (value_counts
+    emits null as a countable value), collapsing distinct large ints;
+    pyarrow group_by keeps exact dtypes and groups nulls together."""
+    tbl = pa.concat_tables(_unpack(b) for b in g["blob"])
+    tot = tbl.group_by("key").aggregate([("partial_count", "sum")])
+    dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
+    return pa.table({"key": dup.column("key"),
+                     "dup_count": dup.column("partial_count_sum")})
+
+
+def _no_dups(ds, column: str) -> pa.Table:
+    """The empty (column, dup_count) table, the key typed from the schema."""
+    sch = ds.schema()
+    return pa.table(
+        {column: pa.array([], type=dict(zip(sch.names, sch.types))[column]),
+         "dup_count": pa.array([], type=pa.int64())})
+
+
+def _top(dup: pa.Table, column: str, k: int) -> pa.Table:
+    """The first ``k`` duplicate keys by dup_count descending, then key
+    ascending, null key last — a total order, so the cut is deterministic
+    across runs."""
+    return dup.sort_by(
+        [("dup_count", "descending"), (column, "ascending")]).slice(0, k)
+
+
 def duplicate_keys(ds, column: str, batch_size: int = 262144,
                    num_buckets: int = 64):
     """Dataset of (column, dup_count) for keys appearing more than once.
 
-    Reduce strategy: per-batch partial counts are packed into ONE Arrow IPC
-    blob per (batch, bucket), so the all-to-all exchange moves
-    O(batches × buckets) rows instead of O(distinct keys) — Ray's shuffle
-    cost is per-row, and a mostly-unique key column would otherwise ship
-    every key as its own row (measured 8.5s -> ~2s on 4M unique keys).
-    Each bucket then reduces with one vectorized pandas groupby — never a
-    per-key Ray aggregate (order-of-magnitude slower, measured).
+    Reduce strategy: per-batch partial counts are packed per bucket
+    (_precount), and each bucket reduces with one vectorized group_by —
+    never a per-key Ray aggregate (order-of-magnitude slower, measured).
     Size ``num_buckets`` ≈ cluster cores so every core gets one reduce."""
     partials = ds.select_columns([column]).map_batches(
-        _precount(column, num_buckets), batch_format="pyarrow",
+        _precount([column], num_buckets), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
     )
 
     def reduce_bucket(g: pd.DataFrame) -> pa.Table:
-        # arrow-native reduce (r5 fix): the pandas groupby promoted an
-        # int64 key to float64 whenever the bucket held a NULL key
-        # (value_counts emits null as a countable value), collapsing
-        # distinct large ints; pyarrow group_by keeps exact dtypes and
-        # groups nulls together
-        tbl = pa.concat_tables(_unpack(b) for b in g["blob"])
-        tot = tbl.group_by(column).aggregate([("partial_count", "sum")])
-        dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
-        return pa.table({column: dup.column(column),
-                         "dup_count": dup.column("partial_count_sum")})
+        return _dup_counts(g).rename_columns([column, "dup_count"])
 
-    return partials.groupby("bucket").map_groups(
-        reduce_bucket, batch_format="pandas"
-    )
+    return by_part(partials, reduce_bucket, batch_format="pandas")
 
 
 def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
@@ -117,65 +144,25 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
     each column's partial counts are packed per (column, bucket) and the
     bucket reduce handles all columns — halves the fixed all-to-all cost
     when a schema checks uniqueness on multiple keys (image_id + phash)."""
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
-    def fn(batch: pa.Table) -> pa.Table:
-        out_b, out_c, out_blob = [], [], []
-        for ci, column in enumerate(columns):
-            vc = pc.value_counts(
-                normalize_zeros(batch.column(column).combine_chunks()))
-            values = vc.field("values")
-            counts = vc.field("counts").cast(pa.int64())
-            bucket = (hash64(values) % np.uint64(num_buckets)).astype(np.int32)
-            order = np.argsort(bucket, kind="stable")
-            tbl = pa.table({"key": values, "partial_count": counts}).take(
-                pa.array(order)
-            )
-            sb = bucket[order]
-            bounds = np.searchsorted(sb, np.arange(num_buckets + 1))
-            for b in range(num_buckets):
-                lo, hi = bounds[b], bounds[b + 1]
-                if lo == hi:
-                    continue
-                out_b.append(b * len(columns) + ci)
-                out_c.append(ci)
-                out_blob.append(_pack(tbl.slice(lo, hi - lo)))
-        return pa.table(
-            {
-                "bucket": pa.array(out_b, type=pa.int32()),
-                "col_idx": pa.array(out_c, type=pa.int32()),
-                "blob": pa.array(out_blob, type=pa.binary()),
-            }
-        )
-
     partials = ds.select_columns(columns).map_batches(
-        fn, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
+        _precount(columns, num_buckets), batch_format="pyarrow",
+        batch_size=batch_size, zero_copy_batch=True,
     )
 
     def reduce_bucket(g: pd.DataFrame) -> pa.Table:
-        # arrow-native reduce (same exact-dtype rationale as
-        # duplicate_keys.reduce_bucket), RE-PACKED as one IPC blob:
-        # different columns carry different key TYPES (string image_id
-        # vs int64 phash), so typed `key` blocks from different buckets
-        # cannot unify into one Dataset schema — the blob keeps each
-        # column's exact type opaque to the block layer
-        ci = int(g["col_idx"].iloc[0])
-        tbl = pa.concat_tables(_unpack(b) for b in g["blob"])
-        tot = tbl.group_by("key").aggregate([("partial_count", "sum")])
-        dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
-        out_tbl = pa.table({"key": dup.column("key"),
-                            "dup_count": dup.column("partial_count_sum")})
+        # RE-PACKED as one IPC blob: different columns carry different key
+        # TYPES (string image_id vs int64 phash), so typed `key` blocks
+        # from different buckets cannot unify into one Dataset schema —
+        # the blob keeps each column's exact type opaque to the block layer
         return pa.table(
             {
-                "col_idx": pa.array([ci], type=pa.int32()),
-                "blob": pa.array([_pack(out_tbl)], type=pa.binary()),
+                "col_idx": pa.array([int(g["col_idx"].iloc[0])],
+                                    type=pa.int32()),
+                "blob": pa.array([_pack(_dup_counts(g))], type=pa.binary()),
             }
         )
 
-    rows = partials.groupby("bucket").map_groups(
-        reduce_bucket, batch_format="pandas"
-    ).take_all()
+    rows = by_part(partials, reduce_bucket, batch_format="pandas").take_all()
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
         tabs = [_unpack(r["blob"]) for r in rows if r["col_idx"] == ci]
@@ -185,22 +172,27 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
                 {column: merged_t.column("key"),
                  "dup_count": merged_t.column("dup_count").cast(
                      pa.int64())})
-        else:  # empty input: no bucket reduced, type the key from the schema
-            sch = ds.schema()
-            out[column] = pa.table(
-                {column: pa.array([], type=dict(zip(sch.names,
-                                                    sch.types))[column]),
-                 "dup_count": pa.array([], type=pa.int64())})
+        else:  # empty input: no bucket reduced
+            out[column] = _no_dups(ds, column)
     return out
 
 
 def top_duplicates(ds, column: str, k: int = 20, batch_size: int = 65536):
     """Top-k heaviest duplicate keys — the skew report feeding salting
-    decisions (SURVEY.md §2.D sorts/limits). Key is the tie-breaker so the
-    selection is a total order (deterministic across runs)."""
-    return duplicate_keys(ds, column, batch_size).sort(
-        ["dup_count", column], descending=[True, False]
-    ).limit(k)
+    decisions (SURVEY.md §2.D sorts/limits), in the ``_top`` order. Each
+    duplicate_keys block keeps its own top k and the driver merges those
+    few rows; no range-partitioned sort, which cannot order a null key
+    against the others once the duplicates span several blocks."""
+    import ray.data as rd
+
+    tops = duplicate_keys(ds, column, batch_size).map_batches(
+        lambda t: _top(t, column, k), batch_format="pyarrow")
+    parts = [t for t in tops.iter_batches(batch_size=None,
+                                          batch_format="pyarrow")
+             if t.num_rows]
+    if not parts:
+        return rd.from_arrow(_no_dups(ds, column))
+    return rd.from_arrow(_top(pa.concat_tables(parts), column, k))
 
 
 def uniqueness_violations(
@@ -302,9 +294,7 @@ def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
             "dup_rows": int(pc.sum(dup.column("dup_count")).as_py() or 0),
         }
         if dup.num_rows:
-            rep["top_duplicates"] = dup.sort_by(
-                [("dup_count", "descending"), (column, "ascending")]
-            ).slice(0, 10).to_pylist()
+            rep["top_duplicates"] = _top(dup, column, 10).to_pylist()
         out[column] = rep
     return out
 
@@ -326,44 +316,45 @@ def distinct_rows(ds, columns: Optional[list[str]] = None,
     columns are signed-zero-normalized first so -0.0/+0.0 collapse to one
     row with a +0.0 output, matching DuckDB DISTINCT; NaNs merge to one
     row on both sides (pandas and SQL agree)."""
-    from jsschema_ray.state.hll import hash64, normalize_zeros
 
-    cols = columns  # None -> all
+    def dedup(t: pa.Table) -> pa.Table:
+        return pa.Table.from_pandas(t.to_pandas().drop_duplicates(),
+                                    preserve_index=False, schema=t.schema)
 
     def pretrim(batch: pa.Table) -> pa.Table:
-        sel = cols or batch.column_names
-        out = batch.select(sel)
-        for c in sel:
-            t = out.schema.field(c).type
-            if pa.types.is_nested(t):
-                raise ValueError(
-                    f"distinct_rows supports primitive columns only; "
-                    f"{c!r} is {t} — hash or serialize nested values first"
-                )
-        for c in sel:
-            col = out.column(c).combine_chunks()
-            norm = normalize_zeros(col)
-            if norm is not col:
-                out = out.set_column(out.column_names.index(c), c, norm)
-        df = out.to_pandas().drop_duplicates()
-        out = pa.Table.from_pandas(df, preserve_index=False,
-                                   schema=out.schema)
-        h = None
-        for c in sel:
-            hk = hash64(out.column(c).combine_chunks())
-            with np.errstate(over="ignore"):
-                h = hk if h is None else h * np.uint64(1000003) + hk
-        part = (h % np.uint64(num_parts)).astype(np.int32) if len(out) \
-            else np.empty(0, dtype=np.int32)
-        return out.append_column("__part", pa.array(part))
+        return _keyed_partials(batch, columns or batch.column_names,
+                               "distinct_rows", num_parts, dedup)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop(columns=["__part"]).drop_duplicates()
+        return g.drop_duplicates()
 
-    return ds.map_batches(
+    return by_part(ds.map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(finish, batch_format="pandas")
+    ), finish, batch_format="pandas")
+
+
+def _keyed_partials(batch: pa.Table, sel: list[str], what: str,
+                    num_parts: int, collapse) -> pa.Table:
+    """Map side shared by distinct_rows and the set ops: project ``sel``
+    (primitive columns only), signed-zero-normalize float columns so
+    -0.0/+0.0 are one row, ``collapse`` the batch to its distinct rows (or
+    row counts) and append ``__part`` over the ``sel`` columns, so equal
+    rows from any batch or input co-locate."""
+    out = batch.select(sel)
+    for c in sel:
+        t = out.schema.field(c).type
+        if pa.types.is_nested(t):
+            raise ValueError(
+                f"{what} supports primitive columns only; {c!r} is {t} — "
+                "hash or serialize nested values first")
+        col = out.column(c).combine_chunks()
+        norm = normalize_zeros(col)
+        if norm is not col:
+            out = out.set_column(out.column_names.index(c), c, norm)
+    out = collapse(out)
+    return out.append_column(
+        PART, pa.array(partition_ids(out, sel, num_parts)))
 
 
 def candidate_keys(ds, combos: list[list[str]],
@@ -438,78 +429,49 @@ def group_size_histogram(ds, key_cols: list[str],
                            batch_size=batch_size)
 
 
-def _setop_rows(left, right, how: str, columns: Optional[list[str]] = None,
-                batch_size: int = 262144, num_parts: int = 64):
-    """Shared engine for SQL EXCEPT / INTERSECT (both DISTINCT set ops):
-    tag each side, reuse distinct_rows' map-side pre-trim + normalized
-    combined-key hash so equal rows from BOTH inputs co-locate in one
-    partition, then one vectorized pandas merge per partition (pandas
-    matches NULL/NaN keys to each other, the SQL set-op duplicate-
-    elimination semantics where NULLs compare equal)."""
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
-    cols = columns  # None -> all of LEFT's columns
-
-    def make_pretrim(side: int, sel_override=None):
-        def pretrim(batch: pa.Table) -> pa.Table:
-            sel = sel_override or cols or batch.column_names
-            out = batch.select(sel)
-            for c in sel:
-                t = out.schema.field(c).type
-                if pa.types.is_nested(t):
-                    raise ValueError(
-                        f"{how}_rows supports primitive columns only; "
-                        f"{c!r} is {t} — hash or serialize nested first"
-                    )
-            for c in sel:
-                col = out.column(c).combine_chunks()
-                norm = normalize_zeros(col)
-                if norm is not col:
-                    out = out.set_column(out.column_names.index(c), c,
-                                         norm)
-            # Arrow-native per-batch distinct (r3 ADVICE fix: the previous
-            # pandas round-trip turned nullable int64 into float64, losing
-            # precision above 2^53 before the cast back — equal rows could
-            # then fail to co-partition). group_by with no aggregates keeps
-            # exact dtypes and treats nulls as equal, like the SQL set op.
-            out = out.group_by(out.column_names).aggregate([])
-            # RIGHT side aligns to the left's output column names so the
-            # union and per-partition merge see one schema
-            if sel_override is not None and cols is not None:
-                out = out.rename_columns(cols)
-            h = None
-            for c in out.column_names:
-                hk = hash64(out.column(c).combine_chunks())
-                with np.errstate(over="ignore"):
-                    h = hk if h is None else h * np.uint64(1000003) + hk
-            part = (h % np.uint64(num_parts)).astype(np.int32) \
-                if len(out) else np.empty(0, dtype=np.int32)
-            out = out.append_column("__part", pa.array(part))
-            return out.append_column(
-                "__side",
-                pa.array(np.full(len(out), side, dtype=np.int8)))
-        return pretrim
-
-    return left, right, make_pretrim
-
-
 def _run_setop(left, right, how: str, columns, right_columns,
                batch_size: int, num_parts: int):
-    import pandas as pd
-
+    """Shared engine for SQL EXCEPT / INTERSECT (DISTINCT) and EXCEPT ALL /
+    INTERSECT ALL (BAG semantics: output multiplicity = max(0, count_left −
+    count_right) / min(count_left, count_right)). Each side is tagged and
+    pre-trimmed map-side to its distinct rows — or, for the bag ops, to
+    (row → count) partials — with an Arrow group_by, which keeps exact
+    dtypes and treats nulls as equal (r3 fix: a pandas round-trip turned
+    nullable int64 into float64 before the co-partition hash). Equal rows
+    from BOTH inputs co-locate in one partition, where one vectorized
+    pandas merge finishes (pandas matches NULL/NaN keys to each other, the
+    SQL set-op duplicate-elimination semantics; bag ops REPEAT surviving
+    rows to their multiplicity with np.repeat, no Python loop)."""
     if right_columns is not None and columns is None:
         raise ValueError(
             "right_columns requires explicit left columns (the output "
             "schema) so the right side can be renamed onto it"
         )
-    left, right, make_pretrim = _setop_rows(
-        left, right, how, columns, batch_size, num_parts
-    )
-    lt = left.map_batches(make_pretrim(0), batch_format="pyarrow",
-                          batch_size=batch_size, zero_copy_batch=True)
-    rt = right.map_batches(make_pretrim(1, right_columns),
-                           batch_format="pyarrow",
-                           batch_size=batch_size, zero_copy_batch=True)
+    bag = how.endswith("_all")
+
+    def collapse(t: pa.Table) -> pa.Table:
+        if not bag:
+            return t.group_by(t.column_names).aggregate([])
+        g = t.group_by(t.column_names).aggregate([([], "count_all")])
+        return g.rename_columns(
+            ["__n" if c == "count_all" else c for c in g.column_names])
+
+    def tagged(ds, side: int, sel_override):
+        def pretrim(batch: pa.Table) -> pa.Table:
+            sel = sel_override or columns or batch.column_names
+            out = _keyed_partials(batch, sel, f"{how}_rows", num_parts,
+                                  collapse)
+            # RIGHT side aligns to the left's output column names so the
+            # union and per-partition merge see one schema
+            if sel_override is not None and columns is not None:
+                ren = dict(zip(sel_override, columns))
+                out = out.rename_columns(
+                    [ren.get(c, c) for c in out.column_names])
+            return out.append_column(
+                "__side", pa.array(np.full(len(out), side, dtype=np.int8)))
+
+        return ds.map_batches(pretrim, batch_format="pyarrow",
+                              batch_size=batch_size, zero_copy_batch=True)
 
     def finish(t: pa.Table) -> pa.Table:
         # ArrowDtype-backed pandas (r5 fix): the plain pandas conversion
@@ -519,135 +481,47 @@ def _run_setop(left, right, how: str, columns, right_columns,
         # ArrowDtype keeps exact int64 + NA while pandas merge still
         # matches NA keys to each other (the set-op NULL semantics).
         g = t.to_pandas(types_mapper=pd.ArrowDtype)
-        sel = [c for c in g.columns if c not in ("__part", "__side")]
-        lf = g[g["__side"] == 0][sel].drop_duplicates()
-        rf = g[g["__side"] == 1][sel].drop_duplicates()
-        if how == "intersect":
-            out = lf.merge(rf, on=sel, how="inner")
+        sel = [c for c in g.columns if c not in ("__side", "__n")]
+        left_rows, right_rows = g[g["__side"] == 0], g[g["__side"] == 1]
+        if bag:
+            lf = (left_rows.groupby(sel, dropna=False, sort=False,
+                                    as_index=False)["__n"].sum()
+                  .rename(columns={"__n": "__nl"}))
+            rf = (right_rows.groupby(sel, dropna=False, sort=False,
+                                     as_index=False)["__n"].sum()
+                  .rename(columns={"__n": "__nr"}))
+            m = lf.merge(rf, on=sel, how="left")
+            nr = m["__nr"].fillna(0).to_numpy(dtype=np.int64)
+            nl = m["__nl"].to_numpy(dtype=np.int64)
+            k = (np.minimum(nl, nr) if how == "intersect_all"
+                 else np.maximum(nl - nr, 0))
+            out = m.loc[np.repeat(m.index.to_numpy(), k)][sel].reset_index(
+                drop=True)
         else:
-            m = lf.merge(rf, on=sel, how="left", indicator=True)
-            out = m[m["_merge"] == "left_only"][sel]
+            lf = left_rows[sel].drop_duplicates()
+            rf = right_rows[sel].drop_duplicates()
+            if how == "intersect":
+                out = lf.merge(rf, on=sel, how="inner")
+            else:
+                m = lf.merge(rf, on=sel, how="left", indicator=True)
+                out = m[m["_merge"] == "left_only"][sel]
         # strip the pandas metadata: it would reconstruct ArrowDtype
         # columns (<NA> instead of None) on the consumer's to_pandas
         return pa.Table.from_pandas(
             out[sel], preserve_index=False).replace_schema_metadata(None)
 
-    return lt.union(rt).groupby("__part").map_groups(
-        finish, batch_format="pyarrow"
-    )
-
-
-def _run_setop_all(left, right, how: str, columns, right_columns,
-                   batch_size: int, num_parts: int):
-    """Shared engine for SQL EXCEPT ALL / INTERSECT ALL (BAG semantics:
-    output multiplicity = max(0, count_left − count_right) /
-    min(count_left, count_right)). Same normalization + combined-key
-    hash co-partitioning as the DISTINCT set ops, but the map side
-    pre-aggregates per-batch (row → count) partials — the shuffle
-    carries at most one row per distinct value per batch, never the raw
-    duplicates — and the per-partition finish sums counts per side and
-    REPEATS surviving rows to their multiplicity (np.repeat, no Python
-    loop). NULLs compare equal, floats signed-zero-normalized."""
-    import numpy as np
-    import pandas as pd
-
-    from jsschema_ray.state.hll import hash64, normalize_zeros
-
-    if right_columns is not None and columns is None:
-        raise ValueError(
-            "right_columns requires explicit left columns (the output "
-            "schema) so the right side can be renamed onto it"
-        )
-    cols = columns
-
-    def make_pretrim(side: int, sel_override=None):
-        def pretrim(batch: pa.Table) -> pa.Table:
-            sel = sel_override or cols or batch.column_names
-            out = batch.select(sel)
-            for c in sel:
-                t = out.schema.field(c).type
-                if pa.types.is_nested(t):
-                    raise ValueError(
-                        f"{how}_rows supports primitive columns only; "
-                        f"{c!r} is {t} — hash or serialize nested first"
-                    )
-            for c in sel:
-                col = out.column(c).combine_chunks()
-                norm = normalize_zeros(col)
-                if norm is not col:
-                    out = out.set_column(out.column_names.index(c), c,
-                                         norm)
-            # Arrow-native per-batch (row -> count) partial: exact dtypes
-            # preserved, nulls group together (the distinct_rows r3 fix
-            # applies here too — never round-trip the KEYS through pandas
-            # before the co-partition hash)
-            out = out.group_by(out.column_names).aggregate(
-                [([], "count_all")])
-            out = out.rename_columns(
-                ["__n" if c == "count_all" else c
-                 for c in out.column_names])
-            if sel_override is not None and cols is not None:
-                ren = dict(zip(sel_override, cols))
-                out = out.rename_columns(
-                    [ren.get(c, c) for c in out.column_names])
-            h = None
-            for c in out.column_names:
-                if c == "__n":
-                    continue
-                hk = hash64(out.column(c).combine_chunks())
-                with np.errstate(over="ignore"):
-                    h = hk if h is None else h * np.uint64(1000003) + hk
-            part = (h % np.uint64(num_parts)).astype(np.int32) \
-                if len(out) else np.empty(0, dtype=np.int32)
-            out = out.append_column("__part", pa.array(part))
-            return out.append_column(
-                "__side",
-                pa.array(np.full(len(out), side, dtype=np.int8)))
-        return pretrim
-
-    lt = left.map_batches(make_pretrim(0), batch_format="pyarrow",
-                          batch_size=batch_size, zero_copy_batch=True)
-    rt = right.map_batches(make_pretrim(1, right_columns),
-                           batch_format="pyarrow",
-                           batch_size=batch_size, zero_copy_batch=True)
-
-    def finish(t: pa.Table) -> pa.Table:
-        # ArrowDtype-backed pandas: same exact-int64/NA rationale as the
-        # DISTINCT set-op finish (see _run_setop)
-        g = t.to_pandas(types_mapper=pd.ArrowDtype)
-        sel = [c for c in g.columns
-               if c not in ("__part", "__side", "__n")]
-        lf = (g[g["__side"] == 0]
-              .groupby(sel, dropna=False, sort=False, as_index=False)
-              ["__n"].sum().rename(columns={"__n": "__nl"}))
-        rf = (g[g["__side"] == 1]
-              .groupby(sel, dropna=False, sort=False, as_index=False)
-              ["__n"].sum().rename(columns={"__n": "__nr"}))
-        m = lf.merge(rf, on=sel, how="left")
-        nr = m["__nr"].fillna(0).to_numpy(dtype=np.int64)
-        nl = m["__nl"].to_numpy(dtype=np.int64)
-        if how == "intersect_all":
-            k = np.minimum(nl, nr)
-        else:
-            k = np.maximum(nl - nr, 0)
-        out = m.loc[np.repeat(m.index.to_numpy(), k)][sel].reset_index(
-            drop=True)
-        return pa.Table.from_pandas(
-            out, preserve_index=False).replace_schema_metadata(None)
-
-    return lt.union(rt).groupby("__part").map_groups(
-        finish, batch_format="pyarrow"
-    )
+    return by_part(tagged(left, 0, None).union(
+        tagged(right, 1, right_columns)), finish)
 
 
 def except_all_rows(left, right, columns: Optional[list[str]] = None,
                     right_columns: Optional[list[str]] = None,
                     batch_size: int = 262144, num_parts: int = 64):
     """SQL ``EXCEPT ALL`` (bag difference): each row of ``left`` survives
-    max(0, left_count − right_count) times. See _run_setop_all for the
+    max(0, left_count − right_count) times. See _run_setop for the
     distribution shape."""
-    return _run_setop_all(left, right, "except_all", columns,
-                          right_columns, batch_size, num_parts)
+    return _run_setop(left, right, "except_all", columns, right_columns,
+                      batch_size, num_parts)
 
 
 def intersect_all_rows(left, right, columns: Optional[list[str]] = None,
@@ -655,8 +529,8 @@ def intersect_all_rows(left, right, columns: Optional[list[str]] = None,
                        batch_size: int = 262144, num_parts: int = 64):
     """SQL ``INTERSECT ALL`` (bag intersection): each row appears
     min(left_count, right_count) times; same shape as except_all_rows."""
-    return _run_setop_all(left, right, "intersect_all", columns,
-                          right_columns, batch_size, num_parts)
+    return _run_setop(left, right, "intersect_all", columns,
+                      right_columns, batch_size, num_parts)
 
 
 def except_rows(left, right, columns: Optional[list[str]] = None,

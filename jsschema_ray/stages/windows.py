@@ -16,6 +16,7 @@ import numpy as np
 import pandas as pd
 
 from jsschema_ray.stages._blocks import arrow_out
+from jsschema_ray.stages.exchange import by_key
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -130,15 +131,8 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
     wrapping."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     w_ns = int(round(window_seconds * 1e9))
     cols = [key, ts] + ([value] if value else [])
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     import pyarrow.compute as pc
 
@@ -147,7 +141,6 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
         # groupby([key, ts]) collapse becomes run detection over the
         # sorted pair (adjacent not_equal OR) + np.add.reduceat; the
         # block-encoded searchsorted frame math is unchanged.
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             return pa.table({
                 key: g.column(key), ts: g.column(ts),
@@ -201,9 +194,8 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
             "w_n": pa.array((cn[idx + 1] - cn[left]).astype("int64")),
         })
 
-    return ds.select_columns(cols).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns(cols), [key], per_partition,
+                  num_partitions)
 
 
 def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
@@ -231,22 +223,14 @@ def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
     encoding needed (row offsets can't overflow)."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     if n_rows is not None and n_rows < 1:
         raise ValueError(f"n_rows must be >= 1 or None, got {n_rows}")
     cols = [key, ts, tiebreak] + ([value] if value else [])
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def per_partition(g: "pa.Table") -> "pa.Table":
         # Arrow-native body (r3 VERDICT item 7): C-level sort + adjacent
         # not_equal replace the np.lexsort-over-object-arrays pandas body;
         # the frame math is the same cumsum difference.
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             return pa.table({
                 key: g.column(key), tiebreak: g.column(tiebreak),
@@ -271,9 +255,8 @@ def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
             "w_n": pa.array((idx + 1 - left).astype("int64")),
         })
 
-    return ds.select_columns(cols).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns(cols), [key], per_partition,
+                  num_partitions)
 
 
 def event_deltas(ds, key: str = "user_id", ts: str = "ts",
@@ -288,19 +271,11 @@ def event_deltas(ds, key: str = "user_id", ts: str = "ts",
     loop."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     cols = [key, ts, tiebreak]
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def per_partition(g: "pa.Table") -> "pa.Table":
         # Arrow-native body: sort + adjacent difference in C; each key
         # block's first row gets NULL via the pa.array mask.
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             return pa.table({
                 key: g.column(key), tiebreak: g.column(tiebreak),
@@ -321,9 +296,8 @@ def event_deltas(ds, key: str = "user_id", ts: str = "ts",
             "delta_us": pa.array(delta, type=pa.int64(), mask=first),
         })
 
-    return ds.select_columns(cols).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns(cols), [key], per_partition,
+                  num_partitions)
 
 
 def ntile(ds, key: str = "user_id", ts: str = "ts",
@@ -338,19 +312,11 @@ def ntile(ds, key: str = "user_id", ts: str = "ts",
     sizing — no per-key loop.  Output: (key, tiebreak, tile 1..k)."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
-
     def per_partition(g: "pa.Table") -> "pa.Table":
         # Arrow-native body: C sort + block starts; tile math unchanged.
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             return pa.table({
                 key: g.column(key), tiebreak: g.column(tiebreak),
@@ -374,9 +340,8 @@ def ntile(ds, key: str = "user_id", ts: str = "ts",
             "tile": pa.array(tile.astype("int64")),
         })
 
-    return ds.select_columns([key, ts, tiebreak]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns([key, ts, tiebreak]), [key],
+                  per_partition, num_partitions)
 
 
 def window_ranks(ds, key: str = "user_id", order: str = "ts",
@@ -400,20 +365,12 @@ def window_ranks(ds, key: str = "user_id", order: str = "ts",
     row_number, rank, dense_rank, percent_rank, cume_dist)."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
-
     import pyarrow.compute as pc
 
     def per_partition(g: "pa.Table") -> "pa.Table":
         # Arrow-native body: one C sort, then key-change and order-change
         # flags from adjacent not_equal give all three ranks as the same
         # cumsum/repeat arithmetic as before.
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         if not n:
             empty = pa.array([], type=pa.int64())
@@ -462,9 +419,8 @@ def window_ranks(ds, key: str = "user_id", order: str = "ts",
             "cume_dist": pa.array(cume_dist.astype("float64")),
         })
 
-    return ds.select_columns([key, order, tiebreak]).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns([key, order, tiebreak]), [key],
+                  per_partition, num_partitions)
 
 
 def first_last_per_key(ds, key: str, order: str, tiebreak: str,
@@ -481,8 +437,6 @@ def first_last_per_key(ds, key: str, order: str, tiebreak: str,
     replays the same boundary-row take over the survivors."""
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     def boundary_rows(t: "pa.Table") -> "pa.Table":
         """Sorted (key, order, tiebreak) -> each key block's first+last
         row (deduped when a key has one row)."""
@@ -493,16 +447,9 @@ def first_last_per_key(ds, key: str, order: str, tiebreak: str,
         return t.take(idx)
 
     def pre_trim(batch: "pa.Table") -> "pa.Table":
-        if not batch.num_rows:
-            return batch.append_column(
-                "__part", pa.array([], type=pa.int32()))
-        b = boundary_rows(batch)
-        part = (hash64(b.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return b.append_column("__part", pa.array(part))
+        return boundary_rows(batch) if batch.num_rows else batch
 
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             data = {key: g.column(key)}
             for c in cols:
@@ -521,9 +468,9 @@ def first_last_per_key(ds, key: str, order: str, tiebreak: str,
 
     want = [key, order, tiebreak] + [c for c in cols
                                      if c not in (key, order, tiebreak)]
-    return ds.select_columns(want).map_batches(
+    return by_key(ds.select_columns(want).map_batches(
         pre_trim, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def session_windows(ds, key: str = "user_id", ts: str = "ts",
@@ -542,24 +489,15 @@ def session_windows(ds, key: str = "user_id", ts: str = "ts",
     millions of user keys cost the same dispatch as 64. Partitioning
     assumption: one coarse partition (≈ n_rows / num_partitions rows)
     fits a worker's heap; raise num_partitions with cluster size."""
-    import numpy as _np
     import pyarrow as pa
 
-    from jsschema_ray.state.hll import hash64
-
     cols = [key, ts] + ([value] if value else [])
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % _np.uint64(num_partitions)).astype(_np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def per_partition(g: "pa.Table") -> "pa.Table":
         # Arrow-native body: after the C sort by (key, ts), sessions are
         # contiguous runs, so the whole pandas groupby becomes run
         # detection (gap > threshold OR key change) + np.add.reduceat —
         # one row per session, already in (key, session_id) order.
-        g = g.drop_columns(["__part"])
         if not g.num_rows:
             return pa.table({
                 key: g.column(key),
@@ -601,9 +539,8 @@ def session_windows(ds, key: str = "user_id", ts: str = "ts",
                 np.add.reduceat(vx, sess_starts))
         return pa.table(cols_out)
 
-    return ds.select_columns(cols).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    return by_key(ds.select_columns(cols), [key], per_partition,
+                  num_partitions)
 
 
 def lag_lead(ds, key: str, order: str, tiebreak: str, col: str,
@@ -622,19 +559,11 @@ def lag_lead(ds, key: str, order: str, tiebreak: str, col: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
     for n in list(lags) + list(leads):
         if n < 1:
             raise ValueError(f"lag/lead offsets must be >= 1, got {n}")
 
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
-
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         vals = g.column(col).combine_chunks()
         if not n:
@@ -667,11 +596,9 @@ def lag_lead(ds, key: str, order: str, tiebreak: str, col: str,
             cols[f"lead{off}_{col}"] = shifted(off, lead=True)
         return pa.table(cols)
 
-    return ds.select_columns(
+    return by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, col]))
-    ).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def funnel_stages(ds, key: str, order: str, tiebreak: str,
@@ -694,20 +621,12 @@ def funnel_stages(ds, key: str, order: str, tiebreak: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
     if len(stages) < 1:
         raise ValueError("stages must be non-empty")
     if len(set(stages)) != len(stages):
         raise ValueError("stages must be distinct")
 
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
-
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         out_cols = [f"match{i + 1}_{tiebreak}"
                     for i in range(len(stages))]
@@ -751,11 +670,9 @@ def funnel_stages(ds, key: str, order: str, tiebreak: str,
                                  pa.nulls(nkeys, tb.type))
         return pa.table(cols)
 
-    return ds.select_columns(
+    return by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, stage_col]))
-    ).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
@@ -785,7 +702,6 @@ def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
     import pyarrow.compute as pc
 
     from jsschema_ray.stages.aggregates import grouped_sums
-    from jsschema_ray.state.hll import hash64
 
     if period_us <= 0:
         raise ValueError("period_us must be positive")
@@ -808,13 +724,10 @@ def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
             key: b.column(key),
             "__wk": pa.array(tsv // np.int64(period_us)),
         }).group_by([key, "__wk"]).aggregate([])
-        part = (hash64(pairs.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return pairs.append_column("__part", pa.array(part))
+        return pairs
 
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"]).group_by(
-            [key, "__wk"]).aggregate([])
+        g = g.group_by([key, "__wk"]).aggregate([])
         n = g.num_rows
         if not n:
             return pa.table({
@@ -832,10 +745,10 @@ def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
             "offset_weeks": pa.array(wk - cohort),
         })
 
-    pairs = ds.select_columns([key, ts]).map_batches(
+    pairs = by_key(ds.select_columns([key, ts]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
     return grouped_sums(pairs, ["cohort_week", "offset_weeks"], {},
                         count_alias="n_users", batch_size=batch_size)
 
@@ -904,15 +817,8 @@ def transition_counts(ds, key: str, order: str, tiebreak: str, col: str,
     import pyarrow.compute as pc
 
     from jsschema_ray.stages.aggregates import grouped_sums
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         empty = pa.table({"from_value": g.column(col).slice(0, 0),
                           "to_value": g.column(col).slice(0, 0)})
@@ -930,11 +836,9 @@ def transition_counts(ds, key: str, order: str, tiebreak: str, col: str,
         return pa.table({"from_value": prev, "to_value": vals}).filter(
             pa.array(keep))
 
-    pairs = ds.select_columns(
+    pairs = by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, col]))
-    ).map_batches(
-        add_part, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
     return grouped_sums(pairs, ["from_value", "to_value"], {},
                         count_alias="n_transitions")
 
@@ -967,18 +871,12 @@ def interval_coverage(ds, key: str, start: str, end: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: "pa.Table") -> "pa.Table":
-        b = batch.select([key, start, end]).filter(
+    def valid_rows(batch: "pa.Table") -> "pa.Table":
+        return batch.select([key, start, end]).filter(
             pc.and_(pc.is_valid(batch.column(start)),
                     pc.is_valid(batch.column(end))))
-        part = (hash64(b.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return b.append_column("__part", pa.array(part))
 
     def per_partition(g: "pa.Table") -> "pa.Table":
-        g = g.drop_columns(["__part"])
         kt = g.schema.field(key).type
         if not g.num_rows:
             return pa.table({
@@ -1018,10 +916,10 @@ def interval_coverage(ds, key: str, start: str, end: str,
             "n_intervals": pa.array(counts),
         })
 
-    return ds.select_columns([key, start, end]).map_batches(
-        add_part, batch_format="pyarrow", batch_size=batch_size,
+    return by_key(ds.select_columns([key, start, end]).map_batches(
+        valid_rows, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def monotonicity_violations(ds, key: str, order: str, tiebreak: str,
@@ -1067,16 +965,10 @@ def monotonicity_violations(ds, key: str, order: str, tiebreak: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pc.is_valid(batch.column(col)))
-        part = (hash64(batch.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
+    def valid_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_valid(batch.column(col)))
 
     def per_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         if not n:
             e = pa.array([], pa.int64())
@@ -1099,10 +991,10 @@ def monotonicity_violations(ds, key: str, order: str, tiebreak: str,
             "n_violations": pa.array(np.add.reduceat(viol, starts)),
         })
 
-    return ds.select_columns([key, order, tiebreak, col]).map_batches(
-        add_part, batch_format="pyarrow", batch_size=262144,
+    return by_key(ds.select_columns([key, order, tiebreak, col]).map_batches(
+        valid_rows, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def longest_streaks(ds, key: str, ts_col: str,
@@ -1150,9 +1042,7 @@ def longest_streaks(ds, key: str, ts_col: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: pa.Table) -> pa.Table:
+    def unit_pairs(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.is_valid(batch.column(ts_col)))
         ts = batch.column(ts_col).combine_chunks()
         if pa.types.is_timestamp(ts.type):
@@ -1166,13 +1056,9 @@ def longest_streaks(ds, key: str, ts_col: str,
         unit = pc.divide(ts, pa.scalar(unit_us, pa.int64()))
         t = pa.table({key: batch.column(key), "__unit": unit})
         # map-side DISTINCT partial: collapse this batch's duplicates
-        t = t.group_by([key, "__unit"], use_threads=False).aggregate([])
-        part = (hash64(t.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("__part", pa.array(part))
+        return t.group_by([key, "__unit"], use_threads=False).aggregate([])
 
     def per_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__part"])
         # merge cross-batch duplicates, then ONE C sort
         g = g.group_by([key, "__unit"], use_threads=False).aggregate([])
         n = g.num_rows
@@ -1189,10 +1075,10 @@ def longest_streaks(ds, key: str, ts_col: str,
             g.column(key), kstarts, np.union1d(kstarts, breaks), n,
             key, ("n_units", "n_streaks", "longest_streak"))
 
-    return ds.select_columns([key, ts_col]).map_batches(
-        add_part, batch_format="pyarrow", batch_size=262144,
+    return by_key(ds.select_columns([key, ts_col]).map_batches(
+        unit_pairs, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)
 
 
 def _run_stats_table(keycol, kstarts: np.ndarray, rstarts: np.ndarray,
@@ -1251,18 +1137,12 @@ def value_runs(ds, key: str, order: str, tiebreak: str, value: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from jsschema_ray.state.hll import hash64
-
-    def add_part(batch: pa.Table) -> pa.Table:
+    def valid_rows(batch: pa.Table) -> pa.Table:
         keep = pc.and_(pc.is_valid(batch.column(order)),
                        pc.is_valid(batch.column(tiebreak)))
-        t = batch.select([key, order, tiebreak, value]).filter(keep)
-        part = (hash64(t.column(key).combine_chunks())
-                % np.uint64(num_partitions)).astype(np.int32)
-        return t.append_column("__part", pa.array(part))
+        return batch.select([key, order, tiebreak, value]).filter(keep)
 
     def per_partition(g: pa.Table) -> pa.Table:
-        g = g.drop_columns(["__part"])
         n = g.num_rows
         if not n:
             e = pa.array([], pa.int64())
@@ -1278,7 +1158,7 @@ def value_runs(ds, key: str, order: str, tiebreak: str, value: str,
             g.column(key), kstarts, np.union1d(kstarts, vstarts), n,
             key, ("n_rows", "n_runs", "longest_run"))
 
-    return ds.select_columns([key, order, tiebreak, value]).map_batches(
-        add_part, batch_format="pyarrow", batch_size=262144,
+    return by_key(ds.select_columns([key, order, tiebreak, value]).map_batches(
+        valid_rows, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(per_partition, batch_format="pyarrow")
+    ), [key], per_partition, num_partitions)

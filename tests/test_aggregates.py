@@ -161,28 +161,34 @@ def test_grouped_count_distinct_sql_null_parity():
     from jsschema_ray.stages.aggregates import grouped_count_distinct
 
     big = 1 << 60
-    t = pa.table({
+    nulls = pa.table({
         "g": pa.array([1, 1, 1, 2, 2, None, None, 3, 3, 4],
                       type=pa.int64()),
         "x": pa.array([big, big + 1, None, None, None, 5, 5, big,
                        big + 1, None], type=pa.int64()),
     })
-    got = grouped_count_distinct(
-        ray.data.from_arrow(t).repartition(3), "g", "x",
-        num_partitions=4, batch_size=3,
-    ).to_pandas().sort_values("g", na_position="last").reset_index(
-        drop=True)
-    con = duckdb.connect()
-    con.register("t", t)
-    want = con.execute(
-        "SELECT g, COUNT(DISTINCT x) AS n_distinct FROM t GROUP BY g "
-        "ORDER BY g NULLS LAST"
-    ).df()
-    assert list(got["n_distinct"]) == list(want["n_distinct"])
-    pd.testing.assert_frame_equal(got.fillna(-9), want.fillna(-9),
-                                  check_dtype=False)
+    # float group key: -0.0 and +0.0 are ONE group in SQL
+    zeros = pa.table({"g": [0.0, -0.0, 0.0, -0.0, 1.5],
+                      "x": pa.array([1, 2, 3, 4, 5], type=pa.int64())})
+    outs = []
+    for t in (nulls, zeros):
+        got = grouped_count_distinct(
+            ray.data.from_arrow(t).repartition(3), "g", "x",
+            num_partitions=4, batch_size=3,
+        ).to_pandas().sort_values("g", na_position="last").reset_index(
+            drop=True)
+        con = duckdb.connect()
+        con.register("t", t)
+        want = con.execute(
+            "SELECT g, COUNT(DISTINCT x) AS n_distinct FROM t GROUP BY g "
+            "ORDER BY g NULLS LAST"
+        ).df()
+        assert list(got["n_distinct"]) == list(want["n_distinct"])
+        pd.testing.assert_frame_equal(got.fillna(-9), want.fillna(-9),
+                                      check_dtype=False)
+        outs.append(got)
     # all-null group present with 0
-    assert got.loc[got["g"] == 2, "n_distinct"].iloc[0] == 0
+    assert outs[0].loc[outs[0]["g"] == 2, "n_distinct"].iloc[0] == 0
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,0 +1,119 @@
+"""The keyed exchange (stages/exchange.py): partition ids are the
+historical ``hash64(key) % n`` / ``h * 1000003 + hk`` formulas, so no key
+moves partition; signed zeros share a partition; ``by_key`` hands every
+key's rows to exactly one call without the ``__part`` column; and no
+migrated module grows its own copy of the exchange again."""
+
+import pathlib
+import re
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from jsschema_ray.stages.exchange import by_key, partition_ids
+from jsschema_ray.state.hll import hash64
+
+
+def _old_single(col, n):
+    return (hash64(col) % np.uint64(n)).astype(np.int32)
+
+
+def _old_multi(cols, n):
+    h = None
+    for c in cols:
+        hk = hash64(c)
+        with np.errstate(over="ignore"):
+            h = hk if h is None else h * np.uint64(1000003) + hk
+    return (h % np.uint64(n)).astype(np.int32)
+
+
+def test_partition_ids_match_historical_formulas():
+    rng = np.random.default_rng(5)
+    ints = pa.array(rng.integers(-2**62, 2**62, 500), pa.int64())
+    strs = pa.array([f"k{i}" for i in rng.integers(0, 10**6, 500)])
+    t = pa.table({"i": ints, "s": strs})
+    for n in (1, 7, 64):
+        got_i = partition_ids(t, ["i"], n)
+        assert got_i.dtype == np.int32
+        np.testing.assert_array_equal(got_i, _old_single(ints, n))
+        np.testing.assert_array_equal(partition_ids(t, ["s"], n),
+                                      _old_single(strs, n))
+        np.testing.assert_array_equal(partition_ids(t, ["s", "i"], n),
+                                      _old_multi([strs, ints], n))
+
+
+def test_partition_ids_independent_of_nulls_in_batch():
+    with_nulls = pa.table({"k": pa.array([5, None, 2**60 + 1], pa.int64())})
+    without = pa.table({"k": pa.array([5, 2**60 + 1], pa.int64())})
+    a = partition_ids(with_nulls, ["k"], 64)
+    b = partition_ids(without, ["k"], 64)
+    assert a[0] == b[0] and a[2] == b[1]
+
+
+def test_partition_ids_signed_zero_one_partition():
+    t = pa.table({"f": pa.array([0.0, -0.0], pa.float64()),
+                  "s": ["x", "x"]})
+    for keys in (["f"], ["s", "f"]):
+        ids = partition_ids(t, keys, 64)
+        assert ids[0] == ids[1]
+
+
+def test_partition_ids_empty_input():
+    t = pa.table({"k": pa.array([], pa.int64())})
+    ids = partition_ids(t, ["k"], 8)
+    assert ids.dtype == np.int32 and len(ids) == 0
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+def test_by_key_one_call_per_key_without_part_column(batch_format):
+    import uuid
+
+    import ray.data
+
+    rng = np.random.default_rng(9)
+    n = 2000
+    t = pa.table({"k": pa.array(rng.integers(0, 300, n), pa.int64()),
+                  "f": pa.array(rng.choice([0.0, -0.0, 1.5], n)),
+                  "v": pa.array(np.arange(n), pa.int64())})
+
+    def fn(g):
+        cols = list(g.column_names if isinstance(g, pa.Table) else g.columns)
+        assert "__part" not in cols
+        call = uuid.uuid4().hex
+        if isinstance(g, pa.Table):
+            return g.append_column("call", pa.array([call] * g.num_rows))
+        return g.assign(call=call)
+
+    ds = ray.data.from_arrow(t).repartition(6)
+    got = by_key(ds, ["k", "f"], fn, 8,
+                 batch_format=batch_format).to_pandas()
+    assert sorted(got["v"]) == list(range(n))
+    assert set(got.columns) == {"k", "f", "v", "call"}
+    calls = got.groupby(["k", "f"])["call"].nunique()
+    assert (calls == 1).all()
+    # signed zeros reach fn normalized: one key, not two
+    assert not np.signbit(got["f"].to_numpy()).any()
+
+
+#: modules migrated to the keyed exchange; each must reach it only
+#: through stages/exchange.py
+_MIGRATED = ["stages/windows.py", "stages/aggregates.py",
+             "stages/quantiles.py", "stages/sampling.py", "stages/stats.py",
+             "stages/referential.py", "stages/transform.py",
+             "stages/uniqueness.py", "sources/io.py"]
+
+_HAND_ROLLED = re.compile(
+    r'groupby\("(__part|bucket)"\)|% np\.uint64\((num_part|num_bucket)')
+
+
+def test_no_hand_rolled_exchange_in_migrated_modules():
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsschema_ray"
+    found = [f"{m}:{i}: {line.strip()}"
+             for m in _MIGRATED
+             for i, line in enumerate(
+                 (root / m).read_text().splitlines(), 1)
+             if _HAND_ROLLED.search(line)]
+    assert found == []
+

@@ -126,6 +126,22 @@ def test_uniqueness_report_matches_pandas(ray_session, tmp_path):
                                     for s in specs]
 
 
+def test_top_duplicates_matches_pandas_null_key(ray_session, tmp_path):
+    """top_duplicates over several blocks, with a duplicated null key tied
+    with a string key: the same keys and order as pandas, null last (a
+    range-partitioned sort used to fail comparing the null key)."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    table = _uniqueness_table()
+    for i, lo in enumerate(range(0, table.num_rows, 15)):
+        pq.write_table(table.slice(lo, 15), str(tmp_path / f"p{i}.parquet"))
+    ds = rd.read_parquet(str(tmp_path))
+    got = top_duplicates(ds, "sku", k=10, batch_size=8).take_all()
+    assert got == _pandas_uniqueness(table, {"column": "sku"})[
+        "top_duplicates"]
+
+
 def test_uniqueness_handler_runs_one_execution(ray_session, monkeypatch):
     """Two key columns share one read and one exchange: the x-uniqueness
     handler starts exactly one Ray Data execution."""

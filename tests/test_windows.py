@@ -346,31 +346,35 @@ def test_window_ranks_tie_semantics():
 
     rng = np.random.default_rng(47)
     n = 500
-    pdf = pd.DataFrame({
+    ints = pd.DataFrame({
         "user_id": rng.integers(0, 10, n).astype("int64"),
         "ts": pd.Timestamp("2024-01-01") + pd.to_timedelta(
             rng.integers(0, 12, n), unit="s"),  # heavy ties
         "event_id": rng.permutation(n).astype("int64"),
     })
-    ds = ray.data.from_pandas(pdf).repartition(5)
-    got = window_ranks(ds, num_partitions=4).to_pandas().sort_values(
-        ["user_id", "event_id"]).reset_index(drop=True)
-    want = duckdb.sql("""
-        SELECT user_id, event_id,
-               CAST(ROW_NUMBER() OVER (PARTITION BY user_id
-                    ORDER BY ts, event_id) AS BIGINT) AS row_number,
-               CAST(RANK() OVER (PARTITION BY user_id ORDER BY ts)
-                    AS BIGINT) AS rank,
-               CAST(DENSE_RANK() OVER (PARTITION BY user_id ORDER BY ts)
-                    AS BIGINT) AS dense_rank,
-               PERCENT_RANK() OVER (PARTITION BY user_id ORDER BY ts)
-                    AS percent_rank,
-               CUME_DIST() OVER (PARTITION BY user_id ORDER BY ts)
-                    AS cume_dist
-        FROM pdf ORDER BY user_id, event_id
-    """).df()
-    pd.testing.assert_frame_equal(got, want, check_dtype=False,
-                                  check_exact=True)  # floats bit-equal
+    # float key: -0.0 and +0.0 are ONE SQL partition
+    zeros = ints.assign(
+        user_id=np.array([0.0, -0.0, 1.5])[ints["user_id"] % 3])
+    for pdf in (ints, zeros):
+        ds = ray.data.from_pandas(pdf).repartition(5)
+        got = window_ranks(ds, num_partitions=4).to_pandas().sort_values(
+            ["user_id", "event_id"]).reset_index(drop=True)
+        want = duckdb.sql("""
+            SELECT user_id, event_id,
+                   CAST(ROW_NUMBER() OVER (PARTITION BY user_id
+                        ORDER BY ts, event_id) AS BIGINT) AS row_number,
+                   CAST(RANK() OVER (PARTITION BY user_id ORDER BY ts)
+                        AS BIGINT) AS rank,
+                   CAST(DENSE_RANK() OVER (PARTITION BY user_id ORDER BY ts)
+                        AS BIGINT) AS dense_rank,
+                   PERCENT_RANK() OVER (PARTITION BY user_id ORDER BY ts)
+                        AS percent_rank,
+                   CUME_DIST() OVER (PARTITION BY user_id ORDER BY ts)
+                        AS cume_dist
+            FROM pdf ORDER BY user_id, event_id
+        """).df()
+        pd.testing.assert_frame_equal(got, want, check_dtype=False,
+                                      check_exact=True)  # floats bit-equal
 
 
 @pytest.mark.usefixtures("ray_session")
