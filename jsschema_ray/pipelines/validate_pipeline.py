@@ -21,6 +21,7 @@ import glob
 import os
 from typing import Any, Optional
 
+import numpy as np
 import pyarrow as pa
 
 import ray.data as rd
@@ -251,11 +252,15 @@ class ValidationPipeline:
         )
         if with_partition:
             def add_part(batch: pa.Table) -> pa.Table:
-                parts = [
-                    partition_id_for(p) for p in batch.column("path").to_pylist()
-                ]
+                # one partition id per distinct shard path in the batch
+                paths = batch.column("path").combine_chunks()
+                paths = paths.dictionary_encode()
+                ids = pa.array(
+                    [partition_id_for(p) for p in paths.dictionary.to_pylist()],
+                    type=pa.string(),
+                )
                 return batch.drop_columns(["path"]).append_column(
-                    "_partition", pa.array(parts, type=pa.string())
+                    "_partition", ids.take(paths.indices)
                 )
 
             ds = ds.map_batches(add_part, batch_format="pyarrow",
@@ -283,26 +288,14 @@ class ValidationPipeline:
                               key_column=self.key_column)
 
         def per_batch(batch: pa.Table) -> pa.Table:
-            # a batch may coalesce blocks from different shards: evaluate per
-            # partition value so violations are attributed to their shard
-            import pyarrow.compute as pc
-
-            parts_col = batch.column("_partition").combine_chunks()
-            outs = []
-            for part_val in pc.unique(parts_col).to_pylist():
-                sub = batch.filter(pc.equal(parts_col, part_val))
-                vio = stage(sub.drop_columns(["_partition"]))
-                outs.append(
-                    vio.append_column(
-                        "partition",
-                        pa.array([part_val] * vio.num_rows, type=pa.string()),
-                    )
-                )
-            if not outs:
-                vio = stage(batch.drop_columns(["_partition"]))
-                outs = [vio.append_column("partition",
-                                          pa.array([], type=pa.string()))]
-            return pa.concat_tables(outs)
+            # a batch may coalesce blocks from different shards: evaluate it
+            # once and take each violation's shard from its row
+            parts = batch.column("_partition")
+            data = batch.drop_columns(["_partition"])
+            row_keys = (None if stage.key_column in data.column_names
+                        else _shard_row_index(parts))
+            vio, rows = stage.violations_with_rows(data, row_keys)
+            return vio.append_column("partition", parts.take(rows))
 
         vio_dir = os.path.join(self.output_dir, "violations")
         # idempotent re-run: clear this shard's old violation files first
@@ -316,21 +309,22 @@ class ValidationPipeline:
                                 zero_copy_batch=True)
         vio_ds.write_parquet(vio_dir, partition_cols=["partition"])
 
-        import collections
-
         import pyarrow.dataset as pads
         import pyarrow.parquet as pq
 
-        vc: collections.Counter = collections.Counter()
+        counts: dict[str, int] = {}
         if os.path.isdir(vio_dir) and any(os.scandir(vio_dir)):
-            written = pads.dataset(vio_dir, partitioning="hive")
-            tbl = written.to_table(columns=["partition"])
-            vc = collections.Counter(
-                tbl.column("partition").cast(pa.string()).to_pylist()
-            )
+            # partition ids are strings: without a schema, hive inference
+            # reads "00000" as the integer 0
+            written = pads.dataset(vio_dir, partitioning=pads.partitioning(
+                pa.schema([("partition", pa.string())]), flavor="hive"))
+            vc = written.to_table(columns=["partition"]).column(
+                "partition").value_counts()
+            counts = dict(zip(vc.field("values").to_pylist(),
+                              vc.field("counts").to_pylist()))
         for f in todo:
             pid = partition_id_for(f)
-            n_vio = int(vc.get(pid, 0))
+            n_vio = counts.get(pid, 0)
             n_rows = pq.ParquetFile(f).metadata.num_rows
             self.manifest.commit_partition(
                 pid,
@@ -340,3 +334,14 @@ class ValidationPipeline:
                 verdict=(n_vio == 0),
             )
 
+
+def _shard_row_index(parts: pa.ChunkedArray) -> np.ndarray:
+    """The key of each row when the key column is absent: its index among
+    the rows of its own shard in this batch, as if each shard's rows had
+    been validated as a batch of their own."""
+    codes = parts.combine_chunks().dictionary_encode().indices.to_numpy()
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    out = np.empty(len(codes), np.int64)
+    out[order] = np.arange(len(codes)) - np.searchsorted(ranked, ranked)
+    return out

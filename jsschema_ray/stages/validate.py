@@ -5,7 +5,12 @@ The reference validates one value per call after a lazy one-time compile
 in the callable class's ``__init__`` for actor pools, or once per task via
 closure capture for stateless tasks — and then applied to zero-copy Arrow
 batches with the vectorized kernels (kernels/columnar.py). Per-batch work
-is pure pyarrow/numpy; no Python row loops.
+is pure pyarrow/numpy; no Python row loops. The violations table is
+built the same way: the failing rows' key and observed values are taken
+and cast to text by Arrow, which writes what ``str`` writes for string and
+integer columns. Other types (float, bool, temporal, binary, nested) keep
+a per-value ``_obs``/``str`` fallback over the failing rows only, since
+Arrow prints ``1.0`` as ``1`` and ``True`` as ``true``.
 
 Three outputs, all streaming-friendly:
   * annotate: input batch + ``valid`` bool column (keeps pipeline width);
@@ -24,6 +29,7 @@ from typing import Any, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -31,6 +37,9 @@ from jsschema_ray.kernels.columnar import eval_table
 from jsschema_ray.kernels.json_eval import evaluate
 from jsschema_ray.schema.compiler import compile_schema
 
+_VIOLATION_COLUMNS = ("key", "column", "path", "keyword", "observed",
+                      "expected")
+_NONE = pa.scalar("None")
 _COL_FROM_PATH = re.compile(
     r"^#/(?:properties/(?P<prop>[^/]+)|patternProperties/[^:]*:(?P<pprop>[^/]+)|required)"
 )
@@ -89,47 +98,54 @@ class ValidateBatch:
             )
         return self._violations(batch, collector)
 
-    def _violations(self, batch: pa.Table, collector: list) -> pa.Table:
-        keys, cols, paths, kws, observed, expected = [], [], [], [], [], []
+    def violations_with_rows(
+        self, batch: pa.Table, row_keys: Optional[np.ndarray] = None
+    ) -> tuple[pa.Table, np.ndarray]:
+        """The violations table of ``batch`` and, for each of its rows, the
+        index of the batch row it reports. ``row_keys`` replace the row
+        index as the key when the key column is absent."""
+        collector: list = []
+        eval_table(self.dag, batch, collector)
+        rows = [idx for _, _, idx in collector]
+        rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
+        return self._violations(batch, collector, row_keys), rows
+
+    def _violations(self, batch: pa.Table, collector: list,
+                    row_keys: Optional[np.ndarray] = None) -> pa.Table:
+        """One run of rows per collector entry, built from Arrow arrays:
+        ``key`` and ``observed`` are the failing rows taken and cast to
+        text, the other columns repeat the entry's scalars."""
         key_arr = (
-            batch.column(self.key_column).combine_chunks()
+            batch.column(self.key_column)
             if self.key_column and self.key_column in batch.column_names
             else None
         )
+        pieces: dict[str, list] = {name: [] for name in _VIOLATION_COLUMNS}
         for path, kw, idx in collector:
+            n = len(idx)
+            if not n:
+                continue
             col = _column_of(path, kw)
-            col_arr = (
-                batch.column(col).combine_chunks()
-                if col in batch.column_names
-                else None
-            )
             take = pa.array(idx)
-            vals = (
-                col_arr.take(take).to_pylist()
-                if col_arr is not None
-                else [None] * len(idx)
-            )
-            kvals = (
-                key_arr.take(take).to_pylist() if key_arr is not None else idx
-            )
-            exp = expected_text(self.dag, path, kw) if len(idx) else ""
-            for k, v in zip(kvals, vals):
-                keys.append(str(k))
-                cols.append(col)
-                paths.append(path)
-                kws.append(kw)
-                observed.append(_obs(v))
-                expected.append(exp)
-        return pa.table(
-            {
-                "key": pa.array(keys, type=pa.string()),
-                "column": pa.array(cols, type=pa.string()),
-                "path": pa.array(paths, type=pa.string()),
-                "keyword": pa.array(kws, type=pa.string()),
-                "observed": pa.array(observed, type=pa.string()),
-                "expected": pa.array(expected, type=pa.string()),
-            }
-        )
+            if key_arr is not None:
+                keys = _text(key_arr.take(take), observed=False)
+            else:
+                keys = pa.array(idx if row_keys is None else row_keys[idx])
+                keys = keys.cast(pa.string())
+            observed = (_text(batch.column(col).take(take), observed=True)
+                        if col in batch.column_names
+                        else pa.repeat(_NONE, n))
+            exp = expected_text(self.dag, path, kw)
+            for name, arr in (
+                ("key", keys), ("column", pa.repeat(col, n)),
+                ("path", pa.repeat(path, n)), ("keyword", pa.repeat(kw, n)),
+                ("observed", observed), ("expected", pa.repeat(exp, n)),
+            ):
+                pieces[name].append(arr)
+        return pa.table({
+            name: pa.concat_arrays(arrs) if arrs else pa.array([], pa.string())
+            for name, arrs in pieces.items()
+        })
 
 
 def _node_at(dag, path: str):
@@ -244,6 +260,30 @@ def _obs(v: Any) -> str:
         return f"<{len(v)} bytes>"
     s = str(v)
     return s if len(s) <= 120 else s[:117] + "..."
+
+
+def _text(values: "pa.ChunkedArray", observed: bool) -> pa.Array:
+    """Each value as text: ``_obs(v)`` for an observed value, ``str(v)``
+    for a key. Arrow's cast writes what ``str`` writes for strings and
+    integers; other types (floats print ``1.0``, bools ``True``) are
+    formatted per value. ``_obs``'s cut at 120 code points is applied to
+    the cast text too."""
+    arr = values.combine_chunks()
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
+    t = arr.type
+    if not (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_integer(t) or pa.types.is_null(t)):
+        fmt = _obs if observed else str
+        return pa.array([fmt(v) for v in arr.to_pylist()], pa.string())
+    text = arr.cast(pa.string()).fill_null(_NONE)
+    if observed:
+        long = pc.greater(pc.utf8_length(text), 120)
+        if pc.any(long).as_py():
+            cut = pc.binary_join_element_wise(
+                pc.utf8_slice_codeunits(text, 0, 117), "...", "")
+            text = pc.if_else(long, cut, text)
+    return text
 
 
 def validate(

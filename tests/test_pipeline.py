@@ -98,6 +98,28 @@ def test_referential_violations_counted(img_dir, ray_session, tmp_path):
     assert report["referential"][0]["n_violations"] == len(vmanifest["fmt_enum"])
 
 
+def test_digit_named_shards_count_their_violations(ray_session, tmp_path):
+    """Shard stems like "00000" are partition ids, not hive integers: their
+    violations must reach the manifest and the verdict."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(pa.table({"id": ["a", "b", "c"], "w": [1, 20, 3]}),
+                   str(src / "00000.parquet"))
+    pq.write_table(pa.table({"id": ["d", "e"], "w": [4, 5]}),
+                   str(src / "00001.parquet"))
+    schema = {"type": "object",
+              "properties": {"w": {"type": "integer", "minimum": 10}}}
+    report = ValidationPipeline(schema, str(src), str(tmp_path / "out"),
+                                key_column="id").run()
+    metrics = {p: r["metrics"] for p, r in report["partitions"].items()}
+    assert metrics == {"00000": {"rows": 3, "violation_rows": 2},
+                       "00001": {"rows": 2, "violation_rows": 2}}
+    assert report["valid"] is False
+
+
 def test_cli_dump(capsys):
     from jsschema_ray.cli import main
 
