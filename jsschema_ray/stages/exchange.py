@@ -17,7 +17,21 @@ partitioned writes) co-locates equal keys the same way:
 ``by_key`` is the whole exchange for a Dataset keyed on named columns.
 Callers that must compute ``__part`` themselves (inside a map step that
 packs or tags rows before the exchange) call ``partition_ids`` there
-and finish with ``by_part``.
+and finish with ``by_part``; a ``__part`` that is a range or tile id
+rather than a key hash (packing bins, range-join bins, band buckets,
+sorted-neighborhood tiles) rides the same ``by_part`` step.
+
+The blob-packed variant: Ray's shuffle cost is per row, so map steps
+that explode many small rows (uniqueness pre-counts, LSH and deletion
+bands, candidate pairs) split each batch by partition id with
+``pack_parts`` into ONE Arrow IPC blob row per present partition, and
+the per-partition function ``unpack``s and concatenates the blobs. The
+exchange then moves O(batches x partitions) rows, not O(exploded rows).
+``pack``/``unpack`` are also the wire format of single-row sketch blobs
+(stats' heavy-hitter candidates).
+
+Callers: windows, aggregates, quantiles, sampling, stats, referential,
+transform, uniqueness, dedup, join, text, packing and sources/io.
 """
 
 from __future__ import annotations
@@ -45,6 +59,33 @@ def partition_ids(table: pa.Table, keys: list[str], n: int) -> np.ndarray:
         with np.errstate(over="ignore"):
             h = hk if h is None else h * np.uint64(1000003) + hk
     return (h % np.uint64(n)).astype(np.int32)
+
+
+def pack(table: pa.Table) -> bytes:
+    """``table`` as one Arrow IPC stream blob."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, table.schema) as w:
+        w.write_table(table)
+    return sink.getvalue().to_pybytes()
+
+
+def unpack(blob: bytes) -> pa.Table:
+    return pa.ipc.open_stream(pa.BufferReader(blob)).read_all()
+
+
+def pack_parts(table: pa.Table, part: np.ndarray, n: int) -> pa.Table:
+    """(``__part``, ``blob``) rows: ``table`` split by the partition id
+    per row ``part`` (in ``[0, n)``), one packed blob per present id in
+    ascending id order, rows keeping their order within a blob."""
+    order = np.argsort(part, kind="stable")
+    table = table.take(pa.array(order))
+    bounds = np.searchsorted(part[order], np.arange(n + 1))
+    present = np.flatnonzero(bounds[1:] > bounds[:-1])
+    return pa.table({
+        PART: pa.array(present, type=pa.int32()),
+        "blob": pa.array([pack(table.slice(bounds[p],
+                                           bounds[p + 1] - bounds[p]))
+                          for p in present], type=pa.binary())})
 
 
 def by_part(ds, fn, batch_format: str = "pyarrow"):

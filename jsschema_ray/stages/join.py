@@ -8,11 +8,12 @@ Two strategies, chosen by ref-side size (ray_guide 'Joins and lookups'):
   dimension tables (nation/region/customer-sized). Per-batch joins can only
   express 'inner' and 'left' semantics (a right/full-outer needs global
   knowledge of unmatched dimension rows) — other modes raise.
-* hash_join — both sides large: add ``bucket = hash(key) % B`` to both,
-  co-shuffle with ONE groupby over the union, and join matching buckets
-  pairwise inside map_groups with `pa.Table.join` (explicit partitioned
-  hash join). Arrow keeps typed nulls through outer joins, so integer
-  columns stay integer across buckets (no pandas float64 promotion).
+* hash_join — both sides large: tag both with the keyed exchange's
+  partition id (stages/exchange.py, ``hash(key) % B``), co-shuffle the
+  union with ONE ``by_part`` step, and join matching buckets pairwise
+  with `pa.Table.join` (explicit partitioned hash join). Arrow keeps
+  typed nulls through outer joins, so integer columns stay integer
+  across buckets (no pandas float64 promotion).
   Supports inner / left / right / outer / semi / anti. Skewed keys can be
   salted by raising B; B defaults to 64 and should be ~2× cluster cores.
   Partitioning assumption: any single bucket's rows (both sides) fit a
@@ -31,7 +32,9 @@ import pyarrow as pa
 
 import ray
 
+from jsschema_ray.stages.exchange import PART, by_part, partition_ids
 from jsschema_ray.state.hll import hash64, normalize_zeros
+
 
 def _columns(ds) -> list:
     """Column names of ``ds``. `Dataset.columns()` returns None when the
@@ -43,6 +46,21 @@ def _columns(ds) -> list:
         sample = ds.limit(1).to_pandas()
         cols = list(sample.columns)
     return list(cols)
+
+
+def _arrow_types(ds) -> dict:
+    """{column: Arrow type} of ``ds``. A Ray schema may carry Python
+    types (e.g. from_pandas datasets); then the exact Arrow types come
+    from a one-row sample instead."""
+    s = ds.schema()
+    base = getattr(s, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return {f.name: f.type for f in base}
+    out = dict(zip(s.names, s.types))
+    if all(isinstance(t, pa.DataType) for t in out.values()):
+        return out
+    sample = pa.Table.from_pandas(ds.limit(1).to_pandas())
+    return {f.name: f.type for f in sample.schema}
 
 
 _JOIN_TYPE = {
@@ -230,18 +248,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
     all_cols = lcols + r_payload
     union_cols = all_cols
 
-    def _types(ds) -> dict:
-        s = ds.schema()
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return {f.name: f.type for f in base}
-        out = dict(zip(s.names, s.types))
-        if all(isinstance(t, pa.DataType) for t in out.values()):
-            return out
-        sample = pa.Table.from_pandas(ds.limit(1).to_pandas())
-        return {f.name: f.type for f in sample.schema}
-
-    ltypes, rtypes = _types(left), _types(right)
+    ltypes, rtypes = _arrow_types(left), _arrow_types(right)
     # unify key AND ts dtypes across sides: hash64(1) != hash64(1.0), so an
     # int64 left key against a float64 right key would co-locate nothing
     # and how='left' would silently return all-null payloads; mismatched
@@ -268,8 +275,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
                 out = out.set_column(
                     out.column_names.index(cname), cname, ccol
                 )
-            col = out.column(key).combine_chunks()
-            bucket = (hash64(col) % np.uint64(num_buckets)).astype(np.int32)
+            bucket = partition_ids(out, [key], num_buckets)
             for c in union_cols:
                 if c not in out.column_names:
                     out = out.append_column(
@@ -277,7 +283,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
                     )
             out = out.select(union_cols)
             return out.append_column(
-                "__bucket", pa.array(bucket)
+                PART, pa.array(bucket)
             ).append_column(
                 "__side", pa.array(np.full(len(batch), side, dtype=np.int8))
             )
@@ -318,9 +324,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
             out[c] = out[c].astype("Int64")
         return out
 
-    return tagged.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pandas"
-    )
+    return by_part(tagged, join_bucket, batch_format="pandas")
 
 
 def range_join(left, right, value: str, lo: str, hi: str,
@@ -346,18 +350,7 @@ def range_join(left, right, value: str, lo: str, hi: str,
         raise ValueError(f"column names must be disjoint, overlapping: {overlap}")
     all_cols = lcols + rcols
 
-    def _types(ds) -> dict:
-        s = ds.schema()
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return {f.name: f.type for f in base}
-        out = dict(zip(s.names, s.types))
-        if all(isinstance(t, pa.DataType) for t in out.values()):
-            return out
-        sample = pa.Table.from_pandas(ds.limit(1).to_pandas())
-        return {f.name: f.type for f in sample.schema}
-
-    col_types = {**_types(left), **_types(right)}
+    col_types = {**_arrow_types(left), **_arrow_types(right)}
 
     def tag_left(batch: pa.Table) -> pa.Table:
         v = batch.column(value).to_numpy(zero_copy_only=False)
@@ -366,7 +359,7 @@ def range_join(left, right, value: str, lo: str, hi: str,
         for c in rcols:
             out = out.append_column(c, pa.nulls(len(out), col_types[c]))
         return out.select(all_cols).append_column(
-            "__bin", pa.array(b)
+            PART, pa.array(b)
         ).append_column(
             "__side", pa.array(np.zeros(len(batch), dtype=np.int8))
         )
@@ -387,7 +380,7 @@ def range_join(left, right, value: str, lo: str, hi: str,
         for c in lcols:
             out = out.append_column(c, pa.nulls(len(out), col_types[c]))
         return out.select(all_cols).append_column(
-            "__bin", pa.array(bins)
+            PART, pa.array(bins)
         ).append_column(
             "__side", pa.array(np.ones(len(out), dtype=np.int8))
         )
@@ -422,9 +415,8 @@ def range_join(left, right, value: str, lo: str, hi: str,
             out[c] = out[c].astype("Int64")
         return out
 
-    return tagged.groupby("__bin").map_groups(
-        join_bin, batch_format="pandas"
-    )
+    # one exchange partition per value bin
+    return by_part(tagged, join_bin, batch_format="pandas")
 
 
 def hash_join(left, right, key, num_buckets: int = 64,
@@ -480,20 +472,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
     else:
         all_cols = lcols + [c for c in rcols if c not in keys]
 
-    def _types(ds) -> dict:
-        s = ds.schema()
-        base = getattr(s, "base_schema", None)
-        if isinstance(base, pa.Schema):
-            return {f.name: f.type for f in base}
-        out = dict(zip(s.names, s.types))
-        if all(isinstance(t, pa.DataType) for t in out.values()):
-            return out
-        # ray Schema may carry Python types (e.g. from_pandas datasets):
-        # infer exact Arrow types from a one-row sample instead
-        sample = pa.Table.from_pandas(ds.limit(1).to_pandas())
-        return {f.name: f.type for f in sample.schema}
-
-    ltypes, rtypes = _types(left), _types(right)
+    ltypes, rtypes = _arrow_types(left), _arrow_types(right)
     key_types = {k: _unified_key_type(ltypes[k], rtypes[rk_])
                  for k, rk_ in zip(keys, rks)}
     col_types = dict(ltypes)
@@ -503,6 +482,9 @@ def hash_join(left, right, key, num_buckets: int = 64,
     union_cols = lcols + [c for c in rcols if c not in keys]
 
     hot_arr = None
+    # salt offsets past the bucket count would wrap onto a bucket twice
+    # and meet a replicated right row twice
+    salt = min(salt, num_buckets)
     if hot_keys is not None:
         hot_arr = normalize_zeros(
             pa.array(list(hot_keys)).cast(key_types[keys[0]])
@@ -518,7 +500,6 @@ def hash_join(left, right, key, num_buckets: int = 64,
                 out = out.rename_columns(
                     [rmap.get(c, c) for c in out.column_names]
                 )
-            h = None
             for k in keys:
                 kcol = out.column(k).combine_chunks()
                 if kcol.type != key_types[k]:
@@ -528,9 +509,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
                 if norm is not kcol:  # float key: -0.0/+0.0 must bucket
                     kcol = norm       # AND Acero-join as one key
                     out = out.set_column(out.column_names.index(k), k, kcol)
-                hk = hash64(kcol)
-                with np.errstate(over="ignore"):
-                    h = hk if h is None else h * np.uint64(1000003) + hk
+            bucket = partition_ids(out, keys, num_buckets)
             if hot_arr is not None and len(out):
                 hot = pc.fill_null(
                     pc.is_in(out.column(keys[0]).combine_chunks(),
@@ -538,22 +517,17 @@ def hash_join(left, right, key, num_buckets: int = 64,
                 ).to_numpy(zero_copy_only=False)
                 if side == 0:
                     # stripe left hot rows round-robin over the salt range
-                    salt_idx = np.where(
-                        hot, np.arange(len(out)) % salt, 0
-                    ).astype(np.uint64)
+                    salt_idx = np.where(hot, np.arange(len(out)) % salt, 0)
                 else:
                     # replicate right hot rows into EVERY salted bucket
                     rep = np.where(hot, salt, 1).astype(np.int64)
                     take = np.repeat(np.arange(len(out)), rep)
                     out = out.take(pa.array(take))
-                    h = h[take]
-                    salt_idx = (
-                        np.arange(int(rep.sum()))
-                        - np.repeat(np.cumsum(rep) - rep, rep)
-                    ).astype(np.uint64)
-                with np.errstate(over="ignore"):
-                    h = h + salt_idx * np.uint64(0x9E3779B97F4A7C15)
-            bucket = (h % np.uint64(num_buckets)).astype(np.int32)
+                    bucket = bucket[take]
+                    salt_idx = (np.arange(int(rep.sum()))
+                                - np.repeat(np.cumsum(rep) - rep, rep))
+                # the salt offsets the key's own bucket
+                bucket = ((bucket + salt_idx) % num_buckets).astype(np.int32)
             # pad to the combined schema (typed nulls) so union is clean
             for c in union_cols:
                 if c not in out.column_names:
@@ -562,7 +536,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
                     )
             out = out.select(union_cols)
             return out.append_column(
-                "__bucket", pa.array(bucket)
+                PART, pa.array(bucket)
             ).append_column(
                 "__side", pa.array(np.full(len(out), side, dtype=np.int8))
             )
@@ -591,9 +565,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
                      coalesce_keys=True)
         return out.select(all_cols).combine_chunks()
 
-    return tagged.groupby("__bucket").map_groups(
-        join_bucket, batch_format="pyarrow"
-    )
+    return by_part(tagged, join_bucket)
 
 
 def _bloom_hash_cast(col):
@@ -870,6 +842,80 @@ def join_cardinality(left, right, key, right_key=None,
     }))
 
 
+def _band_rows(eqv: np.ndarray, vx: np.ndarray, ks: pa.ChunkedArray,
+               side: int, eps_x: int, num_parts: int) -> pa.Table:
+    """Exchange rows of the band joins. A row's bucket is
+    floor(vx / eps_x); a left lands once in its own bucket and a right is
+    replicated to the 3 adjacent buckets, so any pair within eps_x meets
+    in exactly one bucket (the left's). The partition is the keyed
+    exchange's id of (eq, bucket)."""
+    bucket = vx // eps_x
+    if side == 1:
+        take = np.tile(np.arange(len(vx)), 3)
+        bucket = np.concatenate([bucket - 1, bucket, bucket + 1])
+        eqv, vx, ks = eqv[take], vx[take], ks.take(pa.array(take))
+    out = pa.table({
+        "eq": pa.array(eqv), "__bucket": pa.array(bucket),
+        "side": pa.array(np.full(len(vx), side, dtype=np.int8)),
+        "k": ks, "vx": pa.array(vx),
+    })
+    return out.append_column(PART, pa.array(
+        partition_ids(out, ["eq", "__bucket"], num_parts)))
+
+
+def _band_emit(eps_x: int, how: str, keyed: bool):
+    """Per-partition body of the band joins: each (eq, bucket) segment
+    answers its lefts with two searchsorted lookups against its sorted
+    rights. 'inner' emits (eq, key_l, key_r, diff_x) per pair within
+    eps_x, without eq unless ``keyed``; 'anti' emits (key_l, value_x) per
+    left with no right in the band."""
+    import pandas as pd
+
+    def emit(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["eq", "__bucket", "side", "vx"], kind="stable")
+        eqv = g["eq"].to_numpy()
+        bk = g["__bucket"].to_numpy()
+        side = g["side"].to_numpy()
+        ks = g["k"].to_numpy()
+        vx = g["vx"].to_numpy()
+        chg = (bk[1:] != bk[:-1]) | (eqv[1:] != eqv[:-1])
+        seg = np.flatnonzero(np.concatenate([[True], chg]))
+        ends = np.concatenate([seg[1:], [len(bk)]])
+        out = ({"key_l": [], "value_x": []} if how == "anti" else
+               {"eq": [], "key_l": [], "key_r": [], "diff_x": []})
+        for st, en in zip(seg, ends):
+            nl = int((side[st:en] == 0).sum())
+            if nl == 0:
+                continue
+            lv, lk = vx[st:st + nl], ks[st:st + nl]
+            rv, rk = vx[st + nl:en], ks[st + nl:en]  # sorted by vx
+            lo = np.searchsorted(rv, lv - eps_x, side="left")
+            hi = np.searchsorted(rv, lv + eps_x, side="right")
+            cnt = hi - lo
+            if how == "anti":
+                miss = cnt == 0
+                out["key_l"].append(lk[miss])
+                out["value_x"].append(lv[miss])
+                continue
+            tot = int(cnt.sum())
+            if tot == 0:
+                continue
+            li = np.repeat(np.arange(nl), cnt)
+            ri = np.concatenate(
+                [np.arange(a, b) for a, b in zip(lo, hi) if b > a])
+            out["eq"].append(np.full(tot, eqv[st], dtype=np.int64))
+            out["key_l"].append(lk[li])
+            out["key_r"].append(rk[ri])
+            out["diff_x"].append(lv[li] - rv[ri])
+        if not keyed:
+            out.pop("eq", None)
+        return pd.DataFrame({c: np.concatenate(v) if v
+                             else np.empty(0, np.int64)
+                             for c, v in out.items()})
+
+    return emit
+
+
 def band_join(left, right, key: str, value: str, right_key: str,
               right_value: str, eps_x: int, scale: int = 100,
               num_parts: int = 64, batch_size: int = 65536,
@@ -899,7 +945,6 @@ def band_join(left, right, key: str, value: str, right_key: str,
     (SQL ``NOT EXISTS`` with the ABS predicate). Output: (key_l,
     value_x); a left matches-or-not entirely within its own bucket,
     so anti needs no cross-bucket reconciliation either."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     if eps_x < 1:
@@ -914,98 +959,22 @@ def band_join(left, right, key: str, value: str, right_key: str,
         v = col.to_numpy(zero_copy_only=False)
         return round_half_away(v * scale).astype(np.int64)
 
-    def prep_left(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b.column(value)))
-        vx = _x(b.column(value))
-        bucket = vx // eps_x
-        return pa.table({
-            "__bucket": pa.array(bucket),
-            "__part": pa.array(
-                (bucket % np.int64(num_parts)).astype(np.int32)),
-            "side": pa.array(np.zeros(len(vx), dtype=np.int8)),
-            "k": b.column(key).cast(pa.int64()),
-            "vx": pa.array(vx),
-        })
-
-    def prep_right(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.is_valid(b.column(right_value)))
-        vx = _x(b.column(right_value))
-        rb = vx // eps_x
-        ks = b.column(right_key).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        bucket = np.concatenate([rb - 1, rb, rb + 1])
-        return pa.table({
-            "__bucket": pa.array(bucket),
-            "__part": pa.array(
-                (bucket % np.int64(num_parts)).astype(np.int32)),
-            "side": pa.array(np.ones(3 * len(vx), dtype=np.int8)),
-            "k": pa.array(np.tile(ks, 3)),
-            "vx": pa.array(np.tile(vx, 3)),
-        })
+    def prep(key_c, val_c, side):
+        def fn(b: pa.Table) -> pa.Table:
+            b = b.filter(pc.is_valid(b.column(val_c)))
+            ks = b.column(key_c).cast(pa.int64())
+            return _band_rows(np.zeros(len(b), np.int64), _x(b.column(val_c)),
+                              ks, side, eps_x, num_parts)
+        return fn
 
     l = left.select_columns([key, value]).map_batches(
-        prep_left, batch_format="pyarrow", batch_size=batch_size,
+        prep(key, value, 0), batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True)
     r = right.select_columns([right_key, right_value]).map_batches(
-        prep_right, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True)
-
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__bucket", "side", "vx"], kind="stable")
-        bk = g["__bucket"].to_numpy()
-        side = g["side"].to_numpy()
-        ks = g["k"].to_numpy()
-        vx = g["vx"].to_numpy()
-        seg = np.flatnonzero(np.concatenate([[True], bk[1:] != bk[:-1]]))
-        ends = np.concatenate([seg[1:], [len(bk)]])
-        a_k, b_k, d_x = [], [], []
-        for st, en in zip(seg, ends):
-            s = side[st:en]
-            nl = int((s == 0).sum())
-            if nl == 0:
-                continue
-            if nl == en - st:  # bucket holds lefts only
-                if how == "anti":
-                    a_k.append(ks[st:en])
-                    b_k.append(vx[st:en])
-                continue
-            lv, lk = vx[st:st + nl], ks[st:st + nl]
-            rv, rk = vx[st + nl:en], ks[st + nl:en]  # sorted by vx
-            lo = np.searchsorted(rv, lv - eps_x, side="left")
-            hi = np.searchsorted(rv, lv + eps_x, side="right")
-            cnt = hi - lo
-            if how == "anti":
-                miss = cnt == 0
-                if miss.any():
-                    a_k.append(lk[miss])
-                    b_k.append(lv[miss])
-                continue
-            tot = int(cnt.sum())
-            if tot == 0:
-                continue
-            li = np.repeat(np.arange(nl), cnt)
-            ri = np.concatenate(
-                [np.arange(a, b) for a, b in zip(lo, hi) if b > a])
-            a_k.append(lk[li])
-            b_k.append(rk[ri])
-            d_x.append(lv[li] - rv[ri])
-        if how == "anti":
-            if not a_k:
-                return pd.DataFrame(
-                    {"key_l": pd.Series([], dtype="int64"),
-                     "value_x": pd.Series([], dtype="int64")})
-            return pd.DataFrame({"key_l": np.concatenate(a_k),
-                                 "value_x": np.concatenate(b_k)})
-        if not a_k:
-            return pd.DataFrame({"key_l": pd.Series([], dtype="int64"),
-                                 "key_r": pd.Series([], dtype="int64"),
-                                 "diff_x": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"key_l": np.concatenate(a_k),
-                             "key_r": np.concatenate(b_k),
-                             "diff_x": np.concatenate(d_x)})
-
-    return l.union(r).groupby("__part").map_groups(
-        emit, batch_format="pandas")
+        prep(right_key, right_value, 1), batch_format="pyarrow",
+        batch_size=batch_size, zero_copy_batch=True)
+    return by_part(l.union(r), _band_emit(eps_x, how, keyed=False),
+                   batch_format="pandas")
 
 
 def keyed_band_join(left, right, eq: str, key: str, value: str,
@@ -1031,7 +1000,6 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
     hash of both, and each (eq, bucket) segment answers its lefts with
     two searchsorted lookups against its sorted rights. Work is
     output-bound; a pair matches in exactly ONE bucket (the left's)."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     if eps_x < 1:
@@ -1046,34 +1014,10 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
         if len(eqv) and eqv.min() < 0:
             raise ValueError(
                 f"keyed_band_join needs non-negative {eq_c} keys")
-        vt = b.column(val_c)
-        if pa.types.is_timestamp(vt.type):
-            vt = vt.cast(pa.int64())  # epoch micros
-        else:
-            vt = vt.cast(pa.int64())
-        vx = vt.to_numpy(zero_copy_only=False)
-        ks = b.column(key_c).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        bucket = vx // eps_x
-        if side_val == 0:
-            reps = 1
-        else:
-            reps = 3
-            bucket = np.concatenate([bucket - 1, bucket, bucket + 1])
-            eqv = np.tile(eqv, 3)
-            ks = np.tile(ks, 3)
-            vx = np.tile(vx, 3)
-        # Knuth multiplicative mix of (eq, bucket) -> partition; floor
-        # mod keeps bucket -1 (rights of bucket 0) non-negative
-        part = ((eqv * np.int64(1000003) + bucket)
-                % np.int64(num_parts)).astype(np.int32)
-        return pa.table({
-            "eq": pa.array(eqv), "__bucket": pa.array(bucket),
-            "__part": pa.array(part),
-            "side": pa.array(
-                np.full(len(vx), side_val, dtype=np.int8)),
-            "k": pa.array(ks), "vx": pa.array(vx),
-        })
+        # timestamps cast to epoch micros, integers pass through
+        vx = b.column(val_c).cast(pa.int64()).to_numpy(zero_copy_only=False)
+        return _band_rows(eqv, vx, b.column(key_c).cast(pa.int64()),
+                          side_val, eps_x, num_parts)
 
     l = left.select_columns([eq, key, value]).map_batches(
         lambda b: _prep(b, eq, key, value, 0),
@@ -1085,48 +1029,5 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
         batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True)
 
-    def emit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["eq", "__bucket", "side", "vx"],
-                          kind="stable")
-        eqv = g["eq"].to_numpy()
-        bk = g["__bucket"].to_numpy()
-        side = g["side"].to_numpy()
-        ks = g["k"].to_numpy()
-        vx = g["vx"].to_numpy()
-        chg = (bk[1:] != bk[:-1]) | (eqv[1:] != eqv[:-1])
-        seg = np.flatnonzero(np.concatenate([[True], chg]))
-        ends = np.concatenate([seg[1:], [len(bk)]])
-        e_o, a_k, b_k, d_x = [], [], [], []
-        for st, en in zip(seg, ends):
-            s = side[st:en]
-            nl = int((s == 0).sum())
-            if nl == 0 or nl == en - st:
-                continue
-            lv, lk = vx[st:st + nl], ks[st:st + nl]
-            rv, rk = vx[st + nl:en], ks[st + nl:en]  # sorted by vx
-            lo = np.searchsorted(rv, lv - eps_x, side="left")
-            hi = np.searchsorted(rv, lv + eps_x, side="right")
-            cnt = hi - lo
-            tot = int(cnt.sum())
-            if tot == 0:
-                continue
-            li = np.repeat(np.arange(nl), cnt)
-            ri = np.concatenate(
-                [np.arange(a, b) for a, b in zip(lo, hi) if b > a])
-            e_o.append(np.full(tot, eqv[st], dtype=np.int64))
-            a_k.append(lk[li])
-            b_k.append(rk[ri])
-            d_x.append(lv[li] - rv[ri])
-        if not a_k:
-            return pd.DataFrame(
-                {"eq": pd.Series([], dtype="int64"),
-                 "key_l": pd.Series([], dtype="int64"),
-                 "key_r": pd.Series([], dtype="int64"),
-                 "diff_x": pd.Series([], dtype="int64")})
-        return pd.DataFrame({"eq": np.concatenate(e_o),
-                             "key_l": np.concatenate(a_k),
-                             "key_r": np.concatenate(b_k),
-                             "diff_x": np.concatenate(d_x)})
-
-    return l.union(r).groupby("__part").map_groups(
-        emit, batch_format="pandas")
+    return by_part(l.union(r), _band_emit(eps_x, "inner", keyed=True),
+                   batch_format="pandas")

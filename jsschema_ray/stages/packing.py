@@ -36,6 +36,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from jsschema_ray.stages.exchange import PART, by_part
+
 
 def pack_sequences(ds, order_col: str, weight_col: str, budget: int,
                    bin_width: int = 4096, batch_size: int = 262144,
@@ -138,7 +140,7 @@ def pack_sequences(ds, order_col: str, weight_col: str, budget: int,
     offsets_ref = ray.put((bins_sorted, bases))
 
     # ---- scan 2: co-partition by a COARSE bin-range key, one vectorized
-    # pass per partition (r4 fix: the previous groupby("__bin") invoked
+    # pass per partition (r4 fix: the previous group step per bin invoked
     # a pandas body once per BIN — at the 2^21-bin cap that is millions
     # of per-group calls; ranged partitioning keeps bins contiguous so a
     # partition still never splits a bin, and the task count is bounded
@@ -158,7 +160,7 @@ def pack_sequences(ds, order_col: str, weight_col: str, budget: int,
         o = batch.column(order_col).to_numpy(zero_copy_only=False)
         b = (o // eff_width).astype(np.int64)
         return batch.append_column("__bin", pa.array(b)).append_column(
-            "__part", pa.array((b // bins_per_part).astype(np.int64)))
+            PART, pa.array((b // bins_per_part).astype(np.int64)))
 
     def pack_part(g: pd.DataFrame) -> pd.DataFrame:
         # sorting by order_col alone keeps bins contiguous (bin is a
@@ -174,12 +176,12 @@ def pack_sequences(ds, order_col: str, weight_col: str, budget: int,
         # subtract each bin block's starting prefix, add its global base
         cum = cw - np.repeat(cw[starts], sizes) + np.repeat(
             base_per_block, sizes)
-        out = g.drop(columns=["__bin", "__part"]).copy()
+        out = g.drop(columns=["__bin"]).copy()
         out["seq_id"] = cum // budget
         out["seq_offset"] = cum % budget
         return out
 
-    return ds.map_batches(
+    return by_part(ds.map_batches(
         add_bin, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ).groupby("__part").map_groups(pack_part, batch_format="pandas")
+    ), pack_part, batch_format="pandas")

@@ -23,7 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from jsschema_ray.stages.exchange import by_key
+from jsschema_ray.stages.exchange import by_key, pack, unpack
 from jsschema_ray.state.hll import HyperLogLog, hash64
 from jsschema_ray.state.tdigest import TDigest
 
@@ -268,7 +268,6 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
     any fold order: CMS add is commutative, candidates are deduped."""
     import numpy as np
 
-    from jsschema_ray.stages.uniqueness import _pack, _unpack
     from jsschema_ray.state.cms import CountMinSketch
     from jsschema_ray.state.hll import hash64, normalize_zeros
 
@@ -285,7 +284,7 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
         cand = pa.table({"key": values, "cnt": counts}).take(pa.array(order))
         return pa.table(
             {
-                "cand_blob": pa.array([_pack(cand)], type=pa.binary()),
+                "cand_blob": pa.array([pack(cand)], type=pa.binary()),
                 "cms": pa.array([cms.to_bytes()], type=pa.binary()),
             }
         )
@@ -302,7 +301,7 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
             for b in block.column("cms").to_pylist()[1:]:
                 cms.merge(CountMinSketch.from_bytes(b))
             cand = pa.concat_tables(
-                _unpack(b) for b in block.column("cand_blob").to_pylist()
+                unpack(b) for b in block.column("cand_blob").to_pylist()
             )
             # re-dedupe keys inside the fold so candidate volume stays
             # bounded by distinct keys, not batches × local_m
@@ -318,7 +317,7 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
                 "cnt": pa.array(cdf["cnt"].to_numpy(), type=pa.int64()),
             })
             return pa.table(
-                {"cand_blob": pa.array([_pack(folded)], type=pa.binary()),
+                {"cand_blob": pa.array([pack(folded)], type=pa.binary()),
                  "cms": pa.array([cms.to_bytes()], type=pa.binary())}
             )
 
@@ -331,7 +330,7 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
     merged = CountMinSketch.from_bytes(rows[0]["cms"])
     for r in rows[1:]:
         merged.merge(CountMinSketch.from_bytes(r["cms"]))
-    cands = pa.concat_tables(_unpack(r["cand_blob"]) for r in rows)
+    cands = pa.concat_tables(unpack(r["cand_blob"]) for r in rows)
     keys = cands.column("key").combine_chunks().unique()
     return merged, keys
 

@@ -13,6 +13,7 @@ from typing import Any, Optional
 import numpy as np
 import pyarrow as pa
 
+from jsschema_ray.stages.exchange import by_key
 from jsschema_ray.state.hll import hash64
 
 # BPE-ish pre-tokenizer: word pieces OR single non-space symbols (the common
@@ -666,7 +667,6 @@ def tfidf_top_terms(ds, k: int = 5, column: str = "text",
                        num_buckets=num_parts)
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__p"])
         g = g.sort_values([id_column, "tf", "df", "token"],
                           ascending=[True, False, True, True],
                           kind="stable")
@@ -674,14 +674,8 @@ def tfidf_top_terms(ds, k: int = 5, column: str = "text",
         out["tfidf"] = out["tf"] * np.log(n_docs / out["df"])
         return out
 
-    def part(batch: pa.Table) -> pa.Table:
-        d = batch.column(id_column).to_numpy(zero_copy_only=False)
-        p = (d.astype(np.uint64) % np.uint64(num_parts)).astype(np.int32)
-        return batch.append_column("__p", pa.array(p))
-
-    return joined.map_batches(part, batch_format="pyarrow").groupby(
-        "__p"
-    ).map_groups(topk, batch_format="pandas")
+    return by_key(joined, [id_column], topk, num_parts,
+                  batch_format="pandas")
 
 
 def chunk_documents(ds, column: str = "text", id_column: str = "doc_id",

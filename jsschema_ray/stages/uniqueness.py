@@ -33,19 +33,9 @@ import pyarrow.compute as pc
 
 import ray
 
-from jsschema_ray.stages.exchange import PART, by_part, partition_ids
+from jsschema_ray.stages.exchange import (PART, by_part, pack, pack_parts,
+                                          partition_ids, unpack)
 from jsschema_ray.state.hll import normalize_zeros
-
-
-def _pack(tbl: pa.Table) -> bytes:
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, tbl.schema) as w:
-        w.write_table(tbl)
-    return sink.getvalue().to_pybytes()
-
-
-def _unpack(b: bytes) -> pa.Table:
-    return pa.ipc.open_stream(pa.BufferReader(b)).read_all()
 
 
 def _precount(columns: list[str], num_buckets: int):
@@ -58,7 +48,7 @@ def _precount(columns: list[str], num_buckets: int):
     ``__part`` is ``bucket * len(columns) + column index``."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        out_p, out_c, out_blob = [], [], []
+        out = []
         for ci, column in enumerate(columns):
             # -0.0/+0.0 float keys must count as ONE key (SQL GROUP BY
             # merges them; value_counts hashes them apart)
@@ -67,25 +57,14 @@ def _precount(columns: list[str], num_buckets: int):
             tbl = pa.table({"key": vc.field("values"),
                             "partial_count": vc.field("counts").cast(
                                 pa.int64())})
-            bucket = partition_ids(tbl, ["key"], num_buckets)
-            order = np.argsort(bucket, kind="stable")
-            tbl = tbl.take(pa.array(order))
-            bounds = np.searchsorted(bucket[order],
-                                     np.arange(num_buckets + 1))
-            for b in range(num_buckets):
-                lo, hi = bounds[b], bounds[b + 1]
-                if lo == hi:
-                    continue
-                out_p.append(b * len(columns) + ci)
-                out_c.append(ci)
-                out_blob.append(_pack(tbl.slice(lo, hi - lo)))
-        return pa.table(
-            {
-                PART: pa.array(out_p, type=pa.int32()),
-                "col_idx": pa.array(out_c, type=pa.int32()),
-                "blob": pa.array(out_blob, type=pa.binary()),
-            }
-        )
+            packed = pack_parts(tbl, partition_ids(tbl, ["key"], num_buckets),
+                                num_buckets)
+            bucket = packed.column(PART).to_numpy()
+            out.append(pa.table({
+                PART: pa.array(bucket * len(columns) + ci, type=pa.int32()),
+                "col_idx": pa.array(np.full(len(bucket), ci, np.int32)),
+                "blob": packed.column("blob")}))
+        return pa.concat_tables(out)
 
     return fn
 
@@ -96,7 +75,7 @@ def _dup_counts(g: pd.DataFrame) -> pa.Table:
     int64 key to float64 whenever the bucket held a NULL key (value_counts
     emits null as a countable value), collapsing distinct large ints;
     pyarrow group_by keeps exact dtypes and groups nulls together."""
-    tbl = pa.concat_tables(_unpack(b) for b in g["blob"])
+    tbl = pa.concat_tables(unpack(b) for b in g["blob"])
     tot = tbl.group_by("key").aggregate([("partial_count", "sum")])
     dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
     return pa.table({"key": dup.column("key"),
@@ -158,14 +137,14 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
             {
                 "col_idx": pa.array([int(g["col_idx"].iloc[0])],
                                     type=pa.int32()),
-                "blob": pa.array([_pack(_dup_counts(g))], type=pa.binary()),
+                "blob": pa.array([pack(_dup_counts(g))], type=pa.binary()),
             }
         )
 
     rows = by_part(partials, reduce_bucket, batch_format="pandas").take_all()
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
-        tabs = [_unpack(r["blob"]) for r in rows if r["col_idx"] == ci]
+        tabs = [unpack(r["blob"]) for r in rows if r["col_idx"] == ci]
         if tabs:
             merged_t = pa.concat_tables(tabs)
             out[column] = pa.table(

@@ -97,23 +97,50 @@ def test_by_key_one_call_per_key_without_part_column(batch_format):
     assert not np.signbit(got["f"].to_numpy()).any()
 
 
-#: modules migrated to the keyed exchange; each must reach it only
+#: every module that partitions; each must reach the exchange only
 #: through stages/exchange.py
 _MIGRATED = ["stages/windows.py", "stages/aggregates.py",
              "stages/quantiles.py", "stages/sampling.py", "stages/stats.py",
              "stages/referential.py", "stages/transform.py",
-             "stages/uniqueness.py", "sources/io.py"]
+             "stages/uniqueness.py", "sources/io.py", "stages/dedup.py",
+             "stages/join.py", "stages/text.py", "stages/packing.py"]
 
+#: a Ray group step on a partition-id column, or a partition id taken
+#: modulo the partition count; ``\s*`` lets a chain split across lines
 _HAND_ROLLED = re.compile(
-    r'groupby\("(__part|bucket)"\)|% np\.uint64\((num_part|num_bucket)')
+    r'groupby\(\s*"(__part|part|vpart|bucket|__bucket|__bin|__p)"\s*\)'
+    r'|%\s*np\.u?int64\(\s*(num_part|num_bucket)')
+
+#: the blob format and the partition-blob splitter live only in
+#: stages/exchange.py
+_BLOB_COPY = re.compile(r"^def (_?pack|_?unpack|_pack_parted)\b", re.M)
+
+
+def _scan(pattern):
+    root = pathlib.Path(__file__).resolve().parents[1] / "jsschema_ray"
+    found = []
+    for m in _MIGRATED:
+        text = (root / m).read_text()
+        for hit in pattern.finditer(text):
+            line = text.count("\n", 0, hit.start()) + 1
+            found.append(f"{m}:{line}: {hit.group(0)!r}")
+    return found
 
 
 def test_no_hand_rolled_exchange_in_migrated_modules():
-    root = pathlib.Path(__file__).resolve().parents[1] / "jsschema_ray"
-    found = [f"{m}:{i}: {line.strip()}"
-             for m in _MIGRATED
-             for i, line in enumerate(
-                 (root / m).read_text().splitlines(), 1)
-             if _HAND_ROLLED.search(line)]
-    assert found == []
+    assert _scan(_HAND_ROLLED) == []
 
+
+def test_hand_rolled_pattern_sees_split_chains():
+    for src in ('x.groupby(\n    "part"\n).map_groups(f)',
+                'ds.groupby("__bin").map_groups(f)',
+                'ds.groupby( "__p" )',
+                '(h % np.uint64(num_parts))',
+                '(b % np.int64(num_parts))',
+                'h %\n  np.uint64(num_buckets)'):
+        assert _HAND_ROLLED.search(src), src
+    assert not _HAND_ROLLED.search('ds.groupby("partition")')
+
+
+def test_blob_format_defined_only_in_exchange():
+    assert _scan(_BLOB_COPY) == []

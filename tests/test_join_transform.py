@@ -802,3 +802,28 @@ def test_except_all_right_columns_rename(ray_session):
     got = got.sort_values(["k", "v"]).reset_index(drop=True)
     # one of the two (1, x) copies cancels; (1, y) and (2, z) survive
     assert got.values.tolist() == [[1, "x"], [1, "y"], [2, "z"]]
+
+
+def test_hash_join_salt_wider_than_buckets(ray_session):
+    """A salt range wider than the bucket count must not meet a
+    replicated right row twice: output equals the unsalted join."""
+    import numpy as np
+    import ray.data as rd
+
+    from jsschema_ray.stages.join import hash_join
+
+    left = pd.DataFrame({"k": np.array([777] * 20 + list(range(10)),
+                                       np.int64),
+                         "lv": np.arange(30)})
+    right = pd.DataFrame({"k": np.array([777, 1, 2], np.int64),
+                          "rv": [1, 2, 3]})
+    ldf, rdf = rd.from_pandas(left), rd.from_pandas(right)
+    plain = hash_join(ldf, rdf, key="k", num_buckets=4).to_pandas()
+    salted = hash_join(ldf, rdf, key="k", num_buckets=4, hot_keys=[777],
+                       salt=16).to_pandas()
+    cols = ["k", "lv", "rv"]
+    assert len(plain) == 22
+    pd.testing.assert_frame_equal(
+        plain[cols].sort_values(cols).reset_index(drop=True),
+        salted[cols].sort_values(cols).reset_index(drop=True),
+        check_dtype=False)

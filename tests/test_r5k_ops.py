@@ -220,3 +220,24 @@ def test_band_anti_join_left_only_buckets_and_empty_right(ray_session):
     assert got == [(1, 1000), (3, -750)]
     with pytest.raises(ValueError, match="how"):
         band_join(left, right, "k", "v", "k", "v", 100, how="left")
+
+
+def test_band_anti_join_boundary(ray_session):
+    # the boundary input above through how='anti', plus two lefts whose
+    # nearest right is eps_x + 1 away (one on each sign): |d| == eps_x
+    # is a match, so only those two lefts are unmatched
+    lv = [10.00, -10.00, 0.00, 20.01, -20.01]
+    rv = [15.00, 5.00, -15.00, -5.00, 0.00, 5.01, -5.01]
+    lk = [1, 2, 3, 4, 5]
+    rk = [11, 12, 13, 14, 15, 16, 17]
+    left = _ds({"k": pa.array(lk, pa.int64()),
+                "v": pa.array(lv, pa.float64())})
+    right = _ds({"k": pa.array(rk, pa.int64()),
+                 "v": pa.array(rv, pa.float64())})
+    got = band_join(left, right, "k", "v", "k", "v", eps_x=500,
+                    how="anti").take_all()
+    assert sorted((r["key_l"], r["value_x"]) for r in got) == [
+        (4, 2001), (5, -2001)]
+    matched = {a for a, _, _ in _brute(np.array(lk), np.array(lv),
+                                       np.array(rk), np.array(rv), 500)}
+    assert matched == {1, 2, 3}

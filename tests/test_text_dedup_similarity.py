@@ -387,6 +387,87 @@ def test_exact_dedup_null_content_both_strategies(ray_session):
     assert key_sets == [(1, 7), (2, 3, 6), (4, 5)]
 
 
+def _count_exchanges(monkeypatch) -> list:
+    """Record each call of the keyed exchange's group step (wherever a
+    module bound ``by_part`` at import) as "by_part", and each Ray
+    ``Dataset.groupby`` — the shuffle under any exchange — as "groupby"."""
+    import sys
+
+    import ray.data as rd
+
+    # join is imported lazily by its callers; bind it before patching
+    from jsschema_ray.stages import exchange, join  # noqa: F401
+
+    calls: list = []
+
+    def counting(name, orig):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return counted
+
+    orig = exchange.by_part
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("jsschema_ray")
+                and getattr(mod, "by_part", None) is orig):
+            monkeypatch.setattr(mod, "by_part", counting("by_part", orig))
+    monkeypatch.setattr(rd.Dataset, "groupby",
+                        counting("groupby", rd.Dataset.groupby))
+    return calls
+
+
+def test_exact_dedup_shuffle_is_one_exchange(ray_session, monkeypatch):
+    """strategy='shuffle' runs ONE exchange on content_hash (plus the anti
+    join on the key for exact_dedup), and still matches the driver
+    strategies when distinct contents share a hash: 'x', 'y' and 'z' are
+    forced onto one hash, and null and '' collide by construction."""
+    import ray.data as rd
+
+    from jsschema_ray.stages import dedup
+    from jsschema_ray.state.hll import hash64
+
+    def colliding_hash(ds, column, out_column="content_hash",
+                       batch_size=8192):
+        def fn(batch: pa.Table) -> pa.Table:
+            s = batch.column(column).to_pandas().fillna("").to_numpy(
+                dtype=object)
+            h = (hash64(s) >> np.uint64(1)).astype(np.int64)
+            h[np.array([v in ("x", "y", "z") for v in s], dtype=bool)] = 7
+            return batch.append_column(out_column, pa.array(h, pa.int64()))
+
+        return ds.map_batches(fn, batch_format="pyarrow",
+                              batch_size=batch_size)
+
+    monkeypatch.setattr(dedup, "add_content_hash", colliding_hash)
+    calls = _count_exchanges(monkeypatch)
+    pdf = pd.DataFrame({
+        "text": ["x", "y", "x", "y", "z", "w", "w", None, "", "", "v",
+                 "x"],
+        "doc_id": list(range(1, 13)),
+    })
+    ds = rd.from_pandas(pdf).repartition(3)
+
+    shuffled = dedup.exact_duplicate_groups(ds, "text", "doc_id",
+                                            strategy="shuffle")
+    assert sorted(calls) == ["by_part", "groupby"]
+    collected = dedup.exact_duplicate_groups(ds, "text", "doc_id",
+                                             strategy="collect")
+    got = sorted((int(r["content_hash"]), int(r["n_rows"]),
+                  tuple(r["keys"])) for r in shuffled.take_all())
+    want = sorted((int(r["content_hash"]), int(r["n_rows"]),
+                   tuple(r["keys"])) for r in collected.to_pylist())
+    assert got == want
+    assert sorted(g[2] for g in got) == [(1, 3, 12), (2, 4), (6, 7),
+                                         (9, 10)]
+
+    del calls[:]
+    kept = dedup.exact_dedup(ds, "text", "doc_id", strategy="shuffle")
+    assert sorted(calls) == ["by_part"] * 2 + ["groupby"] * 2
+    b = sorted(dedup.exact_dedup(ds, "text", "doc_id",
+                                 strategy="broadcast").to_pandas()["doc_id"])
+    assert sorted(kept.to_pandas()["doc_id"]) == b == [1, 2, 5, 6, 8, 9, 11]
+
+
 def test_knn_ivf_recall_differential(ray_session):
     """VERDICT r2 ask: pin the APPROXIMATE IVF regime (n_probe <
     n_centroids) with a recall differential against the exact knn_brute —
