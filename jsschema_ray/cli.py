@@ -14,6 +14,7 @@ init + shutdown); library code never does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,22 +28,27 @@ def _cmd_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _ray_session(num_cpus):
+    """This command's Ray session: started unless one is running, quiet
+    progress bars, shut down on exit."""
     import ray
 
     if not ray.is_initialized():
-        ray.init(
-            address="local",
-            num_cpus=args.num_cpus,
-            include_dashboard=False,
-            ignore_reinit_error=True,
-            logging_level="ERROR",
-        )
+        ray.init(address="local", num_cpus=num_cpus,
+                 include_dashboard=False, ignore_reinit_error=True,
+                 logging_level="ERROR")
     try:
         from ray.data import DataContext
 
         DataContext.get_current().enable_progress_bars = False
+        yield
+    finally:
+        ray.shutdown()
 
+
+def _cmd_validate(args: argparse.Namespace) -> int:
+    with _ray_session(args.num_cpus):
         from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
         from jsschema_ray.stages.drift import DriftProfile
 
@@ -67,23 +73,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "report": f"{args.output}/report.json",
         }))
         return 0 if report["valid"] else 1
-    finally:
-        ray.shutdown()
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Build a drift reference profile (per-column t-digests) from a clean
     dataset and save it as JSON for later `validate --profile` runs."""
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=args.num_cpus,
-                 include_dashboard=False, ignore_reinit_error=True,
-                 logging_level="ERROR")
-    try:
-        from ray.data import DataContext
-
-        DataContext.get_current().enable_progress_bars = False
+    with _ray_session(args.num_cpus):
         import ray.data as rd
 
         from jsschema_ray.stages.drift import build_profile
@@ -97,8 +92,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             f.write(profile.to_json())
         print(json.dumps({"profile": args.output, "columns": columns}))
         return 0
-    finally:
-        ray.shutdown()
 
 
 def main(argv: list[str] | None = None) -> int:

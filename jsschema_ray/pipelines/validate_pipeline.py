@@ -1,45 +1,99 @@
 """End-to-end validation pipeline: the distributed analogue of the
 reference CLI flow (cmd/jsschema/jsschema.go:34-91 — read schema, validate
-data, report) planned per SURVEY.md §3.4:
+data, report) planned per SURVEY.md §3.4. A pass is one scan plus the
+uniqueness exchange:
 
-  P1  row-local mask stage: stateless map_batches over zero-copy Arrow
-      batches (kernels/columnar.py), violations + per-partition counts
-  P2  stats/drift stage: sketch partials -> tiny merge (stages/stats.py)
-  P3  global constraints: uniqueness pre-agg shuffle, referential
-      broadcast semi-join (stages/uniqueness.py, stages/referential.py)
-  P4  verdict assembly: per-partition manifest commit (atomic) + job report
+  scan  one read and one map_batches over every shard (``_run_rowlocal``):
+        P1, the row-local mask stage (kernels/columnar.py), over the rows
+        of uncommitted shards, whose tasks write the violation files; and
+        the map side of x-stats/x-drift (sketch partials, stages/stats.py),
+        x-referential (miss counts) and x-decode (the decode check). The
+        driver commits each shard (an atomic manifest) once all its rows
+        are in, and the handlers finish from the partials.
+  x-uniqueness  its own read and exchange (stages/uniqueness.py): its
+        pre-count holds O(distinct keys) per batch.
 
-The ``x-*`` extras of the schema (the Extras extension surface,
-reference interface.go:133) select which P2/P3 stages run. Partition ==
-input shard file; committed partitions are skipped on resume (P1 only —
-global constraints always span the full input and are recomputed).
+Every ``x-*`` keyword (the Extras extension surface, reference
+interface.go:133) dispatches through the registry. Partition == input
+shard file; on resume P1 skips committed shards, while the scan still
+covers all of them, since global constraints span the full input.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import uuid
 from typing import Any, Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray.data as rd
 
 from jsschema_ray.pipelines.manifest import CheckpointManifest, partition_id_for
-from jsschema_ray.schema.registry import (
-    ConstraintContext,
-    get_handler,
-    register_constraint,
-)
-from jsschema_ray.stages.drift import DriftProfile, drift_check
-from jsschema_ray.stages.referential import referential_check
-from jsschema_ray.stages.stats import StatsSpec, collect_stats
+from jsschema_ray.schema.registry import (ConstraintContext, get_handler,
+                                          register_constraint)
+from jsschema_ray.stages import multimodal
+from jsschema_ray.stages.drift import DriftProfile, _verdicts
+from jsschema_ray.stages.exchange import pack, unpack
+from jsschema_ray.stages.referential import (_miss_partial, _miss_report,
+                                             _ref_key_array)
+from jsschema_ray.stages.stats import StatsAccumulator, StatsSpec, _fold_partials
 from jsschema_ray.stages.uniqueness import uniqueness_reports
 from jsschema_ray.stages.validate import ValidateBatch
 
+#: with x-decode the scan's batches are no larger than the decode stage's
+#: own (wide payload rows), so the decode runs on as many tasks as alone
+_DECODE_BATCH = 1024
 
-# -- built-in x-* global constraint handlers --------------------------------
+
+# -- the scan's map sides: (pipeline, input columns) -> None or (side name,
+# payload columns it reads, fn(meta, batch) -> partial tables), where meta
+# is the batch without payload columns
+
+def _stats_side(pipe: "ValidationPipeline", _columns: list[str]):
+    # one accumulator for x-stats and x-drift: the spec folds the drift
+    # columns into its quantiles, and drift verdicts are per shard
+    spec = StatsSpec.from_schema_extras(pipe.schema)
+    spec.partition_col = "_partition"
+    acc = StatsAccumulator(spec)
+    return "stats", [], lambda meta, _: [acc(meta)]
+
+
+def _referential_side(pipe: "ValidationPipeline", _columns: list[str]):
+    checks = [(spec["column"], _ref_key_array(spec["ref_values"], None, 0))
+              for spec in pipe.schema["x-referential"]]
+    return "referential", [], lambda meta, _: [
+        _miss_partial(meta.column(col).combine_chunks(), keys)
+        .append_column("spec", pa.array([i], pa.int32()))
+        for i, (col, keys) in enumerate(checks)]
+
+
+def _decode_side(pipe: "ValidationPipeline", columns: list[str]):
+    value = pipe.schema["x-decode"]
+    col = value.get("column", "bytes")
+    if col not in columns:
+        return None
+    check = multimodal._DecodeCheck(
+        key_column=pipe.key_column, column=col,
+        fmt_column=value.get("fmt_column", "fmt"),
+        min_psnr_db=value.get("min_psnr_db", 40.0))
+    return "decode", [col], lambda _, batch: [check(batch)]
+
+
+_MAP_SIDES = {
+    "x-uniqueness": None,  # its own exchange, not through the driver
+    "x-referential": _referential_side,
+    "x-stats": _stats_side,
+    "x-drift": _stats_side,
+    "x-decode": _decode_side,
+}
+
+
+# -- built-in x-* global constraint handlers ---------------------------------
 
 @register_constraint("x-uniqueness")
 def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
@@ -54,19 +108,15 @@ def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
 
 @register_constraint("x-referential")
 def _handle_referential(specs: list[dict], ctx: ConstraintContext):
-    full = ctx.dataset()
-    return [
-        referential_check(full, spec["column"], spec["ref_values"],
-                          batch_size=ctx.batch_size)
-        for spec in specs
-    ]
+    rows = ctx.pipeline._partials["referential"]
+    return [_miss_report(spec["column"], [r for r in rows if r["spec"] == i])
+            for i, spec in enumerate(specs)]
 
 
 @register_constraint("x-stats")
 def _handle_stats(_value, ctx: ConstraintContext):
-    extras = {k: v for k, v in ctx.schema.items() if k.startswith("x-")}
-    spec = StatsSpec.from_schema_extras(extras)
-    stats = collect_stats(ctx.dataset(), spec, batch_size=ctx.batch_size)
+    stats = _fold_partials(ctx.pipeline._partials["stats"],
+                           per_partition=False)
     out: dict[str, Any] = {}
     for (_, col), cs in sorted(stats.items()):
         entry: dict[str, Any] = {
@@ -87,44 +137,25 @@ def _handle_stats(_value, ctx: ConstraintContext):
 
 @register_constraint("x-drift")
 def _handle_drift(value: dict, ctx: ConstraintContext):
-    profile = getattr(ctx.pipeline, "drift_profile", None)
-    if profile is None:
+    if ctx.pipeline.drift_profile is None:
         return None  # no reference profile supplied -> skip
-    verdicts = drift_check(
-        ctx.dataset(with_partition=True),
-        profile,
-        value.get("columns", []),
-        partition_col="_partition",
-        ks_threshold=value.get("ks_threshold", 0.15),
-        batch_size=ctx.batch_size,
-    )
-    return verdicts.to_pylist()
+    columns = set(value.get("columns", []))
+    rows = [r for r in ctx.pipeline._partials["stats"]
+            if r["column"] in columns]
+    return _verdicts(_fold_partials(rows), ctx.pipeline.drift_profile,
+                     value.get("ks_threshold", 0.15)).to_pylist()
 
 
 @register_constraint("x-decode")
 def _handle_decode(value: dict, ctx: ConstraintContext):
-    """Decode invariant over the payload column (read here and only here —
-    the row-local stage never touches bytes)."""
-    import pyarrow.parquet as pq
-
-    from jsschema_ray.stages.multimodal import decode_violations
-
-    col = value.get("column", "bytes")
-    fmt_col = value.get("fmt_column", "fmt")
-    key_col = getattr(ctx.pipeline, "key_column", "image_id")
-    available = {f.name for f in pq.read_schema(ctx.input_files[0])}
-    if col not in available:
+    """Decode invariant over the payload column, which only the scan's
+    decode side reads."""
+    if "decode" not in ctx.pipeline._partials:
+        col = value.get("column", "bytes")
         return {"skipped": f"payload column {col!r} not in input"}
-    ds = rd.read_parquet(ctx.input_files, columns=[key_col, col, fmt_col])
-    vio = decode_violations(ds, key_column=key_col, column=col,
-                            fmt_column=fmt_col, batch_size=1024,
-                            min_psnr_db=value.get("min_psnr_db", 40.0)
-                            ).take_all()
-    vio.sort(key=lambda r: (r["key"], r["reason"]))  # arrival order varies
-    return {
-        "n_violations": len(vio),
-        "sample": vio[:10],
-    }
+    vio = sorted(ctx.pipeline._partials["decode"],
+                 key=lambda r: (r["key"], r["reason"]))  # arrival order varies
+    return {"n_violations": len(vio), "sample": vio[:10]}
 
 
 class ValidationPipeline:
@@ -145,6 +176,7 @@ class ValidationPipeline:
         self.drift_profile = drift_profile
         self.manifest = CheckpointManifest(output_dir)
         self._checked_files: list[str] = []
+        self._partials: dict[str, list[dict]] = {}  # the scan's rows, by side
 
     # -- helpers -----------------------------------------------------------
     def _input_files(self) -> list[str]:
@@ -155,8 +187,6 @@ class ValidationPipeline:
             # homogeneity gate: one logical table per input dir (footer reads
             # only); a mixed dir otherwise fails deep inside the read tasks
             # with a confusing schema-mismatch dump
-            import pyarrow.parquet as pq
-
             first = pq.read_schema(files[0])
             for f in files[1:]:
                 s = pq.read_schema(f)
@@ -172,20 +202,11 @@ class ValidationPipeline:
     def _payload_columns(self, files: list[str]) -> set[str]:
         """Wide opaque payloads = binary-typed columns; they never enter the
         P1 kernels (pruned at the read, SURVEY.md §7 hard part 4)."""
-        import pyarrow.parquet as pq
-
         return {
             f.name
             for f in pq.read_schema(files[0])
             if pa.types.is_binary(f.type) or pa.types.is_large_binary(f.type)
         }
-
-    def _non_payload_columns(self, files: list[str]) -> list[str]:
-        import pyarrow.parquet as pq
-
-        payload = self._payload_columns(files)
-        return [f.name for f in pq.read_schema(files[0])
-                if f.name not in payload]
 
     # -- run ---------------------------------------------------------------
     def run(self, resume: bool = True) -> dict[str, Any]:
@@ -198,13 +219,12 @@ class ValidationPipeline:
             "partitions_resumed": len(files) - len(todo),
         }
 
-        if todo:
-            self._run_rowlocal(todo)
+        self._partials = self._run_rowlocal(files, todo)
         report["partitions"] = self.manifest.committed()
 
         # global constraints: every x-* keyword dispatches through the
         # extension registry (schema/registry.py — the formalized Extras
-        # hook, reference interface.go:133); built-ins registered below,
+        # hook, reference interface.go:133); built-ins registered above,
         # user extensions are first-class peers
         ctx = ConstraintContext(
             schema=self.schema,
@@ -214,7 +234,7 @@ class ValidationPipeline:
                                                         with_partition=wp),
             output_dir=self.output_dir,
         )
-        ctx.pipeline = self  # built-ins need drift_profile / key_column
+        ctx.pipeline = self  # built-ins need the scan's partials
         for kw, value in self.schema.items():
             if not kw.startswith("x-"):
                 continue
@@ -246,24 +266,12 @@ class ValidationPipeline:
         return report
 
     def _read(self, files: list[str], with_partition: bool = False):
-        cols = self._non_payload_columns(files)
-        ds = rd.read_parquet(
-            files, columns=cols, include_paths=with_partition
-        )
+        payload = self._payload_columns(files)
+        ds = rd.read_parquet(files, include_paths=with_partition, columns=[
+            c for c in pq.read_schema(files[0]).names if c not in payload])
         if with_partition:
-            def add_part(batch: pa.Table) -> pa.Table:
-                # one partition id per distinct shard path in the batch
-                paths = batch.column("path").combine_chunks()
-                paths = paths.dictionary_encode()
-                ids = pa.array(
-                    [partition_id_for(p) for p in paths.dictionary.to_pylist()],
-                    type=pa.string(),
-                )
-                return batch.drop_columns(["path"]).append_column(
-                    "_partition", ids.take(paths.indices)
-                )
-
-            ds = ds.map_batches(add_part, batch_format="pyarrow",
+            ds = ds.map_batches(_with_partition, fn_args=(partition_id_for,),
+                                batch_format="pyarrow",
                                 batch_size=self.batch_size)
         return ds
 
@@ -279,60 +287,131 @@ class ValidationPipeline:
             ]
         return schema
 
-    def _run_rowlocal(self, todo: list[str]) -> None:
-        """P1 over the not-yet-committed shards as ONE streaming job;
-        violations written partitioned by shard, manifests committed after
-        the run (a killed run just redoes uncommitted shards)."""
-        ds = self._read(todo, with_partition=True)
+    def _run_rowlocal(self, files: list[str], todo: list[str]
+                      ) -> dict[str, list[dict]]:
+        """The pass's one scan: P1 over the shards in ``todo``, the map
+        sides over every shard. Each shard commits as soon as all its rows
+        are in (a killed run just redoes the uncommitted shards). Returns
+        the partial rows of each map side."""
+        columns = pq.read_schema(files[0]).names
+        sides = {}
+        for kw in self.schema:
+            side = _MAP_SIDES[kw](self, columns) if _MAP_SIDES.get(kw) else None
+            if side is not None:
+                sides[side[0]] = side[1:]
+        if not todo and not sides:
+            return {}
+        # a payload column is read only for a side that needs it
+        needed = {c for cols, _ in sides.values() for c in cols}
+        payload = self._payload_columns(files)
+        drop = sorted(needed & payload)
         stage = ValidateBatch(self._schema_for_rowlocal(), mode="violations",
                               key_column=self.key_column)
-
-        def per_batch(batch: pa.Table) -> pa.Table:
-            # a batch may coalesce blocks from different shards: evaluate it
-            # once and take each violation's shard from its row
-            parts = batch.column("_partition")
-            data = batch.drop_columns(["_partition"])
-            row_keys = (None if stage.key_column in data.column_names
-                        else _shard_row_index(parts))
-            vio, rows = stage.violations_with_rows(data, row_keys)
-            return vio.append_column("partition", parts.take(rows))
-
         vio_dir = os.path.join(self.output_dir, "violations")
-        # idempotent re-run: clear this shard's old violation files first
-        import shutil
+        todo_ids = pa.array([partition_id_for(f) for f in todo], pa.string())
 
-        for f in todo:
-            part_dir = os.path.join(vio_dir, f"partition={partition_id_for(f)}")
-            shutil.rmtree(part_dir, ignore_errors=True)
-        vio_ds = ds.map_batches(per_batch, batch_format="pyarrow",
-                                batch_size=self.batch_size,
-                                zero_copy_batch=True)
-        vio_ds.write_parquet(vio_dir, partition_cols=["partition"])
+        def scan(batch: pa.Table) -> pa.Table:
+            """(side, blob) rows: each map side's partial tables, and P1's
+            (partition, rows, violation_rows, file) rows as side "p1"."""
+            batch = _with_partition(batch, partition_id_for)
+            meta = batch.drop_columns(drop)
+            out = [(name, t) for name, (_, fn) in sides.items()
+                   for t in fn(meta, batch)]
+            p1 = _write_violations(stage, meta.filter(pc.is_in(
+                meta.column("_partition"), value_set=todo_ids)), vio_dir)
+            out += [("p1", pa.Table.from_pylist(p1))] if p1 else []
+            return pa.table({"side": pa.array([n for n, _ in out], pa.string()),
+                             "blob": pa.array([pack(t) for _, t in out],
+                                              pa.binary())})
 
-        import pyarrow.dataset as pads
-        import pyarrow.parquet as pq
+        scanned = rd.read_parquet(
+            files, columns=[c for c in columns if c not in payload - needed],
+            include_paths=True,
+        ).map_batches(scan, batch_format="pyarrow", zero_copy_batch=True,
+                      batch_size=min(self.batch_size, _DECODE_BATCH)
+                      if "decode" in sides else self.batch_size)
+        partials: dict[str, list[dict]] = {name: [] for name in sides}
+        # shard -> [input path, footer rows, rows in, violation rows, files]
+        pending = {partition_id_for(f): [f, pq.ParquetFile(f).metadata.num_rows,
+                                         0, 0, []] for f in todo}
+        for block in scanned.iter_batches(batch_format="pyarrow",
+                                          batch_size=None):
+            for side, blob in zip(block.column("side").to_pylist(),
+                                  block.column("blob").to_pylist()):
+                if side != "p1":
+                    partials[side] += unpack(blob).to_pylist()
+                    continue
+                for r in unpack(blob).to_pylist():
+                    shard = pending[r["partition"]]
+                    shard[2] += r["rows"]
+                    shard[3] += r["violation_rows"]
+                    shard[4] += [r["file"]] if r["file"] else []
+                    if shard[2] == shard[1]:
+                        self._commit(r["partition"],
+                                     *pending.pop(r["partition"]))
+        for pid, shard in pending.items():
+            if shard[2] != shard[1]:
+                raise RuntimeError(f"shard {pid}: the scan returned "
+                                   f"{shard[2]} of its {shard[1]} rows")
+            self._commit(pid, *shard)  # an empty shard
+        return partials
 
-        counts: dict[str, int] = {}
-        if os.path.isdir(vio_dir) and any(os.scandir(vio_dir)):
-            # partition ids are strings: without a schema, hive inference
-            # reads "00000" as the integer 0
-            written = pads.dataset(vio_dir, partitioning=pads.partitioning(
-                pa.schema([("partition", pa.string())]), flavor="hive"))
-            vc = written.to_table(columns=["partition"]).column(
-                "partition").value_counts()
-            counts = dict(zip(vc.field("values").to_pylist(),
-                              vc.field("counts").to_pylist()))
-        for f in todo:
-            pid = partition_id_for(f)
-            n_vio = counts.get(pid, 0)
-            n_rows = pq.ParquetFile(f).metadata.num_rows
-            self.manifest.commit_partition(
-                pid,
-                f,
-                metrics={"rows": n_rows, "violation_rows": n_vio},
-                violation_files=[os.path.join(vio_dir, f"partition={pid}")],
-                verdict=(n_vio == 0),
-            )
+    def _commit(self, pid: str, path: str, n_rows: int, _rows_in: int,
+                n_vio: int, vio_files: list[str]) -> None:
+        """Commit a shard with exactly the violation files the scan
+        reported: any other file in its directory is an orphan of a
+        retried task or of an earlier run, and is deleted first."""
+        part_dir = os.path.join(self.output_dir, "violations",
+                                f"partition={pid}")
+        for name in os.listdir(part_dir) if os.path.isdir(part_dir) else []:
+            if os.path.join(part_dir, name) not in vio_files:
+                os.remove(os.path.join(part_dir, name))
+        self.manifest.commit_partition(
+            pid, path, metrics={"rows": n_rows, "violation_rows": n_vio},
+            violation_files=sorted(vio_files), verdict=(n_vio == 0))
+
+
+def _with_partition(batch: pa.Table, partition_id) -> pa.Table:
+    """``batch`` with its ``path`` column replaced by ``_partition``: one
+    ``partition_id`` call per distinct shard path in the batch."""
+    paths = batch.column("path").combine_chunks().dictionary_encode()
+    ids = pa.array([partition_id(p) for p in paths.dictionary.to_pylist()],
+                   type=pa.string())
+    return batch.drop_columns(["path"]).append_column(
+        "_partition", ids.take(paths.indices))
+
+
+def _write_violations(stage: ValidateBatch, meta: pa.Table,
+                      vio_dir: str) -> list[dict]:
+    """P1 over ``meta``, whose rows may come from several shards. Each
+    shard's violations go to ``<vio_dir>/partition=<pid>/<uuid>.parquet``,
+    written under a ``.``-prefixed name and renamed, so no reader sees a
+    partial file. Returns one (partition, rows, violation_rows, file) row
+    per shard."""
+    if not meta.num_rows:
+        return []
+    parts = meta.column("_partition")
+    data = meta.drop_columns(["_partition"])
+    row_keys = (None if stage.key_column in data.column_names
+                else _shard_row_index(parts))
+    vio, rows = stage.violations_with_rows(data, row_keys)
+    vio_parts = parts.take(rows)
+    counts = pc.value_counts(parts)
+    out = []
+    for pid, n in zip(counts.field("values").to_pylist(),
+                      counts.field("counts").to_pylist()):
+        mine = vio.filter(pc.equal(vio_parts, pid))
+        path = None
+        if mine.num_rows:
+            part_dir = os.path.join(vio_dir, f"partition={pid}")
+            os.makedirs(part_dir, exist_ok=True)
+            path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
+            tmp = os.path.join(part_dir, "." + os.path.basename(path))
+            pq.write_table(mine, tmp)
+            os.replace(tmp, path)
+        out.append({"partition": pid, "rows": n,
+                    "violation_rows": mine.num_rows, "file": path})
+    return out
 
 
 def _shard_row_index(parts: pa.ChunkedArray) -> np.ndarray:

@@ -7,7 +7,11 @@ A handler registered for an ``x-*`` keyword receives the keyword's raw
 value and the pipeline context and returns a result dict merged into the
 job report. The built-in global constraint classes (uniqueness,
 referential, stats, drift, decode) are themselves registered here, so user
-extensions are first-class peers of the built-ins.
+extensions are first-class peers of the built-ins. The built-ins no longer
+call ``ctx.dataset()``, except x-uniqueness for its exchange: they finish
+from the partials of the pipeline's one scan
+(pipelines/validate_pipeline.py). User extensions still read the input
+through ``ctx.dataset()``.
 
     @register_constraint("x-freshness")
     def check_freshness(spec, ctx):

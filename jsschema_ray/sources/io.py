@@ -111,8 +111,7 @@ def write_table(ds: "rd.Dataset", path: str, fmt: str = "parquet",
 
 
 def write_partitioned(ds: "rd.Dataset", path: str, by: str,
-                      num_parts: int = 64,
-                      batch_size: int = 262144) -> "rd.Dataset":
+                      num_parts: int = 64) -> "rd.Dataset":
     """Hive-style RESUMABLE partitioned sink: one directory per distinct
     value of ``by`` (``path/<by>=<value>/part-*.parquet``), each
     partition committed ATOMICALLY (files land under a tmp name and
@@ -132,8 +131,7 @@ def write_partitioned(ds: "rd.Dataset", path: str, by: str,
 
     Scale shape: one hash(by) co-partition (map_groups) so each
     partition's rows land in one task; each task writes its files and
-    emits ONE manifest row — the driver never sees data rows.
-    ``batch_size`` is unused: the exchange maps whole blocks."""
+    emits ONE manifest row — the driver never sees data rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 

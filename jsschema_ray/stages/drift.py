@@ -44,10 +44,8 @@ class DriftProfile:
 
 
 def _spec_for(columns: list[str], partition_col: Optional[str]) -> StatsSpec:
-    spec = StatsSpec(quantiles=list(columns), partition_col=partition_col)
-    for name in columns:
-        if name.endswith("_len"):
-            spec.derived[name] = (name[:-4], "utf8_length")
+    spec = StatsSpec.from_schema_extras({"x-drift": {"columns": columns}})
+    spec.partition_col = partition_col
     return spec
 
 
@@ -106,12 +104,9 @@ def drift_check_self(ds, columns: list[str], partition_col: str,
     )
     merged: dict[str, TDigest] = {}
     for (_, col), cs in sorted(stats.items()):
-        if cs.digest is None:
-            continue
-        if col in merged:
-            merged[col] = merged[col].merge(cs.digest)
-        else:
-            merged[col] = TDigest(cs.digest.compression).merge(cs.digest)
+        if cs.digest is not None:
+            merged.setdefault(col, TDigest(cs.digest.compression)).merge(
+                cs.digest)
     profile = DriftProfile(merged)
     return _verdicts(stats, profile, ks_threshold), profile
 
@@ -125,33 +120,7 @@ def drift_check(ds, profile: DriftProfile, columns: list[str],
     stats = collect_stats(
         ds, _spec_for(columns, partition_col), batch_size, concurrency
     )
-    rows: list[dict[str, Any]] = []
-    for (part, col), cs in sorted(stats.items()):
-        ref = profile.digests.get(col)
-        if ref is None or cs.digest is None:
-            continue
-        ks = cs.digest.ks_distance(ref)
-        rows.append(
-            {
-                "partition": part,
-                "column": col,
-                "ks": round(ks, 6),
-                "n": cs.count,
-                "passed": ks <= ks_threshold,
-            }
-        )
-    return pa.Table.from_pylist(
-        rows,
-        schema=pa.schema(
-            [
-                ("partition", pa.string()),
-                ("column", pa.string()),
-                ("ks", pa.float64()),
-                ("n", pa.int64()),
-                ("passed", pa.bool_()),
-            ]
-        ),
-    )
+    return _verdicts(stats, profile, ks_threshold)
 
 
 def categorical_drift(ds, category_col: str, side_col: str,

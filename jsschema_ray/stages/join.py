@@ -990,9 +990,9 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
 
     ``value`` must cast losslessly to int64 (timestamps cast to their
     epoch micros; integers pass through) — for float tolerance matching
-    scale with band_join instead. ``eq`` keys must be non-negative
-    int64-castable (they enter the partition mix). NULL eq/value rows
-    drop. Output: (eq, key_l, key_r, diff_x), diff_x = left - right.
+    scale with band_join instead. ``eq`` keys must be int64-castable.
+    NULL eq/value rows drop. Output: (eq, key_l, key_r, diff_x),
+    diff_x = left - right.
 
     Distribution: identical to band_join with the bucket key extended
     to (eq, floor(value/eps)) — rights replicate to the 3 adjacent
@@ -1011,9 +1011,6 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
         b = b.filter(mask)
         eqv = b.column(eq_c).cast(pa.int64()).to_numpy(
             zero_copy_only=False)
-        if len(eqv) and eqv.min() < 0:
-            raise ValueError(
-                f"keyed_band_join needs non-negative {eq_c} keys")
         # timestamps cast to epoch micros, integers pass through
         vx = b.column(val_c).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return _band_rows(eqv, vx, b.column(key_c).cast(pa.int64()),

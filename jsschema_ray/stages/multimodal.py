@@ -32,6 +32,15 @@ import pyarrow.compute as pc
 from jsschema_ray.sources.png import decode_png, encode_png
 
 
+def _payloads(batch: pa.Table, column: str, fmt_column: str):
+    """The payloads of ``batch`` and their formats (all None without a
+    format column)."""
+    payloads = batch.column(column).to_pylist()
+    return payloads, (batch.column(fmt_column).to_pylist()
+                      if fmt_column in batch.column_names
+                      else [None] * len(payloads))
+
+
 class DecodeImages:
     """Appends decode_ok(bool), roundtrip_ok(bool), dec_w, dec_h (int32).
 
@@ -116,12 +125,7 @@ class DecodeImages:
         return None, None, None, None  # skip
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column(self.column).to_pylist()
-        fmts = (
-            batch.column(self.fmt_column).to_pylist()
-            if self.fmt_column in batch.column_names
-            else [None] * len(payloads)
-        )
+        payloads, fmts = _payloads(batch, self.column, self.fmt_column)
         import hashlib
 
         oks, rts, ws, hs = [], [], [], []
@@ -153,17 +157,11 @@ class ImageFeatures:
     plumbing pattern; real for PNG, null for stubbed codecs."""
 
     def __init__(self, column: str = "bytes", fmt_column: str = "fmt"):
-        self.dec = DecodeImages(column, fmt_column, on_unsupported="skip")
         self.column = column
         self.fmt_column = fmt_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column(self.column).to_pylist()
-        fmts = (
-            batch.column(self.fmt_column).to_pylist()
-            if self.fmt_column in batch.column_names
-            else [None] * len(payloads)
-        )
+        payloads, fmts = _payloads(batch, self.column, self.fmt_column)
         means, stds = [], []
         for p, f in zip(payloads, fmts):
             if p is not None and (f == "png" or (f is None and p[:4] == b"\x89PNG")):
@@ -211,6 +209,45 @@ class ResizeImages:
         return batch.append_column(self.out_column, pa.array(out, type=pa.binary()))
 
 
+class _DecodeCheck(DecodeImages):
+    """The decode invariant as (key, reason) rows: one per payload that
+    fails to decode or to round-trip."""
+
+    def __init__(self, key_column: str = "image_id", column: str = "bytes",
+                 fmt_column: str = "fmt", cache_max: int = 4096,
+                 min_psnr_db: float = 40.0):
+        super().__init__(column, fmt_column, on_unsupported="skip",
+                         min_psnr_db=min_psnr_db)
+        self.key_column = key_column
+        self._cache_max = cache_max
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        dec = super().__call__(batch)
+        # Arrow-native mask filters (no Python row walk): decode_ok is
+        # null for skipped/unsupported payloads, so equality + fill_null
+        # reproduces the tri-state (False -> decode_failed; True with
+        # roundtrip False -> roundtrip_mismatch; null -> no row). Keys
+        # are unique per image, so emitting the two reason groups
+        # back-to-back instead of interleaved is order-equivalent under
+        # the downstream sort.
+        ok = dec.column("decode_ok")
+        rt = dec.column("roundtrip_ok")
+        keys = batch.column(self.key_column).cast(pa.string())
+        failed = pc.fill_null(pc.equal(ok, False), False)
+        mismatch = pc.fill_null(
+            pc.and_kleene(pc.equal(ok, True), pc.equal(rt, False)), False
+        )
+        parts = []
+        for mask, reason in ((failed, "decode_failed"),
+                             (mismatch, "roundtrip_mismatch")):
+            k = keys.filter(mask)
+            parts.append(pa.table({
+                "key": k.cast(pa.string()),
+                "reason": pa.array([reason] * len(k), type=pa.string()),
+            }))
+        return pa.concat_tables(parts)
+
+
 def decode_violations(ds, key_column: str = "image_id",
                       column: str = "bytes", fmt_column: str = "fmt",
                       batch_size: int = 1024, concurrency: Any = None,
@@ -221,45 +258,14 @@ def decode_violations(ds, key_column: str = "image_id",
     default (no per-actor state to amortize, and tasks scale elastically to
     every core — an actor pool here caps the CPU-heavy decode at pool
     size); small batches keep payload memory bounded."""
-
-    class Check(DecodeImages):
-        def __init__(self):
-            super().__init__(column, fmt_column, on_unsupported="skip",
-                             min_psnr_db=min_psnr_db)
-            self._cache_max = cache_max
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            dec = super().__call__(batch)
-            # Arrow-native mask filters (no Python row walk): decode_ok is
-            # null for skipped/unsupported payloads, so equality + fill_null
-            # reproduces the tri-state (False -> decode_failed; True with
-            # roundtrip False -> roundtrip_mismatch; null -> no row). Keys
-            # are unique per image, so emitting the two reason groups
-            # back-to-back instead of interleaved is order-equivalent under
-            # the downstream sort.
-            ok = dec.column("decode_ok")
-            rt = dec.column("roundtrip_ok")
-            keys = batch.column(key_column).cast(pa.string())
-            failed = pc.fill_null(pc.equal(ok, False), False)
-            mismatch = pc.fill_null(
-                pc.and_kleene(pc.equal(ok, True), pc.equal(rt, False)), False
-            )
-            parts = []
-            for mask, reason in ((failed, "decode_failed"),
-                                 (mismatch, "roundtrip_mismatch")):
-                k = keys.filter(mask)
-                parts.append(pa.table({
-                    "key": k.cast(pa.string()),
-                    "reason": pa.array([reason] * len(k), type=pa.string()),
-                }))
-            return pa.concat_tables(parts)
-
+    check = dict(key_column=key_column, column=column, fmt_column=fmt_column,
+                 cache_max=cache_max, min_psnr_db=min_psnr_db)
     kwargs: dict = dict(batch_format="pyarrow", batch_size=batch_size,
                         num_cpus=1)
     if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        return ds.map_batches(Check, **kwargs)
-    return ds.map_batches(Check(), **kwargs)
+        return ds.map_batches(_DecodeCheck, fn_constructor_kwargs=check,
+                              concurrency=concurrency, **kwargs)
+    return ds.map_batches(_DecodeCheck(**check), **kwargs)
 
 
 class FrameSample:

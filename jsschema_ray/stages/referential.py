@@ -146,34 +146,28 @@ def referential_violations(
     )
 
 
-def referential_check(ds, column: str, ref, ref_column: Optional[str] = None,
-                      batch_size: int = 65536) -> dict:
-    """Count-only variant for the manifest: number of violating rows and a
-    sample of missing keys, via per-batch partial counts (no row shipping)."""
-    keys = _ref_key_array(ref, ref_column, batch_size)
-    key_ref = ray.put(keys)
+def _miss_partial(col: pa.Array, keys: pa.Array) -> pa.Table:
+    """One row: how many non-null values of ``col`` are missing from
+    ``keys``, and up to 5 distinct missing values."""
+    from jsschema_ray.state.hll import normalize_zeros
 
-    def count_bad(batch: pa.Table) -> pa.Table:
-        from jsschema_ray.state.hll import normalize_zeros
+    col = normalize_zeros(col)
+    hit = pc.is_in(col, value_set=keys)
+    bad = pc.and_(pc.invert(pc.fill_null(hit, False)), col.is_valid())
+    missing = pc.unique(col.filter(bad))
+    return pa.table(
+        {
+            "n_bad": pa.array([pc.sum(bad).as_py() or 0], type=pa.int64()),
+            "sample": pa.array(
+                [missing.slice(0, 5).to_pylist()], type=pa.list_(col.type),
+            ),
+        }
+    )
 
-        col = normalize_zeros(batch.column(column).combine_chunks())
-        hit = pc.is_in(col, value_set=ray.get(key_ref))
-        bad = pc.and_(pc.invert(pc.fill_null(hit, False)), col.is_valid())
-        missing = pc.unique(col.filter(bad))
-        return pa.table(
-            {
-                "n_bad": pa.array([pc.sum(bad).as_py() or 0], type=pa.int64()),
-                "sample": pa.array(
-                    [missing.slice(0, 5).to_pylist()],
-                    type=pa.list_(col.type),
-                ),
-            }
-        )
 
-    parts = ds.select_columns([column]).map_batches(
-        count_bad, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ).take_all()
+def _miss_report(column: str, parts: list[dict]) -> dict:
+    """Fold ``_miss_partial`` rows: the total count and the first 10
+    distinct missing values."""
     sample: list = []
     for p in parts:
         for v in p["sample"]:
@@ -184,6 +178,24 @@ def referential_check(ds, column: str, ref, ref_column: Optional[str] = None,
         "n_violations": int(sum(p["n_bad"] for p in parts)),
         "missing_sample": sample,
     }
+
+
+def referential_check(ds, column: str, ref, ref_column: Optional[str] = None,
+                      batch_size: int = 65536) -> dict:
+    """Count-only variant for the manifest: number of violating rows and a
+    sample of missing keys, via per-batch partial counts (no row shipping)."""
+    keys = _ref_key_array(ref, ref_column, batch_size)
+    key_ref = ray.put(keys)
+
+    def count_bad(batch: pa.Table) -> pa.Table:
+        return _miss_partial(batch.column(column).combine_chunks(),
+                             ray.get(key_ref))
+
+    parts = ds.select_columns([column]).map_batches(
+        count_bad, batch_format="pyarrow", batch_size=batch_size,
+        zero_copy_batch=True,
+    ).take_all()
+    return _miss_report(column, parts)
 
 
 def functional_dependency(ds, det_col: str, dep_col: str,

@@ -30,20 +30,19 @@ def _normalize(X: np.ndarray) -> np.ndarray:
     return X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1e-12)
 
 
-def _fold_topk(partials: list[dict], k: int, n_queries: int) -> pa.Table:
+def _fold_topk(rows: list[dict], k: int, n_queries: int) -> pa.Table:
     """Merge per-batch top-k candidate rows into global top-k per query."""
     # heap entries are (score, -key): ties at the cut resolve by LOWEST key
     # surviving, matching the final (-score, key) sort — the selection is a
     # total order, independent of block arrival order
     heaps: list[list] = [[] for _ in range(n_queries)]
-    for p in partials:
-        for qid, key, score in zip(p["query_id"], p["key"], p["score"]):
-            h = heaps[qid]
-            entry = (score, -key)
-            if len(h) < k:
-                heapq.heappush(h, entry)
-            elif entry > h[0]:
-                heapq.heapreplace(h, entry)
+    for r in rows:
+        h = heaps[r["query_id"]]
+        entry = (r["score"], -r["key"])
+        if len(h) < k:
+            heapq.heappush(h, entry)
+        elif entry > h[0]:
+            heapq.heapreplace(h, entry)
     rows = []
     for qid, h in enumerate(heaps):
         ordered = sorted(((s, -nk) for s, nk in h), key=lambda t: (-t[0], t[1]))
@@ -86,13 +85,7 @@ def knn_brute(ds, queries: np.ndarray, k: int = 10,
     partials = ds.select_columns([key_column, emb_column]).map_batches(
         per_batch, batch_format="pyarrow", batch_size=batch_size
     ).take_all()
-    # regroup driver-side fold input
-    grouped = {"query_id": [], "key": [], "score": []}
-    for r in partials:
-        grouped["query_id"].append(r["query_id"])
-        grouped["key"].append(r["key"])
-        grouped["score"].append(r["score"])
-    return _fold_topk([grouped], k, len(Q))
+    return _fold_topk(partials, k, len(Q))
 
 
 def train_centroids(ds, n_centroids: int, emb_column: str = "embedding",
@@ -253,12 +246,7 @@ def knn_ivf(ds, queries: np.ndarray, k: int = 10, n_centroids: int = 64,
     partials = ds.select_columns([key_column, emb_column]).map_batches(
         per_batch, batch_format="pyarrow", batch_size=batch_size
     ).take_all()
-    grouped = {"query_id": [], "key": [], "score": []}
-    for r in partials:
-        grouped["query_id"].append(r["query_id"])
-        grouped["key"].append(r["key"])
-        grouped["score"].append(r["score"])
-    return _fold_topk([grouped], k, len(Q))
+    return _fold_topk(partials, k, len(Q))
 
 
 def similarity_join(ds, threshold: float, emb_column: str = "embedding",

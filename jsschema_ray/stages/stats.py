@@ -100,30 +100,22 @@ class StatsAccumulator:
         spec = self.spec
         parts: dict[str, np.ndarray] = {"": np.arange(batch.num_rows)}
         if spec.partition_col and spec.partition_col in batch.column_names:
-            # Arrow-native grouping: dictionary-encode the partition column
-            # and argsort the integer codes (no pandas round-trip —
-            # VERDICT r2 'what's wrong' #4)
-            keys = batch.column(spec.partition_col).combine_chunks()
-            enc = keys.dictionary_encode()
-            labels = enc.dictionary.to_pylist()
-            # null partition keys drop (as the old pandas groupby did):
-            # fill with a sentinel code past the last label so the bounds
-            # loop never reaches them
-            idx_arr = enc.indices
-            if idx_arr.null_count:
-                idx_arr = idx_arr.fill_null(len(labels))
-            codes = idx_arr.to_numpy(zero_copy_only=False)
+            # Arrow-native grouping: argsort the dictionary codes of the
+            # partition column (no pandas round-trip); rows whose partition
+            # is null drop
+            enc = batch.column(spec.partition_col).combine_chunks() \
+                .dictionary_encode()
+            codes = enc.indices.fill_null(-1).to_numpy(zero_copy_only=False)
             order = np.argsort(codes, kind="stable")
-            sc = codes[order]
-            bounds = np.searchsorted(sc, np.arange(len(labels) + 1))
-            parts = {
-                str(labels[c]): order[bounds[c]:bounds[c + 1]]
-                for c in range(len(labels))
-                if bounds[c] < bounds[c + 1]
-            }
+            bounds = np.searchsorted(codes[order],
+                                     np.arange(len(enc.dictionary) + 1))
+            parts = {str(label): order[bounds[c]:bounds[c + 1]]
+                     for c, label in enumerate(enc.dictionary.to_pylist())
+                     if bounds[c] < bounds[c + 1]}
         rows: list[dict[str, Any]] = []
         for pkey, idx in parts.items():
-            sub = batch if len(parts) == 1 else batch.take(pa.array(idx))
+            sub = (batch if len(idx) == batch.num_rows
+                   else batch.take(pa.array(idx)))
             for name in spec.all_columns():
                 arr = self._resolve(sub, name)
                 if arr is None:
@@ -146,7 +138,9 @@ class StatsAccumulator:
             mm = pc.min_max(arr)
             row["vmin"] = float(mm["min"].as_py())
             row["vmax"] = float(mm["max"].as_py())
-            row["vsum"] = float(pc.sum(arr).as_py())
+            # summed in float64: an int64 sum wraps around on overflow
+            row["vsum"] = float(pc.sum(arr.cast(pa.float64(), safe=False))
+                                .as_py())
         elif (pa.types.is_string(dtype) or pa.types.is_large_string(dtype)) and row["n"]:
             mm = pc.min_max(arr)
             row["smin"] = mm["min"].as_py()
@@ -190,22 +184,13 @@ class ColumnStats:
     def absorb(self, row: dict) -> None:
         self.count += row["n"]
         self.nulls += row["nulls"]
-        for k, pick in (("vmin", min), ("vmax", max)):
-            v = row[k]
+        for k, attr, pick in (("vmin", "min", min), ("vmax", "max", max),
+                              ("smin", "smin", min), ("smax", "smax", max)):
+            v, cur = row[k], getattr(self, attr)
             if v is not None:
-                cur = self.min if k == "vmin" else self.max
-                new = v if cur is None else pick(cur, v)
-                if k == "vmin":
-                    self.min = new
-                else:
-                    self.max = new
+                setattr(self, attr, v if cur is None else pick(cur, v))
         if row["vsum"] is not None:
             self.sum = (self.sum or 0.0) + row["vsum"]
-        for k, pick in (("smin", min), ("smax", max)):
-            v = row[k]
-            if v is not None:
-                cur = getattr(self, k)
-                setattr(self, k, v if cur is None else pick(cur, v))
         if row["hll"] is not None:
             h = HyperLogLog.from_bytes(row["hll"])
             self.hll = h if self.hll is None else self.hll.merge(h)
@@ -214,12 +199,22 @@ class ColumnStats:
             self.digest = t if self.digest is None else self.digest.merge(t)
 
 
+def _fold_partials(rows, per_partition: bool = True
+                   ) -> dict[tuple[str, str], ColumnStats]:
+    """Fold partial rows into one ColumnStats per (partition, column), or
+    per column under partition "" when ``per_partition`` is false."""
+    out: dict[tuple[str, str], ColumnStats] = {}
+    for row in rows:
+        key = (row["partition"] if per_partition else "", row["column"])
+        cs = out.setdefault(key, ColumnStats(*key))
+        cs.absorb(row)
+    return out
+
+
 def _merge_group(g: pd.DataFrame) -> pd.DataFrame:
     """map_groups body: fold one (partition, column) group of partial rows
     into a single partial row (sketches merged)."""
-    cs = ColumnStats(g["partition"].iloc[0], g["column"].iloc[0])
-    for row in g.to_dict("records"):
-        cs.absorb(row)
+    (cs,) = _fold_partials(g.to_dict("records")).values()
     return pd.DataFrame(
         [
             {
@@ -233,21 +228,25 @@ def _merge_group(g: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def stats_partials(ds, spec: StatsSpec, batch_size: int = 65536,
-                   concurrency: Optional[int] = None):
-    """Dataset of merged partial rows: one per (partition, column)."""
+def _accumulate(ds, spec: StatsSpec, batch_size: int,
+                concurrency: Optional[int]):
+    """The map step: one raw partial row per (partition, column, batch)."""
     kwargs: dict[str, Any] = dict(batch_format="pyarrow", batch_size=batch_size,
                                   zero_copy_batch=True)
     if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        partials = ds.map_batches(
-            StatsAccumulator, fn_constructor_kwargs={"spec": spec}, **kwargs
+        return ds.map_batches(
+            StatsAccumulator, fn_constructor_kwargs={"spec": spec},
+            concurrency=concurrency, **kwargs
         )
-    else:
-        partials = ds.map_batches(StatsAccumulator(spec), **kwargs)
-    return partials.groupby(["partition", "column"]).map_groups(
-        _merge_group, batch_format="pandas"
-    )
+    return ds.map_batches(StatsAccumulator(spec), **kwargs)
+
+
+def stats_partials(ds, spec: StatsSpec, batch_size: int = 65536,
+                   concurrency: Optional[int] = None):
+    """Dataset of merged partial rows: one per (partition, column)."""
+    return _accumulate(ds, spec, batch_size, concurrency).groupby(
+        ["partition", "column"]).map_groups(_merge_group,
+                                            batch_format="pandas")
 
 
 def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
@@ -453,27 +452,11 @@ def collect_stats(ds, spec: StatsSpec, batch_size: int = 65536,
     batches × columns is itself huge (10^7+ blocks at 10^12 rows): that
     path folds per (partition, column) inside the cluster first
     (stats_partials) and the driver sees one row per group."""
-    out: dict[tuple[str, str], ColumnStats] = {}
     if distributed_merge:
         rows = stats_partials(ds, spec, batch_size, concurrency).take_all()
     else:
-        kwargs: dict[str, Any] = dict(batch_format="pyarrow",
-                                      batch_size=batch_size,
-                                      zero_copy_batch=True)
-        if concurrency is not None:
-            kwargs["concurrency"] = concurrency
-            partials = ds.map_batches(
-                StatsAccumulator, fn_constructor_kwargs={"spec": spec},
-                **kwargs
-            )
-        else:
-            partials = ds.map_batches(StatsAccumulator(spec), **kwargs)
-        rows = partials.take_all()
-    for row in rows:
-        key = (row["partition"], row["column"])
-        cs = out.setdefault(key, ColumnStats(*key))
-        cs.absorb(row)
-    return out
+        rows = _accumulate(ds, spec, batch_size, concurrency).take_all()
+    return _fold_partials(rows)
 
 
 def histogram(ds, column: str, lo: int, hi: int, bins: int,

@@ -604,6 +604,36 @@ def doc_frequency(ds, column: str = "text", batch_size: int = 8192):
                         count_alias=None)
 
 
+def _term_frequencies(ds, id_column: str, column: str, batch_size: int):
+    """(id_column, token, tf) rows: each document's lower-cased ``\\w+``
+    tokens and their counts (docs never span Ray blocks)."""
+    import pandas as pd
+
+    def tf_rows(batch: pa.Table) -> pa.Table:
+        s = batch.column(column).to_pandas().fillna("")
+        s = s.reset_index(drop=True)
+        ids = batch.column(id_column).to_numpy(zero_copy_only=False)
+        toks = s.str.lower().str.findall(r"\w+")
+        ex = toks.explode().dropna()
+        if not len(ex):
+            return pa.table(
+                {id_column: pa.array([], pa.int64()),
+                 "token": pa.array([], pa.string()),
+                 "tf": pa.array([], pa.int64())})
+        grp = pd.DataFrame({"d": ids[ex.index.to_numpy()],
+                            "t": ex.to_numpy()})
+        vc = grp.groupby(["d", "t"], sort=False).size().reset_index(
+            name="tf")
+        return pa.table(
+            {id_column: pa.array(vc["d"].to_numpy(dtype=np.int64)),
+             "token": pa.array(vc["t"].to_numpy(dtype=object),
+                               type=pa.string()),
+             "tf": pa.array(vc["tf"].to_numpy(dtype=np.int64))})
+
+    return ds.select_columns([id_column, column]).map_batches(
+        tf_rows, batch_format="pyarrow", batch_size=batch_size)
+
+
 def tfidf_top_terms(ds, k: int = 5, column: str = "text",
                     id_column: str = "doc_id", num_parts: int = 32,
                     batch_size: int = 8192, n_docs: Optional[int] = None):
@@ -635,33 +665,7 @@ def tfidf_top_terms(ds, k: int = 5, column: str = "text",
     if n_docs is None:
         n_docs = ds.count()
 
-    def tf_rows(batch: pa.Table) -> pa.Table:
-        s = batch.column(column).to_pandas().fillna("")
-        s = s.reset_index(drop=True)
-        ids = batch.column(id_column).to_numpy(zero_copy_only=False)
-        toks = s.str.lower().str.findall(r"\w+")
-        ex = toks.explode().dropna()
-        if not len(ex):
-            return pa.table(
-                {id_column: pa.array([], pa.int64()),
-                 "token": pa.array([], pa.string()),
-                 "tf": pa.array([], pa.int64())}
-            )
-        grp = pd.DataFrame({"d": ids[ex.index.to_numpy()],
-                            "t": ex.to_numpy()})
-        vc = grp.groupby(["d", "t"], sort=False).size().reset_index(
-            name="tf"
-        )
-        return pa.table(
-            {id_column: pa.array(vc["d"].to_numpy(dtype=np.int64)),
-             "token": pa.array(vc["t"].to_numpy(dtype=object),
-                               type=pa.string()),
-             "tf": pa.array(vc["tf"].to_numpy(dtype=np.int64))}
-        )
-
-    tf = ds.select_columns([id_column, column]).map_batches(
-        tf_rows, batch_format="pyarrow", batch_size=batch_size,
-    )
+    tf = _term_frequencies(ds, id_column, column, batch_size)
     df = doc_frequency(ds, column=column, batch_size=batch_size)
     joined = hash_join(tf, df, key="token", how="inner",
                        num_buckets=num_parts)
@@ -853,34 +857,10 @@ def token_freq_score(ds, column: str = "text", id_column: str = "doc_id",
     products (a 10^13-token corpus with a 10^6-repetition doc could
     overflow; the guard raises instead of silently diverging from a
     HUGEINT-promoting oracle)."""
-    import pandas as pd
-
     from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import hash_join
 
-    def tf_rows(batch: pa.Table) -> pa.Table:
-        s = batch.column(column).to_pandas().fillna("")
-        s = s.reset_index(drop=True)
-        ids = batch.column(id_column).to_numpy(zero_copy_only=False)
-        toks = s.str.lower().str.findall(r"\w+")
-        ex = toks.explode().dropna()
-        if not len(ex):
-            return pa.table(
-                {id_column: pa.array([], pa.int64()),
-                 "token": pa.array([], pa.string()),
-                 "tf": pa.array([], pa.int64())})
-        grp = pd.DataFrame({"d": ids[ex.index.to_numpy()],
-                            "t": ex.to_numpy()})
-        vc = grp.groupby(["d", "t"], sort=False).size().reset_index(
-            name="tf")
-        return pa.table(
-            {id_column: pa.array(vc["d"].to_numpy(dtype=np.int64)),
-             "token": pa.array(vc["t"].to_numpy(dtype=object),
-                               type=pa.string()),
-             "tf": pa.array(vc["tf"].to_numpy(dtype=np.int64))})
-
-    tf = ds.select_columns([id_column, column]).map_batches(
-        tf_rows, batch_format="pyarrow", batch_size=batch_size)
+    tf = _term_frequencies(ds, id_column, column, batch_size)
     ctf = grouped_sums(tf, ["token"], {"ctf": "tf"}, count_alias=None)
     joined = hash_join(tf, ctf, key="token", how="inner",
                        num_buckets=num_parts)

@@ -216,32 +216,30 @@ def test_decode_violations_min_psnr_db():
 
 def test_decode_handler_passes_min_psnr_db(ray_session, tmp_path,
                                            monkeypatch):
-    """The x-decode handler forwards the schema's min_psnr_db."""
+    """The x-decode keyword's min_psnr_db reaches the decode check that
+    the pipeline's scan runs."""
     import pyarrow.parquet as pq
 
-    import jsschema_ray.pipelines.validate_pipeline  # noqa: F401 (registers)
-    from jsschema_ray.schema.registry import ConstraintContext, get_handler
+    from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
     from jsschema_ray.stages import multimodal
 
     seen = {}
+    init = multimodal.DecodeImages.__init__
 
-    class _NoRows:
-        def take_all(self):
-            return []
+    def recording_init(self, *args, **kwargs):
+        # the check is built on the driver, then shipped to the scan tasks
+        init(self, *args, **kwargs)
+        seen["min_psnr_db"] = self.min_psnr_db
 
-    def fake_decode_violations(ds, **kwargs):
-        seen.update(kwargs)
-        return _NoRows()
-
-    monkeypatch.setattr(multimodal, "decode_violations",
-                        fake_decode_violations)
-    path = str(tmp_path / "part-0.parquet")
+    monkeypatch.setattr(multimodal.DecodeImages, "__init__", recording_init)
+    src = tmp_path / "in"
+    src.mkdir()
     pq.write_table(pa.table({"image_id": ["a"], "bytes": [b"x"],
-                             "fmt": ["jpeg"]}), path)
-    ctx = ConstraintContext(schema={}, input_files=[path], batch_size=1024,
-                            dataset_factory=None)
-    get_handler("x-decode")({"column": "bytes", "min_psnr_db": 33.0}, ctx)
+                             "fmt": ["jpeg"]}), str(src / "part-0.parquet"))
+    schema = {"x-decode": {"column": "bytes", "min_psnr_db": 33.0}}
+    report = ValidationPipeline(schema, str(src), str(tmp_path / "out")).run()
     assert seen["min_psnr_db"] == 33.0
+    assert report["decode"] == {"n_violations": 0, "sample": []}
 
 
 def test_image_meta_matches_sharded(tmp_path):

@@ -1,8 +1,16 @@
 """End-to-end ValidationPipeline: verdicts, manifest commit, resume-skip,
-and re-run determinism (FIXTURES.md checkpoint_resume fixture)."""
+re-run determinism (FIXTURES.md checkpoint_resume fixture), the number of
+Ray Data executions per pass, and a run killed mid-pass that resumes."""
 
+import glob
+import hashlib
 import json
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
 
 import pytest
 
@@ -11,6 +19,14 @@ from jsschema_ray.pipelines.manifest import CheckpointManifest
 from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
 from jsschema_ray.sources.synth import write_image_dataset
 from jsschema_ray.stages.drift import build_profile
+
+#: IMAGE_SCHEMA without its t-digest sections (x-drift, the x-stats
+#: quantiles) and the phash mean: their values depend on how Ray cuts the
+#: batches, so only without them do two runs give equal reports
+STABLE_SCHEMA = {k: v for k, v in IMAGE_SCHEMA.items() if k != "x-drift"}
+STABLE_SCHEMA["x-stats"] = {"columns": ["w", "h", "fmt", "caption"],
+                            "distinct": ["image_id", "fmt"]}
+GLOBAL_SECTIONS = ("uniqueness", "referential", "stats", "decode")
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +145,178 @@ def test_cli_dump(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert "definitions" in out
+
+
+def _count_executions(monkeypatch) -> list:
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    executions = []
+    execute = StreamingExecutor.execute
+
+    def counting_execute(self, *args, **kwargs):
+        executions.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    return executions
+
+
+def test_image_schema_pass_is_at_most_two_executions(img_dir, ray_session,
+                                                     tmp_path, monkeypatch):
+    """P1 and the x-stats, x-drift, x-referential and x-decode map sides
+    share one scan; only x-uniqueness runs an execution of its own."""
+    import ray.data as rd
+
+    src, _ = img_dir
+    profile = build_profile(
+        rd.read_parquet(src, columns=["w", "h", "caption"]),
+        ["w", "h", "caption_len"], batch_size=2048,
+    )
+    executions = _count_executions(monkeypatch)
+    report = ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / "out"),
+                                batch_size=2048, drift_profile=profile).run()
+    assert len(executions) <= 2
+    assert all(k in report for k in GLOBAL_SECTIONS + ("drift",))
+
+
+def test_pass_without_extensions_is_one_execution(img_dir, ray_session,
+                                                  tmp_path, monkeypatch):
+    src, _ = img_dir
+    schema = {k: v for k, v in IMAGE_SCHEMA.items() if not k.startswith("x-")}
+    executions = _count_executions(monkeypatch)
+    report = ValidationPipeline(schema, src, str(tmp_path / "out"),
+                                batch_size=2048).run()
+    assert len(executions) == 1
+    assert len(report["partitions"]) == 4 and not report["valid"]
+
+
+def _files(out: str) -> dict[str, str]:
+    return {f: _sha(f) for f in glob.glob(
+        os.path.join(out, "violations", "**", "*"), recursive=True)
+        if os.path.isfile(f)}
+
+
+def test_full_resume_writes_no_violation_file(img_dir, ray_session,
+                                              tmp_path):
+    """With every shard committed the scan still runs for the global
+    constraints, but P1 writes nothing and commits nothing."""
+    src, _ = img_dir
+    out = str(tmp_path / "out")
+    first = ValidationPipeline(STABLE_SCHEMA, src, out, batch_size=2048).run()
+    written = _files(out)
+    again = ValidationPipeline(STABLE_SCHEMA, src, out, batch_size=2048).run()
+    assert again["partitions_resumed"] == 4
+    assert _files(out) == written
+    assert again["partitions"] == first["partitions"]
+    for k in GLOBAL_SECTIONS:
+        assert again[k] == first[k]
+
+
+_KILLED_CHILD = """
+import json, os, signal, sys
+
+import ray
+
+src, out, temp_dir, schema = sys.argv[1:5]
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR", _temp_dir=temp_dir)
+from ray.data import DataContext
+
+DataContext.get_current().enable_progress_bars = False
+from jsschema_ray.pipelines.manifest import CheckpointManifest
+from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
+
+commit = CheckpointManifest.commit_partition
+
+
+def commit_then_die(self, *args, **kwargs):
+    rec = commit(self, *args, **kwargs)
+    os.kill(os.getpid(), signal.SIGKILL)
+    return rec
+
+
+CheckpointManifest.commit_partition = commit_then_die
+ValidationPipeline(json.loads(schema), src, out, batch_size=80).run()
+"""
+
+
+def _sha(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _shard_rows(rec: dict) -> list:
+    import pyarrow.parquet as pq
+
+    rows = []
+    for f in rec["violation_files"]:
+        rows += [tuple(r.values()) for r in pq.read_table(f).to_pylist()]
+    return sorted(rows)
+
+
+def _comparable(report: dict) -> dict:
+    """report.json without commit times, output paths and the resume
+    count."""
+    out = {k: v for k, v in report.items() if k != "partitions_resumed"}
+    out["partitions"] = {
+        p: {k: v for k, v in rec.items()
+            if k not in ("committed_at", "violation_files")}
+        for p, rec in report["partitions"].items()}
+    return out
+
+
+def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
+    """A child process with its own Ray session SIGKILLs itself right after
+    the first shard commit; the resumed run gives the uninterrupted run's
+    report and violation rows and leaves the committed shard untouched."""
+    src = str(tmp_path / "in")
+    write_image_dataset(src, 1600, shards=8, violation_frac=0.05)
+    full, killed = str(tmp_path / "full"), str(tmp_path / "killed")
+    # 80-row batches over 200-row shards: every shard spans batches
+    ValidationPipeline(STABLE_SCHEMA, src, full, batch_size=80).run()
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [repo] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # Ray's socket paths live under the temp dir: keep it short
+    temp_dir = tempfile.mkdtemp(prefix="kill-", dir="/tmp")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_CHILD, src, killed, temp_dir,
+         json.dumps(STABLE_SCHEMA)],
+        env=env, start_new_session=True, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    try:
+        _, err = child.communicate(timeout=120)
+    finally:
+        try:
+            os.killpg(child.pid, signal.SIGKILL)  # the child's Ray processes
+        except ProcessLookupError:
+            pass
+        shutil.rmtree(temp_dir, ignore_errors=True)
+    assert child.returncode == -signal.SIGKILL, err.decode()[-2000:]
+    before = CheckpointManifest(killed).committed()
+    assert len(before) == 1
+    (pid, rec), = before.items()
+    shas = {f: _sha(f) for f in rec["violation_files"]}
+
+    got = ValidationPipeline(STABLE_SCHEMA, src, killed, batch_size=80).run()
+    assert got["partitions_resumed"] == 1
+    with open(os.path.join(full, "report.json")) as f:
+        want = json.load(f)
+    with open(os.path.join(killed, "report.json")) as f:
+        assert _comparable(json.load(f)) == _comparable(want)
+    # no shard counted twice: each holds exactly the rows of the
+    # uninterrupted run, and its directory only the files it lists
+    for p, mine in got["partitions"].items():
+        assert _shard_rows(mine) == _shard_rows(want["partitions"][p])
+        assert len(_shard_rows(mine)) == mine["metrics"]["violation_rows"]
+        listed = set(mine["violation_files"])
+        assert set(glob.glob(os.path.join(killed, "violations",
+                                          f"partition={p}", "*"))) == listed
+        assert not glob.glob(os.path.join(killed, "violations",
+                                          f"partition={p}", ".*"))
+    # the shard committed before the kill was not recomputed
+    assert got["partitions"][pid] == rec
+    assert {f: _sha(f) for f in rec["violation_files"]} == shas

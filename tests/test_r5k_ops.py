@@ -160,13 +160,15 @@ def test_keyed_band_join_timestamp_cast_and_guards(ray_session):
     # pairs within 60 s: (10,10) (10,11) (11,10) (11,11) (12,12)
     assert got == [(10, 10, 0), (10, 11, -30_000_000),
                    (11, 10, 30_000_000), (11, 11, 0), (12, 12, 0)]
-    neg = rd.from_arrow(pa.table({
-        "e": pa.array([-1], pa.int64()),
-        "k": pa.array([1], pa.int64()),
-        "v": pa.array([5], pa.int64())}))
-    with pytest.raises(Exception, match="non-negative"):
-        keyed_band_join(neg, neg, "e", "k", "v", "e", "k", "v",
-                        eps_x=1).take_all()
+    # negative and mixed-sign eq keys partition like any int64 key
+    rng = np.random.default_rng(12)
+    for lo, hi in ((-12, 0), (-6, 6)):
+        le, re_ = rng.integers(lo, hi, 120), rng.integers(lo, hi, 100)
+        lv, rv = rng.integers(-800, 800, 120), rng.integers(-800, 800, 100)
+        lk = np.arange(120, dtype=np.int64)
+        rk = np.arange(500, 600, dtype=np.int64)
+        want = _kbrute(le, lk, lv, re_, rk, rv, 57)
+        assert want and _krun(le, lk, lv, re_, rk, rv, 57) == want
     with pytest.raises(ValueError, match="eps_x"):
         keyed_band_join(ds, ds, "e", "k", "ts", "e", "k", "ts",
                         eps_x=0)

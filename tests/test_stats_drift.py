@@ -31,6 +31,14 @@ def test_stats_accumulator_single_batch():
     assert by_col["caption_len"]["n"] == 2000 - cap_nulls
 
 
+def test_stats_sum_does_not_wrap():
+    """An int64 column whose sum leaves the int64 range still has its true
+    mean (Arrow's int64 sum wraps around)."""
+    table = pa.table({"x": pa.array([2**62, 2**62, 2**62], pa.int64())})
+    row = StatsAccumulator(StatsSpec(columns=["x"]))(table).to_pylist()[0]
+    assert row["vsum"] == 3.0 * 2**62
+
+
 def test_collect_stats_on_ray(ray_session):
     import ray.data as rd
 
