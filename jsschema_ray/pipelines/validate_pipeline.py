@@ -3,20 +3,28 @@ reference CLI flow (cmd/jsschema/jsschema.go:34-91 — read schema, validate
 data, report) planned per SURVEY.md §3.4. A pass is one scan plus the
 uniqueness exchange:
 
-  scan  one read and one map_batches over every shard (``_run_rowlocal``):
-        P1, the row-local mask stage (kernels/columnar.py), over the rows
-        of uncommitted shards, whose tasks write the violation files; and
-        the map side of x-stats/x-drift (sketch partials, stages/stats.py),
-        x-referential (miss counts) and x-decode (the decode check). The
-        driver commits each shard (an atomic manifest) once all its rows
-        are in, and the handlers finish from the partials.
+  scan  one fused read->scan task per shard (``_run_rowlocal``), which
+        runs on each reader block of its shard: P1, the row-local mask
+        stage (kernels/columnar.py), over the rows of uncommitted shards,
+        writing their violation files; and the map side of x-stats/x-drift
+        (sketch partials, stages/stats.py), x-referential (miss counts)
+        and x-decode (the decode check). Only these small partial rows
+        leave the task, never raw rows. The driver commits each shard (an
+        atomic manifest) once all its rows are in, and the handlers finish
+        from the partials.
   x-uniqueness  its own read and exchange (stages/uniqueness.py): its
         pre-count holds O(distinct keys) per batch.
 
 Every ``x-*`` keyword (the Extras extension surface, reference
 interface.go:133) dispatches through the registry. Partition == input
-shard file; on resume P1 skips committed shards, while the scan still
-covers all of them, since global constraints span the full input.
+shard file == scan task: the scan's parallelism is the shard count, so
+an input should have at least as many shards as the cluster has CPUs.
+Scan batches, payload rows included, are the reader's blocks, bounded
+in bytes (``DataContext.target_max_block_size``), not in rows. Each
+sketch partial covers one block of one shard, so the partials, and the
+report, do not depend on task timing. On resume P1 skips committed
+shards, while the scan still covers all of them, since global
+constraints span the full input.
 """
 
 from __future__ import annotations
@@ -44,10 +52,6 @@ from jsschema_ray.stages.referential import (_miss_partial, _miss_report,
 from jsschema_ray.stages.stats import StatsAccumulator, StatsSpec, _fold_partials
 from jsschema_ray.stages.uniqueness import uniqueness_reports
 from jsschema_ray.stages.validate import ValidateBatch
-
-#: with x-decode the scan's batches are no larger than the decode stage's
-#: own (wide payload rows), so the decode runs on as many tasks as alone
-_DECODE_BATCH = 1024
 
 
 # -- the scan's map sides: (pipeline, input columns) -> None or (side name,
@@ -159,6 +163,12 @@ def _handle_decode(value: dict, ctx: ConstraintContext):
 
 
 class ValidationPipeline:
+    """One validation pass per ``run`` over the parquet shards of
+    ``input_dir``, writing manifests, violation files and ``report.json``
+    under ``output_dir``. ``batch_size`` sizes only the batches of
+    ``ConstraintContext.dataset()`` reads and of the uniqueness pre-count;
+    the scan runs on the reader's blocks."""
+
     def __init__(
         self,
         schema: dict[str, Any],
@@ -324,12 +334,13 @@ class ValidationPipeline:
                              "blob": pa.array([pack(t) for _, t in out],
                                               pa.binary())})
 
+        # one read task per shard, fused with the scan: a batch is one
+        # reader block of one shard, and raw rows never leave the task
         scanned = rd.read_parquet(
             files, columns=[c for c in columns if c not in payload - needed],
-            include_paths=True,
+            include_paths=True, override_num_blocks=len(files),
         ).map_batches(scan, batch_format="pyarrow", zero_copy_batch=True,
-                      batch_size=min(self.batch_size, _DECODE_BATCH)
-                      if "decode" in sides else self.batch_size)
+                      batch_size=None)
         partials: dict[str, list[dict]] = {name: [] for name in sides}
         # shard -> [input path, footer rows, rows in, violation rows, files]
         pending = {partition_id_for(f): [f, pq.ParquetFile(f).metadata.num_rows,
@@ -385,9 +396,11 @@ def _write_violations(stage: ValidateBatch, meta: pa.Table,
                       vio_dir: str) -> list[dict]:
     """P1 over ``meta``, whose rows may come from several shards. Each
     shard's violations go to ``<vio_dir>/partition=<pid>/<uuid>.parquet``,
-    written under a ``.``-prefixed name and renamed, so no reader sees a
-    partial file. Returns one (partition, rows, violation_rows, file) row
-    per shard."""
+    written under a ``.``-prefixed name, fsynced and renamed, and the
+    directory fsynced: no reader sees a partial file, and a manifest
+    committed after this returns never lists a file a machine crash could
+    lose. Returns one (partition, rows, violation_rows, file) row per
+    shard."""
     if not meta.num_rows:
         return []
     parts = meta.column("_partition")
@@ -407,11 +420,23 @@ def _write_violations(stage: ValidateBatch, meta: pa.Table,
             os.makedirs(part_dir, exist_ok=True)
             path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
             tmp = os.path.join(part_dir, "." + os.path.basename(path))
-            pq.write_table(mine, tmp)
+            with open(tmp, "wb") as f:
+                pq.write_table(mine, f)
+                f.flush()
+                os.fsync(f.fileno())
             os.replace(tmp, path)
+            _fsync_dir(part_dir)  # the rename survives a machine crash
         out.append({"partition": pid, "rows": n,
                     "violation_rows": mine.num_rows, "file": path})
     return out
+
+
+def _fsync_dir(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _shard_row_index(parts: pa.ChunkedArray) -> np.ndarray:

@@ -166,13 +166,9 @@ def _miss_partial(col: pa.Array, keys: pa.Array) -> pa.Table:
 
 
 def _miss_report(column: str, parts: list[dict]) -> dict:
-    """Fold ``_miss_partial`` rows: the total count and the first 10
-    distinct missing values."""
-    sample: list = []
-    for p in parts:
-        for v in p["sample"]:
-            if v not in sample and len(sample) < 10:
-                sample.append(v)
+    """Fold ``_miss_partial`` rows: the total count and the 10 smallest
+    of their distinct missing values, whatever order the rows came in."""
+    sample = sorted({v for p in parts for v in p["sample"]})[:10]
     return {
         "column": column,
         "n_violations": int(sum(p["n_bad"] for p in parts)),

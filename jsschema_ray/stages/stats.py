@@ -202,9 +202,15 @@ class ColumnStats:
 def _fold_partials(rows, per_partition: bool = True
                    ) -> dict[tuple[str, str], ColumnStats]:
     """Fold partial rows into one ColumnStats per (partition, column), or
-    per column under partition "" when ``per_partition`` is false."""
+    per column under partition "" when ``per_partition`` is false. The
+    t-digest merge and the float sum depend on the order they absorb rows
+    in, so rows are absorbed in an order defined by their content:
+    partition, column, sketch bytes, then the sum. Equal partials thus
+    fold to equal bytes whatever order they arrived in."""
     out: dict[tuple[str, str], ColumnStats] = {}
-    for row in rows:
+    for row in sorted(rows, key=lambda r: (
+            r["partition"], r["column"], r["tdigest"] or b"",
+            r["hll"] or b"", r["vsum"] is None, r["vsum"] or 0.0)):
         key = (row["partition"] if per_partition else "", row["column"])
         cs = out.setdefault(key, ColumnStats(*key))
         cs.absorb(row)

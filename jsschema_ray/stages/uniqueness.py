@@ -69,13 +69,13 @@ def _precount(columns: list[str], num_buckets: int):
     return fn
 
 
-def _dup_counts(g: pd.DataFrame) -> pa.Table:
+def _dup_counts(g: pa.Table) -> pa.Table:
     """(key, dup_count) for the keys of one bucket whose summed partial
     count exceeds 1. Arrow-native (r5 fix): a pandas groupby promoted an
     int64 key to float64 whenever the bucket held a NULL key (value_counts
     emits null as a countable value), collapsing distinct large ints;
     pyarrow group_by keeps exact dtypes and groups nulls together."""
-    tbl = pa.concat_tables(unpack(b) for b in g["blob"])
+    tbl = pa.concat_tables(unpack(b) for b in g.column("blob").to_pylist())
     tot = tbl.group_by("key").aggregate([("partial_count", "sum")])
     dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
     return pa.table({"key": dup.column("key"),
@@ -111,10 +111,10 @@ def duplicate_keys(ds, column: str, batch_size: int = 262144,
         batch_size=batch_size, zero_copy_batch=True,
     )
 
-    def reduce_bucket(g: pd.DataFrame) -> pa.Table:
+    def reduce_bucket(g: pa.Table) -> pa.Table:
         return _dup_counts(g).rename_columns([column, "dup_count"])
 
-    return by_part(partials, reduce_bucket, batch_format="pandas")
+    return by_part(partials, reduce_bucket)
 
 
 def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
@@ -128,20 +128,19 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
         batch_size=batch_size, zero_copy_batch=True,
     )
 
-    def reduce_bucket(g: pd.DataFrame) -> pa.Table:
+    def reduce_bucket(g: pa.Table) -> pa.Table:
         # RE-PACKED as one IPC blob: different columns carry different key
         # TYPES (string image_id vs int64 phash), so typed `key` blocks
         # from different buckets cannot unify into one Dataset schema —
         # the blob keeps each column's exact type opaque to the block layer
         return pa.table(
             {
-                "col_idx": pa.array([int(g["col_idx"].iloc[0])],
-                                    type=pa.int32()),
+                "col_idx": g.column("col_idx").slice(0, 1),
                 "blob": pa.array([pack(_dup_counts(g))], type=pa.binary()),
             }
         )
 
-    rows = by_part(partials, reduce_bucket, batch_format="pandas").take_all()
+    rows = by_part(partials, reduce_bucket).take_all()
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
         tabs = [unpack(r["blob"]) for r in rows if r["col_idx"] == ci]

@@ -107,7 +107,11 @@ class TDigest:
 
     def ks_distance(self, other: "TDigest") -> float:
         """Kolmogorov–Smirnov distance sup|F1-F2| evaluated on the union of
-        both digests' centroid grids (the driver-side drift metric)."""
+        both digests' centroid grids (the driver-side drift metric). Both
+        are compressed first, so the grid does not depend on whether a
+        digest was queried or serialized before."""
+        self._compress()
+        other._compress()
         grid = np.unique(np.concatenate([self.means, other.means]))
         if len(grid) == 0:
             return 0.0

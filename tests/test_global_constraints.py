@@ -8,6 +8,8 @@ import pytest
 
 from jsschema_ray.sources.synth import synth_image_table
 from jsschema_ray.stages.referential import (
+    _miss_partial,
+    _miss_report,
     referential_check,
     referential_violations,
 )
@@ -181,6 +183,20 @@ def test_referential_violations(img_ds):
     chk = referential_check(ds, "fmt", ["png", "jpeg", "webp", "bmp", "tiff"],
                             batch_size=2048)
     assert chk["n_violations"] == len(got) and "gif" in chk["missing_sample"]
+
+
+def test_miss_report_ignores_arrival_order():
+    """The missing-key sample is the smallest distinct missing keys, the
+    same whatever order the per-batch partials arrive in."""
+    keys = pa.array(["png", "jpeg"])
+    parts = [_miss_partial(pa.array(vals), keys).to_pylist()[0] for vals in
+             (["gif", "png", "tga"], ["bmp", None, "gif"],
+              [f"x{i:02d}" for i in range(12)])]
+    want = _miss_report("fmt", parts)
+    assert want["n_violations"] == 16
+    assert want["missing_sample"] == ["bmp", "gif", "tga", "x00", "x01",
+                                      "x02", "x03", "x04"]
+    assert _miss_report("fmt", parts[::-1]) == want
 
 
 def test_referential_against_dimension_dataset(ray_session):

@@ -20,12 +20,6 @@ from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
 from jsschema_ray.sources.synth import write_image_dataset
 from jsschema_ray.stages.drift import build_profile
 
-#: IMAGE_SCHEMA without its t-digest sections (x-drift, the x-stats
-#: quantiles) and the phash mean: their values depend on how Ray cuts the
-#: batches, so only without them do two runs give equal reports
-STABLE_SCHEMA = {k: v for k, v in IMAGE_SCHEMA.items() if k != "x-drift"}
-STABLE_SCHEMA["x-stats"] = {"columns": ["w", "h", "fmt", "caption"],
-                            "distinct": ["image_id", "fmt"]}
 GLOBAL_SECTIONS = ("uniqueness", "referential", "stats", "decode")
 
 
@@ -192,6 +186,126 @@ def test_pass_without_extensions_is_one_execution(img_dir, ray_session,
     assert len(report["partitions"]) == 4 and not report["valid"]
 
 
+def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
+                                          monkeypatch):
+    """The scan is a single ReadParquet->MapBatches(scan) operator with one
+    task per shard, and every scan call sees the rows of one shard: each
+    partial table it returns names a single partition."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from jsschema_ray.pipelines import validate_pipeline
+
+    src, _ = img_dir
+    dags, partials = [], []
+    execute, unpack = StreamingExecutor.execute, validate_pipeline.unpack
+
+    def spy_execute(self, dag, *args, **kwargs):
+        dags.append(dag)
+        return execute(self, dag, *args, **kwargs)
+
+    def spy_unpack(blob):
+        partials.append(unpack(blob))
+        return partials[-1]
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
+    monkeypatch.setattr(validate_pipeline, "unpack", spy_unpack)
+    ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / "out"),
+                       batch_size=2048).run()
+    scans = [d for d in dags if "MapBatches(scan)" in d.name]
+    assert len(scans) == 1
+    scan, = scans
+    assert scan.name == "ReadParquet->MapBatches(scan)"
+    assert [d.name for d in scan.input_dependencies] == ["Input"]
+    assert scan.metrics.num_tasks_finished == 4  # the shard count
+    p1 = [t for t in partials if "violation_rows" in t.column_names]
+    stats = [t for t in partials if "tdigest" in t.column_names]
+    assert p1 and stats
+    for t in p1 + stats:
+        assert len(set(t.column("partition").to_pylist())) == 1
+    assert {t.column("partition")[0].as_py() for t in p1} == {
+        f"part-{i:05d}" for i in range(4)}
+
+
+def test_two_passes_give_identical_global_sections(img_dir, ray_session,
+                                                   tmp_path):
+    """Two passes in one session, against the same drift profile object,
+    give byte-identical sketch-decided sections: the partials do not depend
+    on task timing, and the fold does not depend on their arrival order."""
+    import ray.data as rd
+
+    src, _ = img_dir
+    profile = build_profile(
+        rd.read_parquet(src, columns=["w", "h", "caption"]),
+        ["w", "h", "caption_len"], batch_size=2048,
+    )
+    first, second = (
+        ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / f"out{i}"),
+                           batch_size=2048, drift_profile=profile).run()
+        for i in range(2))
+    for k in GLOBAL_SECTIONS + ("drift",):
+        assert json.dumps(first[k], sort_keys=True) == \
+            json.dumps(second[k], sort_keys=True), k
+
+
+def test_violation_files_are_fsynced_before_their_commit(tmp_path,
+                                                         monkeypatch):
+    """Each violation file, and its directory after the rename, is fsynced
+    before the task returns, so a committed manifest lists only durable
+    files. Runs the task-side writer in this process, on a batch that spans
+    two shards, and commits its rows as the driver does."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from jsschema_ray.pipelines import validate_pipeline
+    from jsschema_ray.sources.synth import synth_image_table
+    from jsschema_ray.stages.validate import ValidateBatch
+
+    table, _ = synth_image_table(400, seed=3, violation_frac=0.25,
+                                 with_bytes=False)
+    meta = table.drop_columns(["bytes"]).append_column(
+        "_partition", pa.array(["a"] * 150 + ["b"] * 250))
+    synced, fsync = [], os.fsync
+
+    def spy_fsync(fd):
+        st = os.fstat(fd)
+        synced.append((st.st_dev, st.st_ino))
+        return fsync(fd)
+
+    def inode(path):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+
+    pipe = ValidationPipeline(IMAGE_SCHEMA, str(tmp_path), str(tmp_path / "out"))
+    commit = CheckpointManifest.commit_partition
+
+    def checked_commit(self, pid, path, metrics, violation_files, verdict):
+        for f in violation_files:
+            assert inode(f) in synced
+            assert inode(os.path.dirname(f)) in synced
+        return commit(self, pid, path, metrics, violation_files, verdict)
+
+    monkeypatch.setattr(os, "fsync", spy_fsync)
+    monkeypatch.setattr(CheckpointManifest, "commit_partition", checked_commit)
+    stage = ValidateBatch(IMAGE_SCHEMA, mode="violations", key_column="image_id")
+    rows = validate_pipeline._write_violations(
+        stage, meta, str(tmp_path / "out" / "violations"))
+    ids = table.column("image_id").to_pylist()
+    shard_ids = {"a": set(ids[:150]), "b": set(ids[150:])}
+    assert sorted(r["partition"] for r in rows) == ["a", "b"]
+    for r in rows:  # each shard's violations in its own file
+        keys = pq.read_table(r["file"]).column("key").to_pylist()
+        assert len(keys) == r["violation_rows"] > 0
+        assert set(keys) <= shard_ids[r["partition"]]
+    # the file before its rename, then its directory after it
+    assert len(synced) == 2 * len(rows)
+    for r in rows:
+        pipe._commit(r["partition"], r["partition"] + ".parquet", r["rows"],
+                     r["rows"], r["violation_rows"], [r["file"]])
+    assert set(pipe.manifest.committed()) == {"a", "b"}
+
+
 def _files(out: str) -> dict[str, str]:
     return {f: _sha(f) for f in glob.glob(
         os.path.join(out, "violations", "**", "*"), recursive=True)
@@ -204,9 +318,9 @@ def test_full_resume_writes_no_violation_file(img_dir, ray_session,
     constraints, but P1 writes nothing and commits nothing."""
     src, _ = img_dir
     out = str(tmp_path / "out")
-    first = ValidationPipeline(STABLE_SCHEMA, src, out, batch_size=2048).run()
+    first = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048).run()
     written = _files(out)
-    again = ValidationPipeline(STABLE_SCHEMA, src, out, batch_size=2048).run()
+    again = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048).run()
     assert again["partitions_resumed"] == 4
     assert _files(out) == written
     assert again["partitions"] == first["partitions"]
@@ -272,10 +386,12 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     the first shard commit; the resumed run gives the uninterrupted run's
     report and violation rows and leaves the committed shard untouched."""
     src = str(tmp_path / "in")
-    write_image_dataset(src, 1600, shards=8, violation_frac=0.05)
+    # 80-row row groups over 200-row shards: the scan reads each row group
+    # as a block of its own, so every shard spans three scan calls
+    write_image_dataset(src, 1600, shards=8, violation_frac=0.05,
+                        row_group_size=80)
     full, killed = str(tmp_path / "full"), str(tmp_path / "killed")
-    # 80-row batches over 200-row shards: every shard spans batches
-    ValidationPipeline(STABLE_SCHEMA, src, full, batch_size=80).run()
+    ValidationPipeline(IMAGE_SCHEMA, src, full, batch_size=80).run()
 
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -284,7 +400,7 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     temp_dir = tempfile.mkdtemp(prefix="kill-", dir="/tmp")
     child = subprocess.Popen(
         [sys.executable, "-c", _KILLED_CHILD, src, killed, temp_dir,
-         json.dumps(STABLE_SCHEMA)],
+         json.dumps(IMAGE_SCHEMA)],
         env=env, start_new_session=True, stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE)
     try:
@@ -301,7 +417,7 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     (pid, rec), = before.items()
     shas = {f: _sha(f) for f in rec["violation_files"]}
 
-    got = ValidationPipeline(STABLE_SCHEMA, src, killed, batch_size=80).run()
+    got = ValidationPipeline(IMAGE_SCHEMA, src, killed, batch_size=80).run()
     assert got["partitions_resumed"] == 1
     with open(os.path.join(full, "report.json")) as f:
         want = json.load(f)

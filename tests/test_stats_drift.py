@@ -7,7 +7,9 @@ import pytest
 
 from jsschema_ray.sources.synth import synth_image_table
 from jsschema_ray.stages.drift import DriftProfile, build_profile, drift_check
-from jsschema_ray.stages.stats import StatsAccumulator, StatsSpec, collect_stats
+from jsschema_ray.stages.stats import (StatsAccumulator, StatsSpec,
+                                       _fold_partials, collect_stats)
+from jsschema_ray.state.tdigest import TDigest
 
 
 def test_stats_accumulator_single_batch():
@@ -37,6 +39,55 @@ def test_stats_sum_does_not_wrap():
     table = pa.table({"x": pa.array([2**62, 2**62, 2**62], pa.int64())})
     row = StatsAccumulator(StatsSpec(columns=["x"]))(table).to_pylist()[0]
     assert row["vsum"] == 3.0 * 2**62
+
+
+def _merged_digest(seed: int, parts: int = 8) -> TDigest:
+    """A digest merged from serialized partials and not yet queried, as a
+    drift profile leaves ``build_profile``."""
+    rng = np.random.default_rng(seed)
+    out = TDigest()
+    for _ in range(parts):
+        t = TDigest()
+        t.add(rng.lognormal(3, 0.5, 1000))
+        out.merge(TDigest.from_bytes(t.to_bytes()))
+    return out
+
+
+def test_ks_distance_does_not_depend_on_earlier_use():
+    ref, test = _merged_digest(1), _merged_digest(2)
+    ks = test.ks_distance(ref)
+    assert test.ks_distance(ref) == ks  # both now compressed
+    fresh = _merged_digest(1)
+    assert _merged_digest(2).ks_distance(TDigest.from_bytes(fresh.to_bytes())) \
+        == ks
+    assert TDigest.from_bytes(_merged_digest(2).to_bytes()).ks_distance(
+        _merged_digest(1)) == ks
+
+
+def test_fold_partials_ignores_arrival_order():
+    """Shuffled partial rows fold to identical bytes: sketches, sums and
+    counts, per partition and over all of them."""
+    table, _ = synth_image_table(6000, seed=9, with_bytes=False)
+    table = table.append_column(
+        "part", pa.array(np.repeat(["p0", "p1", "p2"], 2000)))
+    spec = StatsSpec(columns=["w", "h", "fmt"], distinct=["image_id", "phash"],
+                     quantiles=["w", "h", "phash"], partition_col="part")
+    acc = StatsAccumulator(spec)
+    rows = [r for i in range(0, 6000, 700)
+            for r in acc(table.slice(i, 700)).to_pylist()]
+
+    def folded(rs, per_partition):
+        return {k: (cs.count, cs.nulls, cs.min, cs.max, cs.sum, cs.smin,
+                    cs.smax, cs.hll and cs.hll.to_bytes(),
+                    cs.digest and cs.digest.to_bytes())
+                for k, cs in _fold_partials(rs, per_partition).items()}
+
+    rng = np.random.default_rng(0)
+    for per_partition in (True, False):
+        want = folded(rows, per_partition)
+        for _ in range(5):
+            order = rng.permutation(len(rows))
+            assert folded([rows[i] for i in order], per_partition) == want
 
 
 def test_collect_stats_on_ray(ray_session):

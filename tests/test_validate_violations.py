@@ -3,7 +3,7 @@ These tests pin it, byte for byte, to the per-row Python build it replaced
 (kept below as the oracle), and guard the P1 hot path against per-row
 Python: one partition id per shard path, no per-value formatting of string
 and integer columns, and violations attributed to their own shard when a
-batch spans two shards."""
+shard spans several scan batches."""
 
 import os
 
@@ -207,7 +207,10 @@ def three_shards(tmp_path_factory):
                                  row_offset=i * ROWS_PER_SHARD)
         t = t.drop_columns(["bytes"]).append_column(
             "shard", pa.array([name] * t.num_rows))
-        pq.write_table(t, os.path.join(d, f"{name}.parquet"))
+        # 100-row row groups: the scan reads each as a block of its own,
+        # so every shard spans three scan calls
+        pq.write_table(t, os.path.join(d, f"{name}.parquet"),
+                       row_group_size=100)
         tables[name] = t
     return str(d), tables
 
