@@ -12,19 +12,23 @@ uniqueness exchange:
         leave the task, never raw rows. The driver commits each shard (an
         atomic manifest) once all its rows are in, and the handlers finish
         from the partials.
-  x-uniqueness  its own read and exchange (stages/uniqueness.py): its
-        pre-count holds O(distinct keys) per batch.
+  x-uniqueness  its own execution (stages/uniqueness.py): the pre-count
+        fused into the same one-task-per-shard read of the key columns,
+        then the exchange. It stays out of the scan because its pre-count
+        holds O(distinct keys) per batch.
 
 Every ``x-*`` keyword (the Extras extension surface, reference
-interface.go:133) dispatches through the registry. Partition == input
-shard file == scan task: the scan's parallelism is the shard count, so
-an input should have at least as many shards as the cluster has CPUs.
-Scan batches, payload rows included, are the reader's blocks, bounded
-in bytes (``DataContext.target_max_block_size``), not in rows. Each
-sketch partial covers one block of one shard, so the partials, and the
-report, do not depend on task timing. On resume P1 skips committed
-shards, while the scan still covers all of them, since global
-constraints span the full input.
+interface.go:133) dispatches through the registry. Every read of the
+pass goes through ``ValidationPipeline._read``: one task per shard, so
+partition == input shard file == task, and the parallelism is the shard
+count (an input should have at least as many shards as the cluster has
+CPUs). There is no batch-size knob: a batch is one reader block of one
+shard, bounded in bytes (``DataContext.target_max_block_size``), not in
+rows, and a scan batch that names two shards is refused. Each sketch
+partial covers one block of one shard, so the partials, and the report,
+do not depend on task timing. On resume P1 skips committed shards, while
+the scan still covers all of them, since global constraints span the
+full input.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import os
 import uuid
 from typing import Any, Optional
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -55,8 +58,8 @@ from jsschema_ray.stages.validate import ValidateBatch
 
 
 # -- the scan's map sides: (pipeline, input columns) -> None or (side name,
-# payload columns it reads, fn(meta, batch) -> partial tables), where meta
-# is the batch without payload columns
+# payload columns it reads, fn(pid, meta, batch) -> partial tables), where
+# pid is the batch's shard and meta the batch without payload columns
 
 def _stats_side(pipe: "ValidationPipeline", _columns: list[str]):
     # one accumulator for x-stats and x-drift: the spec folds the drift
@@ -64,13 +67,13 @@ def _stats_side(pipe: "ValidationPipeline", _columns: list[str]):
     spec = StatsSpec.from_schema_extras(pipe.schema)
     spec.partition_col = "_partition"
     acc = StatsAccumulator(spec)
-    return "stats", [], lambda meta, _: [acc(meta)]
+    return "stats", [], lambda pid, meta, _: [acc(_with_partition(meta, pid))]
 
 
 def _referential_side(pipe: "ValidationPipeline", _columns: list[str]):
     checks = [(spec["column"], _ref_key_array(spec["ref_values"], None, 0))
               for spec in pipe.schema["x-referential"]]
-    return "referential", [], lambda meta, _: [
+    return "referential", [], lambda _, meta, __: [
         _miss_partial(meta.column(col).combine_chunks(), keys)
         .append_column("spec", pa.array([i], pa.int32()))
         for i, (col, keys) in enumerate(checks)]
@@ -85,7 +88,7 @@ def _decode_side(pipe: "ValidationPipeline", columns: list[str]):
         key_column=pipe.key_column, column=col,
         fmt_column=value.get("fmt_column", "fmt"),
         min_psnr_db=value.get("min_psnr_db", 40.0))
-    return "decode", [col], lambda _, batch: [check(batch)]
+    return "decode", [col], lambda _, __, batch: [check(batch)]
 
 
 _MAP_SIDES = {
@@ -101,10 +104,11 @@ _MAP_SIDES = {
 
 @register_constraint("x-uniqueness")
 def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
-    # one read and one exchange for every distinct key column
+    # one read and one exchange for every distinct key column; the
+    # pre-count runs fused into the read, once per reader block
     columns = list(dict.fromkeys(spec["column"] for spec in specs))
-    reports = uniqueness_reports(ctx.dataset(), columns,
-                                 batch_size=ctx.batch_size)
+    reports = uniqueness_reports(ctx.pipeline._read(ctx.input_files, columns),
+                                 columns, batch_size=None)
     return [dict(reports[spec["column"]],
                  report_only=bool(spec.get("report_only", False)))
             for spec in specs]
@@ -165,9 +169,8 @@ def _handle_decode(value: dict, ctx: ConstraintContext):
 class ValidationPipeline:
     """One validation pass per ``run`` over the parquet shards of
     ``input_dir``, writing manifests, violation files and ``report.json``
-    under ``output_dir``. ``batch_size`` sizes only the batches of
-    ``ConstraintContext.dataset()`` reads and of the uniqueness pre-count;
-    the scan runs on the reader's blocks."""
+    under ``output_dir``. Every read runs one task per shard, and every
+    batch is one reader block of one shard."""
 
     def __init__(
         self,
@@ -175,17 +178,16 @@ class ValidationPipeline:
         input_dir: str,
         output_dir: str,
         key_column: str = "image_id",
-        batch_size: int = 65536,
         drift_profile: Optional[DriftProfile] = None,
     ):
         self.schema = schema
         self.input_dir = input_dir
         self.output_dir = output_dir
         self.key_column = key_column
-        self.batch_size = batch_size
         self.drift_profile = drift_profile
         self.manifest = CheckpointManifest(output_dir)
         self._checked_files: list[str] = []
+        self._footer = pa.schema([])  # the shards' schema, once checked
         self._partials: dict[str, list[dict]] = {}  # the scan's rows, by side
 
     # -- helpers -----------------------------------------------------------
@@ -194,27 +196,31 @@ class ValidationPipeline:
         if not files:
             raise FileNotFoundError(f"no parquet shards in {self.input_dir}")
         if self._checked_files != files:
-            # homogeneity gate: one logical table per input dir (footer reads
-            # only); a mixed dir otherwise fails deep inside the read tasks
-            # with a confusing schema-mismatch dump
+            # homogeneity gate: one logical table per input dir, by column
+            # names and types (one footer read per shard); a mixed dir
+            # otherwise fails deep inside the read tasks, or feeds P1 and
+            # the sketch folds one column under two types
             first = pq.read_schema(files[0])
+            want = [f"{f.name}: {f.type}" for f in first]
             for f in files[1:]:
-                s = pq.read_schema(f)
-                if s.names != first.names:
+                got = [f"{c.name}: {c.type}" for c in pq.read_schema(f)]
+                if got != want:
                     raise ValueError(
                         f"input shards are not one table: {files[0]} has "
-                        f"columns {first.names} but {f} has {s.names}; point "
-                        "--input at a directory of same-schema shards"
-                    )
-            self._checked_files = files
+                        f"columns {want} but {f} has {got}; point --input "
+                        "at a directory of same-schema shards")
+            if "path" in first.names:  # Ray's include_paths column
+                raise ValueError(f"{files[0]} has a column named 'path', "
+                                 "the name the scan gives each row's shard")
+            self._checked_files, self._footer = files, first
         return files
 
-    def _payload_columns(self, files: list[str]) -> set[str]:
+    def _payload_columns(self) -> set[str]:
         """Wide opaque payloads = binary-typed columns; they never enter the
         P1 kernels (pruned at the read, SURVEY.md §7 hard part 4)."""
         return {
             f.name
-            for f in pq.read_schema(files[0])
+            for f in self._footer
             if pa.types.is_binary(f.type) or pa.types.is_large_binary(f.type)
         }
 
@@ -236,15 +242,8 @@ class ValidationPipeline:
         # extension registry (schema/registry.py — the formalized Extras
         # hook, reference interface.go:133); built-ins registered above,
         # user extensions are first-class peers
-        ctx = ConstraintContext(
-            schema=self.schema,
-            input_files=files,
-            batch_size=self.batch_size,
-            dataset_factory=lambda wp=False: self._read(files,
-                                                        with_partition=wp),
-            output_dir=self.output_dir,
-        )
-        ctx.pipeline = self  # built-ins need the scan's partials
+        ctx = ConstraintContext(schema=self.schema, input_files=files,
+                                output_dir=self.output_dir, pipeline=self)
         for kw, value in self.schema.items():
             if not kw.startswith("x-"):
                 continue
@@ -275,22 +274,25 @@ class ValidationPipeline:
         self.manifest.write_job_report(report)
         return report
 
-    def _read(self, files: list[str], with_partition: bool = False):
-        payload = self._payload_columns(files)
-        ds = rd.read_parquet(files, include_paths=with_partition, columns=[
-            c for c in pq.read_schema(files[0]).names if c not in payload])
-        if with_partition:
-            ds = ds.map_batches(_with_partition, fn_args=(partition_id_for,),
-                                batch_format="pyarrow",
-                                batch_size=self.batch_size)
-        return ds
+    def _read(self, files: list[str], columns: Optional[list[str]] = None):
+        """The pass's one read: ``columns`` of ``files`` (by default every
+        column but the payload ones), one task per shard, so that a
+        ``map_batches(batch_size=None)`` on it fuses into the read and sees
+        one reader block of one shard per call. A ``"path"`` among
+        ``columns`` is each row's shard path (Ray's ``include_paths``)."""
+        if columns is None:
+            payload = self._payload_columns()
+            columns = [c for c in self._footer.names if c not in payload]
+        return rd.read_parquet(
+            files, columns=[c for c in columns if c != "path"],
+            include_paths="path" in columns, override_num_blocks=len(files))
 
     def _schema_for_rowlocal(self) -> dict[str, Any]:
         """P1 never reads the wide payload column (pruned at the read,
         SURVEY.md §7 hard part 4), so its `required` check moves to the
         decode stage (stages/multimodal.py), which reads the bytes anyway."""
         schema = dict(self.schema)
-        payload_cols = self._payload_columns(self._input_files())
+        payload_cols = self._payload_columns()
         if schema.get("required"):
             schema["required"] = [
                 r for r in schema["required"] if r not in payload_cols
@@ -303,7 +305,7 @@ class ValidationPipeline:
         sides over every shard. Each shard commits as soon as all its rows
         are in (a killed run just redoes the uncommitted shards). Returns
         the partial rows of each map side."""
-        columns = pq.read_schema(files[0]).names
+        columns = self._footer.names
         sides = {}
         for kw in self.schema:
             side = _MAP_SIDES[kw](self, columns) if _MAP_SIDES.get(kw) else None
@@ -313,32 +315,31 @@ class ValidationPipeline:
             return {}
         # a payload column is read only for a side that needs it
         needed = {c for cols, _ in sides.values() for c in cols}
-        payload = self._payload_columns(files)
+        payload = self._payload_columns()
         drop = sorted(needed & payload)
         stage = ValidateBatch(self._schema_for_rowlocal(), mode="violations",
                               key_column=self.key_column)
         vio_dir = os.path.join(self.output_dir, "violations")
-        todo_ids = pa.array([partition_id_for(f) for f in todo], pa.string())
+        todo_ids = {partition_id_for(f) for f in todo}
 
         def scan(batch: pa.Table) -> pa.Table:
             """(side, blob) rows: each map side's partial tables, and P1's
-            (partition, rows, violation_rows, file) rows as side "p1"."""
-            batch = _with_partition(batch, partition_id_for)
+            (partition, rows, violation_rows, file) row as side "p1"."""
+            pid = _partition_of(batch)
+            batch = batch.drop_columns(["path"])
             meta = batch.drop_columns(drop)
             out = [(name, t) for name, (_, fn) in sides.items()
-                   for t in fn(meta, batch)]
-            p1 = _write_violations(stage, meta.filter(pc.is_in(
-                meta.column("_partition"), value_set=todo_ids)), vio_dir)
-            out += [("p1", pa.Table.from_pylist(p1))] if p1 else []
+                   for t in fn(pid, meta, batch)]
+            if pid in todo_ids:
+                out.append(("p1", pa.Table.from_pylist(
+                    [_write_violations(stage, meta, pid, vio_dir)])))
             return pa.table({"side": pa.array([n for n, _ in out], pa.string()),
                              "blob": pa.array([pack(t) for _, t in out],
                                               pa.binary())})
 
-        # one read task per shard, fused with the scan: a batch is one
-        # reader block of one shard, and raw rows never leave the task
-        scanned = rd.read_parquet(
-            files, columns=[c for c in columns if c not in payload - needed],
-            include_paths=True, override_num_blocks=len(files),
+        # fused with the read: raw rows never leave the task
+        scanned = self._read(
+            files, [c for c in columns if c not in payload - needed] + ["path"],
         ).map_batches(scan, batch_format="pyarrow", zero_copy_batch=True,
                       batch_size=None)
         partials: dict[str, list[dict]] = {name: [] for name in sides}
@@ -352,14 +353,13 @@ class ValidationPipeline:
                 if side != "p1":
                     partials[side] += unpack(blob).to_pylist()
                     continue
-                for r in unpack(blob).to_pylist():
-                    shard = pending[r["partition"]]
-                    shard[2] += r["rows"]
-                    shard[3] += r["violation_rows"]
-                    shard[4] += [r["file"]] if r["file"] else []
-                    if shard[2] == shard[1]:
-                        self._commit(r["partition"],
-                                     *pending.pop(r["partition"]))
+                r, = unpack(blob).to_pylist()
+                shard = pending[r["partition"]]
+                shard[2] += r["rows"]
+                shard[3] += r["violation_rows"]
+                shard[4] += [r["file"]] if r["file"] else []
+                if shard[2] == shard[1]:
+                    self._commit(r["partition"], *pending.pop(r["partition"]))
         for pid, shard in pending.items():
             if shard[2] != shard[1]:
                 raise RuntimeError(f"shard {pid}: the scan returned "
@@ -382,53 +382,45 @@ class ValidationPipeline:
             violation_files=sorted(vio_files), verdict=(n_vio == 0))
 
 
-def _with_partition(batch: pa.Table, partition_id) -> pa.Table:
-    """``batch`` with its ``path`` column replaced by ``_partition``: one
-    ``partition_id`` call per distinct shard path in the batch."""
-    paths = batch.column("path").combine_chunks().dictionary_encode()
-    ids = pa.array([partition_id(p) for p in paths.dictionary.to_pylist()],
-                   type=pa.string())
-    return batch.drop_columns(["path"]).append_column(
-        "_partition", ids.take(paths.indices))
+def _partition_of(batch: pa.Table) -> str:
+    """The partition id of the one shard whose rows ``batch`` holds. A
+    batch whose ``path`` column names several shards is refused, not
+    split: the scan's read gives every call one block of one shard."""
+    paths = pc.unique(batch.column("path")).to_pylist()
+    if len(paths) != 1:
+        raise RuntimeError(f"a scan batch spans {len(paths)} shards: {paths}")
+    return partition_id_for(paths[0])
 
 
-def _write_violations(stage: ValidateBatch, meta: pa.Table,
-                      vio_dir: str) -> list[dict]:
-    """P1 over ``meta``, whose rows may come from several shards. Each
-    shard's violations go to ``<vio_dir>/partition=<pid>/<uuid>.parquet``,
-    written under a ``.``-prefixed name, fsynced and renamed, and the
-    directory fsynced: no reader sees a partial file, and a manifest
-    committed after this returns never lists a file a machine crash could
-    lose. Returns one (partition, rows, violation_rows, file) row per
-    shard."""
-    if not meta.num_rows:
-        return []
-    parts = meta.column("_partition")
-    data = meta.drop_columns(["_partition"])
-    row_keys = (None if stage.key_column in data.column_names
-                else _shard_row_index(parts))
-    vio, rows = stage.violations_with_rows(data, row_keys)
-    vio_parts = parts.take(rows)
-    counts = pc.value_counts(parts)
-    out = []
-    for pid, n in zip(counts.field("values").to_pylist(),
-                      counts.field("counts").to_pylist()):
-        mine = vio.filter(pc.equal(vio_parts, pid))
-        path = None
-        if mine.num_rows:
-            part_dir = os.path.join(vio_dir, f"partition={pid}")
-            os.makedirs(part_dir, exist_ok=True)
-            path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
-            tmp = os.path.join(part_dir, "." + os.path.basename(path))
-            with open(tmp, "wb") as f:
-                pq.write_table(mine, f)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-            _fsync_dir(part_dir)  # the rename survives a machine crash
-        out.append({"partition": pid, "rows": n,
-                    "violation_rows": mine.num_rows, "file": path})
-    return out
+def _with_partition(table: pa.Table, pid: str) -> pa.Table:
+    """``table`` with a constant ``_partition`` column naming its shard."""
+    return table.append_column(
+        "_partition", pa.repeat(pa.scalar(pid, pa.string()), table.num_rows))
+
+
+def _write_violations(stage: ValidateBatch, data: pa.Table, pid: str,
+                      vio_dir: str) -> dict:
+    """P1 over ``data``, rows of shard ``pid``. Its violations, if any, go
+    to ``<vio_dir>/partition=<pid>/<uuid>.parquet``, written under a
+    ``.``-prefixed name, fsynced and renamed, and the directory fsynced: no
+    reader sees a partial file, and a manifest committed after this
+    returns never lists a file a machine crash could lose. Returns the
+    (partition, rows, violation_rows, file) row of the shard."""
+    vio = stage(data)
+    path = None
+    if vio.num_rows:
+        part_dir = os.path.join(vio_dir, f"partition={pid}")
+        os.makedirs(part_dir, exist_ok=True)
+        path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
+        tmp = os.path.join(part_dir, "." + os.path.basename(path))
+        with open(tmp, "wb") as f:
+            pq.write_table(vio, f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+        _fsync_dir(part_dir)  # the rename survives a machine crash
+    return {"partition": pid, "rows": data.num_rows,
+            "violation_rows": vio.num_rows, "file": path}
 
 
 def _fsync_dir(path: str) -> None:
@@ -437,15 +429,3 @@ def _fsync_dir(path: str) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def _shard_row_index(parts: pa.ChunkedArray) -> np.ndarray:
-    """The key of each row when the key column is absent: its index among
-    the rows of its own shard in this batch, as if each shard's rows had
-    been validated as a batch of their own."""
-    codes = parts.combine_chunks().dictionary_encode().indices.to_numpy()
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    out = np.empty(len(codes), np.int64)
-    out[order] = np.arange(len(codes)) - np.searchsorted(ranked, ranked)
-    return out

@@ -7,15 +7,17 @@ A handler registered for an ``x-*`` keyword receives the keyword's raw
 value and the pipeline context and returns a result dict merged into the
 job report. The built-in global constraint classes (uniqueness,
 referential, stats, drift, decode) are themselves registered here, so user
-extensions are first-class peers of the built-ins. The built-ins no longer
-call ``ctx.dataset()``, except x-uniqueness for its exchange: they finish
-from the partials of the pipeline's one scan
-(pipelines/validate_pipeline.py). User extensions still read the input
-through ``ctx.dataset()``.
+extensions are first-class peers of the built-ins. The built-ins do not
+call ``ctx.dataset()``: they finish from the partials of the pipeline's one
+scan (pipelines/validate_pipeline.py), and x-uniqueness reads its key
+columns for its exchange. User extensions read the input through
+``ctx.dataset()``, the pipeline's own read: one task per shard, so a
+``map_batches(batch_size=None)`` on it sees one reader block of one shard
+per call.
 
     @register_constraint("x-freshness")
     def check_freshness(spec, ctx):
-        # ctx.dataset() -> full-input ray Dataset (payload column pruned)
+        # ctx.dataset() -> full-input ray Dataset (payload columns pruned)
         # ctx.schema    -> the raw schema dict
         ...
         return {"stale_rows": ...}
@@ -31,13 +33,12 @@ from typing import Any, Callable, Optional
 class ConstraintContext:
     schema: dict[str, Any]
     input_files: list[str]
-    batch_size: int
-    dataset_factory: Callable[..., Any]  # (with_partition=False) -> Dataset
     output_dir: Optional[str] = None
-    pipeline: Any = None  # owning ValidationPipeline (drift profile, key col)
+    pipeline: Any = None  # owning ValidationPipeline (read, partials, profile)
 
-    def dataset(self, with_partition: bool = False):
-        return self.dataset_factory(with_partition)
+    def dataset(self):
+        """The whole input, payload columns pruned."""
+        return self.pipeline._read(self.input_files)
 
 
 _HANDLERS: dict[str, Callable[[Any, ConstraintContext], Any]] = {}

@@ -98,20 +98,7 @@ class ValidateBatch:
             )
         return self._violations(batch, collector)
 
-    def violations_with_rows(
-        self, batch: pa.Table, row_keys: Optional[np.ndarray] = None
-    ) -> tuple[pa.Table, np.ndarray]:
-        """The violations table of ``batch`` and, for each of its rows, the
-        index of the batch row it reports. ``row_keys`` replace the row
-        index as the key when the key column is absent."""
-        collector: list = []
-        eval_table(self.dag, batch, collector)
-        rows = [idx for _, _, idx in collector]
-        rows = np.concatenate(rows) if rows else np.empty(0, np.int64)
-        return self._violations(batch, collector, row_keys), rows
-
-    def _violations(self, batch: pa.Table, collector: list,
-                    row_keys: Optional[np.ndarray] = None) -> pa.Table:
+    def _violations(self, batch: pa.Table, collector: list) -> pa.Table:
         """One run of rows per collector entry, built from Arrow arrays:
         ``key`` and ``observed`` are the failing rows taken and cast to
         text, the other columns repeat the entry's scalars."""
@@ -130,8 +117,7 @@ class ValidateBatch:
             if key_arr is not None:
                 keys = _text(key_arr.take(take), observed=False)
             else:
-                keys = pa.array(idx if row_keys is None else row_keys[idx])
-                keys = keys.cast(pa.string())
+                keys = take.cast(pa.string())
             observed = (_text(batch.column(col).take(take), observed=True)
                         if col in batch.column_names
                         else pa.repeat(_NONE, n))

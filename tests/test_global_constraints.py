@@ -123,7 +123,7 @@ def test_uniqueness_report_matches_pandas(ray_session, tmp_path):
              {"column": "sku", "report_only": True}, {"column": "uid"}]
     report = ValidationPipeline(
         {"type": "object", "x-uniqueness": specs}, str(src),
-        str(tmp_path / "out"), key_column="uid", batch_size=8).run()
+        str(tmp_path / "out"), key_column="uid").run()
     assert report["uniqueness"] == [_pandas_uniqueness(table, s)
                                     for s in specs]
 
@@ -144,21 +144,24 @@ def test_top_duplicates_matches_pandas_null_key(ray_session, tmp_path):
         "top_duplicates"]
 
 
-def test_uniqueness_handler_runs_one_execution(ray_session, monkeypatch):
+def test_uniqueness_handler_runs_one_execution(ray_session, tmp_path,
+                                               monkeypatch):
     """Two key columns share one read and one exchange: the x-uniqueness
     handler starts exactly one Ray Data execution."""
-    import ray.data as rd
+    import pyarrow.parquet as pq
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
 
-    import jsschema_ray.pipelines.validate_pipeline  # noqa: F401 (registers)
+    from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
     from jsschema_ray.schema.registry import ConstraintContext, get_handler
 
     table = _uniqueness_table()
-    ctx = ConstraintContext(
-        schema={}, input_files=[], batch_size=8,
-        dataset_factory=lambda _wp=False: rd.from_arrow(table))
+    for i, lo in enumerate(range(0, table.num_rows, 15)):
+        pq.write_table(table.slice(lo, 15), str(tmp_path / f"p{i}.parquet"))
+    pipe = ValidationPipeline({}, str(tmp_path), str(tmp_path / "out"))
+    ctx = ConstraintContext(schema={}, input_files=pipe._input_files(),
+                            pipeline=pipe)
     executions = []
     execute = StreamingExecutor.execute
 

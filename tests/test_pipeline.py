@@ -42,8 +42,7 @@ def test_pipeline_run_and_resume(img_dir, ray_session, tmp_path):
         ["w", "h", "caption_len"], batch_size=2048,
     )
 
-    pipe = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048,
-                              drift_profile=profile)
+    pipe = ValidationPipeline(IMAGE_SCHEMA, src, out, drift_profile=profile)
     report = pipe.run()
     assert report["partitions_total"] == 4
     assert report["partitions_resumed"] == 0
@@ -81,7 +80,7 @@ def test_pipeline_run_and_resume(img_dir, ray_session, tmp_path):
         assert rec["input_path"].endswith(".parquet")  # lineage
 
     # resume: nothing re-processed, same report content
-    report2 = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048,
+    report2 = ValidationPipeline(IMAGE_SCHEMA, src, out,
                                  drift_profile=profile).run()
     assert report2["partitions_resumed"] == 4
     assert report2["uniqueness"] == report["uniqueness"]
@@ -91,7 +90,7 @@ def test_pipeline_run_and_resume(img_dir, ray_session, tmp_path):
 
     # partial resume: delete one manifest -> exactly that shard re-runs
     os.remove(os.path.join(out, "manifest", "part-00002.json"))
-    report3 = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048,
+    report3 = ValidationPipeline(IMAGE_SCHEMA, src, out,
                                  drift_profile=profile).run()
     assert report3["partitions_resumed"] == 3
     assert report3["partitions"]["part-00002"]["metrics"] == report[
@@ -104,13 +103,14 @@ def test_referential_violations_counted(img_dir, ray_session, tmp_path):
     schema["x-referential"] = [{"column": "fmt",
                                 "ref_values": ["png", "jpeg", "webp"]}]
     out = str(tmp_path / "out_ref")
-    report = ValidationPipeline(schema, src, out, batch_size=2048).run()
+    report = ValidationPipeline(schema, src, out).run()
     assert report["referential"][0]["n_violations"] == len(vmanifest["fmt_enum"])
 
 
 def test_digit_named_shards_count_their_violations(ray_session, tmp_path):
     """Shard stems like "00000" are partition ids, not hive integers: their
-    violations must reach the manifest and the verdict."""
+    violations must reach the manifest and the verdict. A shard without
+    rows is committed too."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -120,13 +120,17 @@ def test_digit_named_shards_count_their_violations(ray_session, tmp_path):
                    str(src / "00000.parquet"))
     pq.write_table(pa.table({"id": ["d", "e"], "w": [4, 5]}),
                    str(src / "00001.parquet"))
+    pq.write_table(pa.table({"id": pa.array([], pa.string()),
+                             "w": pa.array([], pa.int64())}),
+                   str(src / "00002.parquet"))
     schema = {"type": "object",
               "properties": {"w": {"type": "integer", "minimum": 10}}}
     report = ValidationPipeline(schema, str(src), str(tmp_path / "out"),
                                 key_column="id").run()
     metrics = {p: r["metrics"] for p, r in report["partitions"].items()}
     assert metrics == {"00000": {"rows": 3, "violation_rows": 2},
-                       "00001": {"rows": 2, "violation_rows": 2}}
+                       "00001": {"rows": 2, "violation_rows": 2},
+                       "00002": {"rows": 0, "violation_rows": 0}}
     assert report["valid"] is False
 
 
@@ -170,7 +174,7 @@ def test_image_schema_pass_is_at_most_two_executions(img_dir, ray_session,
     )
     executions = _count_executions(monkeypatch)
     report = ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / "out"),
-                                batch_size=2048, drift_profile=profile).run()
+                                drift_profile=profile).run()
     assert len(executions) <= 2
     assert all(k in report for k in GLOBAL_SECTIONS + ("drift",))
 
@@ -180,17 +184,46 @@ def test_pass_without_extensions_is_one_execution(img_dir, ray_session,
     src, _ = img_dir
     schema = {k: v for k, v in IMAGE_SCHEMA.items() if not k.startswith("x-")}
     executions = _count_executions(monkeypatch)
-    report = ValidationPipeline(schema, src, str(tmp_path / "out"),
-                                batch_size=2048).run()
+    report = ValidationPipeline(schema, src, str(tmp_path / "out")).run()
     assert len(executions) == 1
     assert len(report["partitions"]) == 4 and not report["valid"]
+
+
+@pytest.mark.parametrize("shards, named", [
+    # the same column names, but ``w`` typed int64 in one shard and string
+    # in the other: not one table
+    ({"00000": {"id": ["a", "b"], "w": [1, 2]}, "00001": {"id": ["c"],
+                                                         "w": ["3"]}},
+     ["00000.parquet", "00001.parquet", "w: int64", "w: string"]),
+    # a column named like the shard path the scan reads with each row
+    ({"00000": {"id": ["a"], "path": ["x"]}}, ["00000.parquet", "'path'"]),
+])
+def test_refused_inputs_start_no_execution(ray_session, tmp_path,
+                                           monkeypatch, shards, named):
+    """The pass refuses inputs it cannot read as one table, naming the
+    files, before any Ray execution starts."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "in"
+    src.mkdir()
+    for name, cols in shards.items():
+        pq.write_table(pa.table(cols), str(src / f"{name}.parquet"))
+    executions = _count_executions(monkeypatch)
+    with pytest.raises(ValueError) as err:
+        ValidationPipeline({"type": "object"}, str(src),
+                           str(tmp_path / "out"), key_column="id").run()
+    for text in named:
+        assert text in str(err.value)
+    assert executions == []
 
 
 def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
                                           monkeypatch):
     """The scan is a single ReadParquet->MapBatches(scan) operator with one
     task per shard, and every scan call sees the rows of one shard: each
-    partial table it returns names a single partition."""
+    partial table it returns names a single partition. The uniqueness
+    pre-count is fused into its read the same way."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -211,8 +244,7 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
 
     monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
     monkeypatch.setattr(validate_pipeline, "unpack", spy_unpack)
-    ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / "out"),
-                       batch_size=2048).run()
+    ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / "out")).run()
     scans = [d for d in dags if "MapBatches(scan)" in d.name]
     assert len(scans) == 1
     scan, = scans
@@ -226,6 +258,14 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
         assert len(set(t.column("partition").to_pylist())) == 1
     assert {t.column("partition")[0].as_py() for t in p1} == {
         f"part-{i:05d}" for i in range(4)}
+    # the uniqueness execution: its read and pre-count are one operator
+    uniq, = [d for d in dags if d is not scan]
+    while uniq.input_dependencies[0].name != "Input":
+        uniq = uniq.input_dependencies[0]
+    assert uniq.name.startswith("ReadParquet->")
+    assert uniq.name.endswith("MapBatches(fn)")
+    assert len(uniq.input_dependencies) == 1
+    assert uniq.metrics.num_tasks_finished == 4  # the shard count
 
 
 def test_two_passes_give_identical_global_sections(img_dir, ray_session,
@@ -242,7 +282,7 @@ def test_two_passes_give_identical_global_sections(img_dir, ray_session,
     )
     first, second = (
         ValidationPipeline(IMAGE_SCHEMA, src, str(tmp_path / f"out{i}"),
-                           batch_size=2048, drift_profile=profile).run()
+                           drift_profile=profile).run()
         for i in range(2))
     for k in GLOBAL_SECTIONS + ("drift",):
         assert json.dumps(first[k], sort_keys=True) == \
@@ -253,9 +293,8 @@ def test_violation_files_are_fsynced_before_their_commit(tmp_path,
                                                          monkeypatch):
     """Each violation file, and its directory after the rename, is fsynced
     before the task returns, so a committed manifest lists only durable
-    files. Runs the task-side writer in this process, on a batch that spans
-    two shards, and commits its rows as the driver does."""
-    import pyarrow as pa
+    files. Runs the task-side writer in this process, on the batches of two
+    shards, and commits its rows as the driver does."""
     import pyarrow.parquet as pq
 
     from jsschema_ray.pipelines import validate_pipeline
@@ -264,8 +303,7 @@ def test_violation_files_are_fsynced_before_their_commit(tmp_path,
 
     table, _ = synth_image_table(400, seed=3, violation_frac=0.25,
                                  with_bytes=False)
-    meta = table.drop_columns(["bytes"]).append_column(
-        "_partition", pa.array(["a"] * 150 + ["b"] * 250))
+    meta = table.drop_columns(["bytes"])
     synced, fsync = [], os.fsync
 
     def spy_fsync(fd):
@@ -289,8 +327,9 @@ def test_violation_files_are_fsynced_before_their_commit(tmp_path,
     monkeypatch.setattr(os, "fsync", spy_fsync)
     monkeypatch.setattr(CheckpointManifest, "commit_partition", checked_commit)
     stage = ValidateBatch(IMAGE_SCHEMA, mode="violations", key_column="image_id")
-    rows = validate_pipeline._write_violations(
-        stage, meta, str(tmp_path / "out" / "violations"))
+    rows = [validate_pipeline._write_violations(
+        stage, data, pid, str(tmp_path / "out" / "violations"))
+        for pid, data in (("a", meta.slice(0, 150)), ("b", meta.slice(150)))]
     ids = table.column("image_id").to_pylist()
     shard_ids = {"a": set(ids[:150]), "b": set(ids[150:])}
     assert sorted(r["partition"] for r in rows) == ["a", "b"]
@@ -318,9 +357,9 @@ def test_full_resume_writes_no_violation_file(img_dir, ray_session,
     constraints, but P1 writes nothing and commits nothing."""
     src, _ = img_dir
     out = str(tmp_path / "out")
-    first = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048).run()
+    first = ValidationPipeline(IMAGE_SCHEMA, src, out).run()
     written = _files(out)
-    again = ValidationPipeline(IMAGE_SCHEMA, src, out, batch_size=2048).run()
+    again = ValidationPipeline(IMAGE_SCHEMA, src, out).run()
     assert again["partitions_resumed"] == 4
     assert _files(out) == written
     assert again["partitions"] == first["partitions"]
@@ -352,7 +391,7 @@ def commit_then_die(self, *args, **kwargs):
 
 
 CheckpointManifest.commit_partition = commit_then_die
-ValidationPipeline(json.loads(schema), src, out, batch_size=80).run()
+ValidationPipeline(json.loads(schema), src, out).run()
 """
 
 
@@ -391,7 +430,7 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     write_image_dataset(src, 1600, shards=8, violation_frac=0.05,
                         row_group_size=80)
     full, killed = str(tmp_path / "full"), str(tmp_path / "killed")
-    ValidationPipeline(IMAGE_SCHEMA, src, full, batch_size=80).run()
+    ValidationPipeline(IMAGE_SCHEMA, src, full).run()
 
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -417,7 +456,7 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     (pid, rec), = before.items()
     shas = {f: _sha(f) for f in rec["violation_files"]}
 
-    got = ValidationPipeline(IMAGE_SCHEMA, src, killed, batch_size=80).run()
+    got = ValidationPipeline(IMAGE_SCHEMA, src, killed).run()
     assert got["partitions_resumed"] == 1
     with open(os.path.join(full, "report.json")) as f:
         want = json.load(f)

@@ -37,7 +37,7 @@ def test_pipeline_on_documents_table(ray_session, tmp_path):
     }
     out = tmp_path / "out"
     report = ValidationPipeline(schema, str(src), str(out),
-                                key_column="doc_id", batch_size=256).run()
+                                key_column="doc_id").run()
     assert not report["valid"]
     total_vio = sum(p["metrics"]["violation_rows"]
                     for p in report["partitions"].values())
@@ -49,7 +49,7 @@ def test_pipeline_on_documents_table(ray_session, tmp_path):
 
     # resume works on this table too
     report2 = ValidationPipeline(schema, str(src), str(out),
-                                 key_column="doc_id", batch_size=256).run()
+                                 key_column="doc_id").run()
     assert report2["partitions_resumed"] == 2
     # job report persisted
     assert json.load(open(out / "report.json"))["partitions_total"] == 2

@@ -43,8 +43,7 @@ def test_custom_extension_runs_in_pipeline(ray_session, tmp_path):
         "x-rowcount-floor": {"min_rows": 1000},
         "x-unknown-keyword": {"whatever": True},
     }
-    report = ValidationPipeline(schema, src, str(tmp_path / "out"),
-                                batch_size=512).run()
+    report = ValidationPipeline(schema, src, str(tmp_path / "out")).run()
     assert seen["n"] == 2000
     assert report["rowcount_floor"] == {"rows": 2000, "passed": True}
     # unknown x-* keywords are preserved and surfaced, not dropped

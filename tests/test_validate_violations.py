@@ -1,7 +1,7 @@
 """The violations table of the row-local stage is built from Arrow arrays.
 These tests pin it, byte for byte, to the per-row Python build it replaced
 (kept below as the oracle), and guard the P1 hot path against per-row
-Python: one partition id per shard path, no per-value formatting of string
+Python: one partition id per scan call, no per-value formatting of string
 and integer columns, and violations attributed to their own shard when a
 shard spans several scan batches."""
 
@@ -16,9 +16,7 @@ import pytest
 from jsschema_ray.pipelines import validate_pipeline
 from jsschema_ray.pipelines.image_schema import IMAGE_SCHEMA
 from jsschema_ray.pipelines.manifest import partition_id_for
-from jsschema_ray.pipelines.validate_pipeline import (
-    ValidationPipeline, _shard_row_index,
-)
+from jsschema_ray.pipelines.validate_pipeline import ValidationPipeline
 from jsschema_ray.sources.synth import synth_image_table
 from jsschema_ray.stages import validate
 from jsschema_ray.kernels.columnar import eval_table
@@ -215,39 +213,68 @@ def three_shards(tmp_path_factory):
     return str(d), tables
 
 
-def test_read_partition_ids_per_path(three_shards, ray_session, tmp_path,
+def test_partition_ids_per_scan_call(three_shards, ray_session, tmp_path,
                                      monkeypatch):
-    src, _ = three_shards
+    """A pass names each shard by its partition id, and the scan calls
+    ``partition_id_for`` at most once per call, not once per row."""
+    import ray.cloudpickle
+
+    src, tables = three_shards
     log = tmp_path / "calls.txt"
     real = partition_id_for
 
     def counting_partition_id_for(path):
-        with open(log, "a") as f:  # called in Ray workers
-            f.write(path + "\n")
+        with open(log, "a") as f:  # called in Ray workers too
+            f.write(f"{os.getpid()} {path}\n")
         return real(path)
+
+    calls, unpack = [], validate_pipeline.unpack
+
+    def spy_unpack(blob):  # the scan's rows, on the driver
+        calls.append(unpack(blob))
+        return calls[-1]
 
     monkeypatch.setattr(validate_pipeline, "partition_id_for",
                         counting_partition_id_for)
-    # 500-row batches over 300-row shards: every batch spans two shards
-    pipe = ValidationPipeline(ROWLOCAL_SCHEMA, src, str(tmp_path / "out"),
-                              batch_size=500)
-    ds = pipe._read(pipe._input_files(), with_partition=True)
-    batches = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
-    rows = pa.concat_tables(batches)
-    assert rows.num_rows == len(SHARDS) * ROWS_PER_SHARD
-    assert rows.column("_partition").to_pylist() == \
-        rows.column("shard").to_pylist()
-    assert any(len(set(b.column("_partition").to_pylist())) > 1
-               for b in batches)
-    # once per distinct path of each batch, not once per row
-    calls = log.read_text().splitlines()
-    assert 0 < len(calls) <= 2 * len(SHARDS)
-    assert {real(p) for p in calls} == set(SHARDS)
+    monkeypatch.setattr(validate_pipeline, "unpack", spy_unpack)
+    # the scan's helpers reach the workers with the patched global
+    ray.cloudpickle.register_pickle_by_value(validate_pipeline)
+    try:
+        report = ValidationPipeline(ROWLOCAL_SCHEMA, src,
+                                    str(tmp_path / "out")).run()
+    finally:
+        ray.cloudpickle.unregister_pickle_by_value(validate_pipeline)
+    assert {p: r["metrics"]["rows"] for p, r in
+            report["partitions"].items()} == {s: ROWS_PER_SHARD
+                                               for s in SHARDS}
+    written = pads.dataset(
+        os.path.join(str(tmp_path / "out"), "violations"),
+        partitioning=pads.partitioning(
+            pa.schema([("partition", pa.string())]), flavor="hive"),
+    ).to_table()
+    for name, table in tables.items():
+        mine = written.filter(pc.equal(written["partition"], name))
+        assert 0 < mine.num_rows
+        assert set(mine.column("key").to_pylist()) <= set(
+            table.column("image_id").to_pylist())
+    # one P1 row per scan call; each shard spans several calls
+    p1 = [t for t in calls if "violation_rows" in t.column_names]
+    assert all(t.num_rows == 1 for t in p1)
+    assert len(p1) > len(SHARDS)
+    in_workers = [line.split(" ", 1)[1] for line in
+                  log.read_text().splitlines()
+                  if int(line.split(" ", 1)[0]) != os.getpid()]
+    assert len(SHARDS) <= len(in_workers) <= len(p1)
+    assert {real(p) for p in in_workers} == set(SHARDS)
 
 
-def test_shard_row_index():
-    parts = pa.chunked_array([["b", "b", "a"], ["a", "b", "c"]])
-    assert _shard_row_index(parts).tolist() == [0, 1, 0, 1, 2, 0]
+def test_partition_of_refuses_a_batch_of_two_shards():
+    one = pa.table({"path": ["/d/00001.parquet"] * 2, "w": [1, 2]})
+    assert validate_pipeline._partition_of(one) == "00001"
+    two = pa.table({"path": ["/d/00001.parquet", "/d/00002.parquet"],
+                    "w": [1, 2]})
+    with pytest.raises(RuntimeError, match="spans 2 shards"):
+        validate_pipeline._partition_of(two)
 
 
 @pytest.mark.parametrize("key_column", ["image_id", None])
@@ -255,7 +282,7 @@ def test_violations_attributed_to_their_shard(three_shards, ray_session,
                                               tmp_path, key_column):
     src, tables = three_shards
     out = str(tmp_path / "out")
-    report = ValidationPipeline(ROWLOCAL_SCHEMA, src, out, batch_size=500,
+    report = ValidationPipeline(ROWLOCAL_SCHEMA, src, out,
                                 key_column=key_column).run(resume=False)
     written = pads.dataset(
         os.path.join(out, "violations"),
@@ -264,8 +291,8 @@ def test_violations_attributed_to_their_shard(three_shards, ray_session,
     ).to_table()
     stage = ValidateBatch(ROWLOCAL_SCHEMA, mode="violations",
                           key_column=key_column)
-    # without a key column the key is the row index within the shard's
-    # part of its batch, which depends on how Ray cut the batches
+    # without a key column the key is the row index within the scan
+    # batch, one reader block of the shard
     cols = ["key", "column", "path", "keyword", "observed", "expected"]
     cols = cols if key_column else cols[1:]
     for name, table in tables.items():
