@@ -6,21 +6,44 @@ A partition == one input shard file (deterministic across runs: same file
 -> same partition id, SURVEY.md §4 partitioning row). Commit protocol:
 write ``<manifest_dir>/.tmp.<pid>.json`` then ``os.replace`` to
 ``<pid>.json`` — rename is atomic on POSIX, so a killed run leaves either
-a committed partition or nothing, never a torn manifest. Resume = skip
-partitions whose manifest file exists.
+a committed partition or nothing, never a torn manifest. Each record
+names the schema (``schema_fingerprint``) and the shard's identity
+(``shard_identity``) it was computed from; resume skips a partition only
+when both still match.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 from typing import Any, Optional
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 
 def partition_id_for(path: str) -> str:
     """Deterministic partition id for an input shard path (stem)."""
     return os.path.splitext(os.path.basename(path))[0]
+
+
+def schema_fingerprint(schema: dict[str, Any]) -> str:
+    """sha256 of the schema's canonical JSON, ``x-*`` keywords included."""
+    return hashlib.sha256(json.dumps(
+        schema, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def shard_identity(path: str, meta: pq.FileMetaData) -> dict[str, Any]:
+    """What a shard holds, from its footer ``meta``: row count, byte size
+    and a hash of the footer bytes (which carry every column chunk's
+    offsets, sizes and statistics). Not the mtime: a copy keeps the
+    content, and a rewrite within the clock's resolution keeps the time."""
+    footer = pa.BufferOutputStream()
+    meta.write_metadata_file(footer)
+    return {"rows": meta.num_rows, "bytes": os.path.getsize(path),
+            "footer": hashlib.sha256(footer.getvalue()).hexdigest()}
 
 
 class CheckpointManifest:
@@ -44,10 +67,14 @@ class CheckpointManifest:
         metrics: dict[str, Any],
         violation_files: Optional[list[str]] = None,
         verdict: Optional[bool] = None,
+        schema: Optional[str] = None,
+        shard: Optional[dict[str, Any]] = None,
     ) -> dict[str, Any]:
         rec = {
             "partition": partition,
             "input_path": input_path,         # lineage: exactly which shard
+            "schema": schema,                 # schema_fingerprint
+            "shard": shard,                   # shard_identity
             "committed_at": time.time(),
             "metrics": metrics,
             "violation_files": violation_files or [],

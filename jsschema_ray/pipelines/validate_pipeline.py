@@ -1,40 +1,43 @@
 """End-to-end validation pipeline: the distributed analogue of the
 reference CLI flow (cmd/jsschema/jsschema.go:34-91 — read schema, validate
-data, report) planned per SURVEY.md §3.4. A pass is one scan plus the
-uniqueness exchange:
+data, report) planned per SURVEY.md §3.4. A pass is one scan of the input
+plus one exchange over the scan's pre-count files:
 
   scan  one fused read->scan task per shard (``_run_rowlocal``), which
         runs on each reader block of its shard: P1, the row-local mask
         stage (kernels/columnar.py), over the rows of uncommitted shards,
         writing their violation files; and the map side of x-stats/x-drift
-        (sketch partials, stages/stats.py), x-referential (miss counts)
-        and x-decode (the decode check). Only these small partial rows
+        (sketch partials, stages/stats.py), x-referential (miss counts),
+        x-decode (the decode check) and x-uniqueness (the block's key
+        pre-counts, stages/uniqueness.py, written to a file under
+        ``precount/``). Only these small partial rows and file paths
         leave the task, never raw rows. The driver commits each shard (an
         atomic manifest) once all its rows are in, and the handlers finish
         from the partials.
-  x-uniqueness  its own execution (stages/uniqueness.py): the pre-count
-        fused into the same one-task-per-shard read of the key columns,
-        then the exchange. It stays out of the scan because its pre-count
-        holds O(distinct keys) per batch.
+  x-uniqueness  the bucket exchange over the pre-count files the scan
+        reported, read in at most ``exchange.fanout`` tasks; the files
+        are deleted after it, and at pass start.
 
 Every ``x-*`` keyword (the Extras extension surface, reference
 interface.go:133) dispatches through the registry. Every read of the
-pass goes through ``ValidationPipeline._read``: one task per shard, so
+input goes through ``ValidationPipeline._read``: one task per shard, so
 partition == input shard file == task, and the parallelism is the shard
 count (an input should have at least as many shards as the cluster has
 CPUs). There is no batch-size knob: a batch is one reader block of one
 shard, bounded in bytes (``DataContext.target_max_block_size``), not in
 rows, and a scan batch that names two shards is refused. Each sketch
 partial covers one block of one shard, so the partials, and the report,
-do not depend on task timing. On resume P1 skips committed shards, while
-the scan still covers all of them, since global constraints span the
-full input.
+do not depend on task timing. On resume P1 skips the shards committed
+under the same schema whose footer still matches, while the scan still
+covers all of them, since global constraints span the full input; an
+output dir committed under another schema is refused.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import shutil
 import uuid
 from typing import Any, Optional
 
@@ -44,16 +47,20 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from jsschema_ray.pipelines.manifest import CheckpointManifest, partition_id_for
+from jsschema_ray.pipelines.manifest import (CheckpointManifest,
+                                             partition_id_for,
+                                             schema_fingerprint,
+                                             shard_identity)
 from jsschema_ray.schema.registry import (ConstraintContext, get_handler,
                                           register_constraint)
 from jsschema_ray.stages import multimodal
 from jsschema_ray.stages.drift import DriftProfile, _verdicts
-from jsschema_ray.stages.exchange import pack, unpack
+from jsschema_ray.stages.exchange import fanout, pack, unpack
 from jsschema_ray.stages.referential import (_miss_partial, _miss_report,
                                              _ref_key_array)
 from jsschema_ray.stages.stats import StatsAccumulator, StatsSpec, _fold_partials
-from jsschema_ray.stages.uniqueness import uniqueness_reports
+from jsschema_ray.stages.uniqueness import (_precount, dup_exchange,
+                                            dup_tables, reports)
 from jsschema_ray.stages.validate import ValidateBatch
 
 
@@ -91,8 +98,26 @@ def _decode_side(pipe: "ValidationPipeline", columns: list[str]):
     return "decode", [col], lambda _, __, batch: [check(batch)]
 
 
+def _uniqueness_side(pipe: "ValidationPipeline", _columns: list[str]):
+    # the block's pre-count goes to a file, not through the driver: it
+    # holds O(distinct keys) rows, and only the exchange reads it
+    keys = _unique_columns(pipe.schema["x-uniqueness"])
+    precount = _precount(keys, pipe._fanout())
+    pre_dir = os.path.join(pipe.output_dir, "precount")
+
+    def side(pid, _, batch):
+        if not batch.num_rows:
+            return []
+        path = _write_parquet(precount(batch),
+                              os.path.join(pre_dir, f"partition={pid}"),
+                              durable=False)  # no manifest lists it
+        return [pa.table({"file": [path]})]
+
+    return "uniqueness", sorted(set(keys) & pipe._payload_columns()), side
+
+
 _MAP_SIDES = {
-    "x-uniqueness": None,  # its own exchange, not through the driver
+    "x-uniqueness": _uniqueness_side,
     "x-referential": _referential_side,
     "x-stats": _stats_side,
     "x-drift": _stats_side,
@@ -102,14 +127,30 @@ _MAP_SIDES = {
 
 # -- built-in x-* global constraint handlers ---------------------------------
 
+def _unique_columns(specs: list[dict]) -> list[str]:
+    return list(dict.fromkeys(spec["column"] for spec in specs))
+
+
 @register_constraint("x-uniqueness")
 def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
-    # one read and one exchange for every distinct key column; the
-    # pre-count runs fused into the read, once per reader block
-    columns = list(dict.fromkeys(spec["column"] for spec in specs))
-    reports = uniqueness_reports(ctx.pipeline._read(ctx.input_files, columns),
-                                 columns, batch_size=None)
-    return [dict(reports[spec["column"]],
+    # one exchange for every distinct key column, over the pre-count files
+    # this pass's scan reported (orphans of a retried task are not read)
+    pipe = ctx.pipeline
+    columns = _unique_columns(specs)
+    files = sorted(r["file"] for r in pipe._partials["uniqueness"])
+    rows = []
+    try:
+        if files:
+            rows = dup_exchange(rd.read_parquet(
+                files, partitioning=None,
+                override_num_blocks=min(pipe._fanout(), len(files)),
+            )).take_all()
+    finally:
+        shutil.rmtree(os.path.join(pipe.output_dir, "precount"),
+                      ignore_errors=True)
+    by_column = reports(dup_tables(rows, columns,
+                                   lambda c: pipe._footer.field(c).type))
+    return [dict(by_column[spec["column"]],
                  report_only=bool(spec.get("report_only", False)))
             for spec in specs]
 
@@ -186,8 +227,8 @@ class ValidationPipeline:
         self.key_column = key_column
         self.drift_profile = drift_profile
         self.manifest = CheckpointManifest(output_dir)
-        self._checked_files: list[str] = []
         self._footer = pa.schema([])  # the shards' schema, once checked
+        self._shards: dict[str, dict] = {}  # path -> shard_identity
         self._partials: dict[str, list[dict]] = {}  # the scan's rows, by side
 
     # -- helpers -----------------------------------------------------------
@@ -195,25 +236,33 @@ class ValidationPipeline:
         files = sorted(glob.glob(os.path.join(self.input_dir, "*.parquet")))
         if not files:
             raise FileNotFoundError(f"no parquet shards in {self.input_dir}")
-        if self._checked_files != files:
-            # homogeneity gate: one logical table per input dir, by column
-            # names and types (one footer read per shard); a mixed dir
-            # otherwise fails deep inside the read tasks, or feeds P1 and
-            # the sketch folds one column under two types
-            first = pq.read_schema(files[0])
-            want = [f"{f.name}: {f.type}" for f in first]
-            for f in files[1:]:
-                got = [f"{c.name}: {c.type}" for c in pq.read_schema(f)]
-                if got != want:
-                    raise ValueError(
-                        f"input shards are not one table: {files[0]} has "
-                        f"columns {want} but {f} has {got}; point --input "
-                        "at a directory of same-schema shards")
-            if "path" in first.names:  # Ray's include_paths column
-                raise ValueError(f"{files[0]} has a column named 'path', "
-                                 "the name the scan gives each row's shard")
-            self._checked_files, self._footer = files, first
+        # one footer read per shard gives the homogeneity gate, the row
+        # counts and each shard's identity
+        metas = [pq.read_metadata(f) for f in files]
+        # homogeneity gate: one logical table per input dir, by column
+        # names and types; a mixed dir otherwise fails deep inside the
+        # read tasks, or feeds P1 and the sketch folds one column under
+        # two types
+        first = metas[0].schema.to_arrow_schema()
+        want = [f"{f.name}: {f.type}" for f in first]
+        for f, meta in zip(files[1:], metas[1:]):
+            got = [f"{c.name}: {c.type}"
+                   for c in meta.schema.to_arrow_schema()]
+            if got != want:
+                raise ValueError(
+                    f"input shards are not one table: {files[0]} has "
+                    f"columns {want} but {f} has {got}; point --input "
+                    "at a directory of same-schema shards")
+        if "path" in first.names:  # Ray's include_paths column
+            raise ValueError(f"{files[0]} has a column named 'path', "
+                             "the name the scan gives each row's shard")
+        self._footer = first
+        self._shards = {f: shard_identity(f, m) for f, m in zip(files, metas)}
         return files
+
+    def _fanout(self) -> int:
+        """The exchange fan-out for this input (``exchange.fanout``)."""
+        return fanout(sum(s["rows"] for s in self._shards.values()))
 
     def _payload_columns(self) -> set[str]:
         """Wide opaque payloads = binary-typed columns; they never enter the
@@ -226,15 +275,27 @@ class ValidationPipeline:
 
     # -- run ---------------------------------------------------------------
     def run(self, resume: bool = True) -> dict[str, Any]:
+        """One pass. With ``resume`` a shard committed under this schema
+        whose footer still matches is not revalidated; a changed shard is,
+        and an output dir committed under another schema is refused."""
         files = self._input_files()
+        fingerprint = schema_fingerprint(self.schema)
         committed = self.manifest.committed() if resume else {}
-        todo = [f for f in files if partition_id_for(f) not in committed]
+        if any(r.get("schema") not in (None, fingerprint)
+               for r in committed.values()):
+            raise ValueError(
+                f"{self.output_dir} holds partitions validated against "
+                "another schema; run with resume=False to overwrite them")
+        todo = [f for f in files if committed.get(
+            partition_id_for(f), {}).get("shard") != self._shards[f]]
         report: dict[str, Any] = {
             "input_dir": self.input_dir,
             "partitions_total": len(files),
             "partitions_resumed": len(files) - len(todo),
         }
 
+        shutil.rmtree(os.path.join(self.output_dir, "precount"),
+                      ignore_errors=True)  # a killed pass's pre-counts
         self._partials = self._run_rowlocal(files, todo)
         report["partitions"] = self.manifest.committed()
 
@@ -344,8 +405,8 @@ class ValidationPipeline:
                       batch_size=None)
         partials: dict[str, list[dict]] = {name: [] for name in sides}
         # shard -> [input path, footer rows, rows in, violation rows, files]
-        pending = {partition_id_for(f): [f, pq.ParquetFile(f).metadata.num_rows,
-                                         0, 0, []] for f in todo}
+        pending = {partition_id_for(f): [f, self._shards[f]["rows"], 0, 0, []]
+                   for f in todo}
         for block in scanned.iter_batches(batch_format="pyarrow",
                                           batch_size=None):
             for side, blob in zip(block.column("side").to_pylist(),
@@ -379,7 +440,9 @@ class ValidationPipeline:
                 os.remove(os.path.join(part_dir, name))
         self.manifest.commit_partition(
             pid, path, metrics={"rows": n_rows, "violation_rows": n_vio},
-            violation_files=sorted(vio_files), verdict=(n_vio == 0))
+            violation_files=sorted(vio_files), verdict=(n_vio == 0),
+            schema=schema_fingerprint(self.schema),
+            shard=self._shards.get(path))
 
 
 def _partition_of(batch: pa.Table) -> str:
@@ -401,26 +464,34 @@ def _with_partition(table: pa.Table, pid: str) -> pa.Table:
 def _write_violations(stage: ValidateBatch, data: pa.Table, pid: str,
                       vio_dir: str) -> dict:
     """P1 over ``data``, rows of shard ``pid``. Its violations, if any, go
-    to ``<vio_dir>/partition=<pid>/<uuid>.parquet``, written under a
-    ``.``-prefixed name, fsynced and renamed, and the directory fsynced: no
-    reader sees a partial file, and a manifest committed after this
-    returns never lists a file a machine crash could lose. Returns the
-    (partition, rows, violation_rows, file) row of the shard."""
+    to a durable file under ``<vio_dir>/partition=<pid>/``: a manifest
+    committed after this returns never lists a file a machine crash could
+    lose. Returns the (partition, rows, violation_rows, file) row of the
+    shard."""
     vio = stage(data)
-    path = None
-    if vio.num_rows:
-        part_dir = os.path.join(vio_dir, f"partition={pid}")
-        os.makedirs(part_dir, exist_ok=True)
-        path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
-        tmp = os.path.join(part_dir, "." + os.path.basename(path))
-        with open(tmp, "wb") as f:
-            pq.write_table(vio, f)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(part_dir)  # the rename survives a machine crash
+    path = (_write_parquet(vio, os.path.join(vio_dir, f"partition={pid}"),
+                           durable=True) if vio.num_rows else None)
     return {"partition": pid, "rows": data.num_rows,
             "violation_rows": vio.num_rows, "file": path}
+
+
+def _write_parquet(table: pa.Table, part_dir: str, durable: bool) -> str:
+    """``table`` as ``<part_dir>/<uuid>.parquet``, written under a
+    ``.``-prefixed name and renamed, so no reader sees a partial file.
+    ``durable`` fsyncs the file before the rename and the directory after
+    it. Returns the path."""
+    os.makedirs(part_dir, exist_ok=True)
+    path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
+    tmp = os.path.join(part_dir, "." + os.path.basename(path))
+    with open(tmp, "wb") as f:
+        pq.write_table(table, f)
+        if durable:
+            f.flush()
+            os.fsync(f.fileno())
+    os.replace(tmp, path)
+    if durable:
+        _fsync_dir(part_dir)  # the rename survives a machine crash
+    return path
 
 
 def _fsync_dir(path: str) -> None:

@@ -30,6 +30,10 @@ exchange then moves O(batches x partitions) rows, not O(exploded rows).
 ``pack``/``unpack`` are also the wire format of single-row sketch blobs
 (stats' heavy-hitter candidates).
 
+``fanout`` is the one rule for how many partitions an exchange splits
+into: one per cluster CPU, more only when a partition would otherwise
+hold over ``ROWS_PER_PARTITION`` input rows.
+
 Callers: windows, aggregates, quantiles, sampling, stats, referential,
 transform, uniqueness, dedup, join, text, packing and sources/io.
 """
@@ -37,13 +41,27 @@ transform, uniqueness, dedup, join, text, packing and sources/io.
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 import pyarrow as pa
 
+import ray
+
 from jsschema_ray.state.hll import hash64, normalize_zeros
 
 PART = "__part"
+ROWS_PER_PARTITION = 2 ** 22
+
+
+def fanout(rows: int) -> int:
+    """The number of partitions of an exchange over ``rows`` input rows:
+    every CPU of the cluster reduces one, and no partition covers more
+    than ``ROWS_PER_PARTITION`` rows. Before Ray Data has started Ray,
+    the CPUs are this machine's, which its auto-started Ray would get."""
+    cpus = (int(ray.cluster_resources().get("CPU", 1))
+            if ray.is_initialized() else os.cpu_count() or 1)
+    return max(cpus, -(-rows // ROWS_PER_PARTITION))
 
 
 def partition_ids(table: pa.Table, keys: list[str], n: int) -> np.ndarray:

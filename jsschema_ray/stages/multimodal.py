@@ -71,14 +71,6 @@ class DecodeImages:
             self._pil = Image
         except ImportError:
             self._pil = None
-        # content-addressed verdict cache (per actor): duplicate payloads
-        # are the norm in crawled image corpora — decode each distinct
-        # payload once; bounded so worker heap stays flat. Disable with
-        # cache_max=0 when measuring raw decode compute (the synthetic
-        # bench pool repeats 64 images, which a cache collapses into a
-        # bandwidth benchmark — not representative of distinct-image data)
-        self._cache: dict = {}
-        self._cache_max = 4096
 
     def _psnr(self, a: np.ndarray, b: np.ndarray) -> float:
         mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
@@ -126,20 +118,9 @@ class DecodeImages:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads, fmts = _payloads(batch, self.column, self.fmt_column)
-        import hashlib
-
         oks, rts, ws, hs = [], [], [], []
         for p, f in zip(payloads, fmts):
-            ck = (None if p is None or self._cache_max == 0 else
-                  (f, hashlib.blake2b(p, digest_size=16).digest()))
-            hit = self._cache.get(ck) if ck is not None else None
-            if hit is None:
-                hit = self._decode_one(p, f)
-                if ck is not None:
-                    if len(self._cache) >= self._cache_max:
-                        self._cache.clear()  # simple bound; refill is cheap
-                    self._cache[ck] = hit
-            ok, rt, w, h = hit
+            ok, rt, w, h = self._decode_one(p, f)
             oks.append(ok)
             rts.append(rt)
             ws.append(w)
@@ -214,12 +195,10 @@ class _DecodeCheck(DecodeImages):
     fails to decode or to round-trip."""
 
     def __init__(self, key_column: str = "image_id", column: str = "bytes",
-                 fmt_column: str = "fmt", cache_max: int = 4096,
-                 min_psnr_db: float = 40.0):
+                 fmt_column: str = "fmt", min_psnr_db: float = 40.0):
         super().__init__(column, fmt_column, on_unsupported="skip",
                          min_psnr_db=min_psnr_db)
         self.key_column = key_column
-        self._cache_max = cache_max
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         dec = super().__call__(batch)
@@ -251,7 +230,7 @@ class _DecodeCheck(DecodeImages):
 def decode_violations(ds, key_column: str = "image_id",
                       column: str = "bytes", fmt_column: str = "fmt",
                       batch_size: int = 1024, concurrency: Any = None,
-                      cache_max: int = 4096, min_psnr_db: float = 40.0):
+                      min_psnr_db: float = 40.0):
     """Rows failing the decode invariant (decode error, round-trip
     mismatch, or missing payload) as (key, reason); ``min_psnr_db`` is the
     lossy-codec round-trip floor (DecodeImages). Stateless tasks by
@@ -259,7 +238,7 @@ def decode_violations(ds, key_column: str = "image_id",
     every core — an actor pool here caps the CPU-heavy decode at pool
     size); small batches keep payload memory bounded."""
     check = dict(key_column=key_column, column=column, fmt_column=fmt_column,
-                 cache_max=cache_max, min_psnr_db=min_psnr_db)
+                 min_psnr_db=min_psnr_db)
     kwargs: dict = dict(batch_format="pyarrow", batch_size=batch_size,
                         num_cpus=1)
     if concurrency is not None:

@@ -8,7 +8,11 @@ Scale design (SURVEY.md §7 hard part 3 — Zipf-skewed phash):
      (key, partial_count) pairs — a hot key leaves each block as ONE row no
      matter how many times it appears there, so the shuffle payload is
      O(distinct keys per block), not O(rows); this is the skew-salting
-     effect without explicit salts (the block is the salt);
+     effect without explicit salts (the block is the salt). The
+     validation pipeline runs ``_precount`` inside its scan, one call per
+     reader block, and writes each call's rows to a small pre-count file;
+     its exchange reads those files, never the input, split into
+     ``exchange.fanout`` buckets (one per cluster CPU);
   2. partial counts are packed per key bucket and cross the keyed
      exchange of stages/exchange.py (``partition_ids`` buckets the keys,
      ``by_part`` is the one group step); each bucket is reduced by ONE
@@ -82,12 +86,17 @@ def _dup_counts(g: pa.Table) -> pa.Table:
                      "dup_count": dup.column("partial_count_sum")})
 
 
-def _no_dups(ds, column: str) -> pa.Table:
-    """The empty (column, dup_count) table, the key typed from the schema."""
+def _no_dups(column: str, key_type: pa.DataType) -> pa.Table:
+    """The empty (column, dup_count) table."""
+    return pa.table({column: pa.array([], type=key_type),
+                     "dup_count": pa.array([], type=pa.int64())})
+
+
+def _key_type(ds, column: str) -> pa.DataType:
+    """``column``'s type from ``ds.schema()``, which may run a probe
+    execution on a lazy Dataset."""
     sch = ds.schema()
-    return pa.table(
-        {column: pa.array([], type=dict(zip(sch.names, sch.types))[column]),
-         "dup_count": pa.array([], type=pa.int64())})
+    return dict(zip(sch.names, sch.types))[column]
 
 
 def _top(dup: pa.Table, column: str, k: int) -> pa.Table:
@@ -127,6 +136,15 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
         _precount(columns, num_buckets), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
     )
+    return dup_tables(dup_exchange(partials).take_all(), columns,
+                      lambda column: _key_type(ds, column))
+
+
+def dup_exchange(partials):
+    """The exchange half of duplicate_keys_multi: ``partials`` holds
+    ``_precount`` rows (``__part``, ``col_idx``, ``blob``), and each
+    (bucket, column) group reduces to one (``col_idx``, ``blob``) row whose
+    blob is that bucket's (key, dup_count) table."""
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         # RE-PACKED as one IPC blob: different columns carry different key
@@ -140,18 +158,24 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
             }
         )
 
-    rows = by_part(partials, reduce_bucket).take_all()
+    return by_part(partials, reduce_bucket)
+
+
+def dup_tables(rows: list[dict], columns: list[str],
+               key_type) -> dict[str, pa.Table]:
+    """The (column, dup_count) table of each key column from the collected
+    ``dup_exchange`` rows. A column no bucket reduced (an input without
+    rows) gets an empty table typed ``key_type(column)``."""
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
         tabs = [unpack(r["blob"]) for r in rows if r["col_idx"] == ci]
-        if tabs:
-            merged_t = pa.concat_tables(tabs)
-            out[column] = pa.table(
-                {column: merged_t.column("key"),
-                 "dup_count": merged_t.column("dup_count").cast(
-                     pa.int64())})
-        else:  # empty input: no bucket reduced
-            out[column] = _no_dups(ds, column)
+        if not tabs:
+            out[column] = _no_dups(column, key_type(column))
+            continue
+        merged = pa.concat_tables(tabs)
+        out[column] = pa.table(
+            {column: merged.column("key"),
+             "dup_count": merged.column("dup_count").cast(pa.int64())})
     return out
 
 
@@ -169,7 +193,7 @@ def top_duplicates(ds, column: str, k: int = 20, batch_size: int = 65536):
                                           batch_format="pyarrow")
              if t.num_rows]
     if not parts:
-        return rd.from_arrow(_no_dups(ds, column))
+        return rd.from_arrow(_no_dups(column, _key_type(ds, column)))
     return rd.from_arrow(_top(pa.concat_tables(parts), column, k))
 
 
@@ -258,14 +282,18 @@ def uniqueness_violations(
 
 def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
                        ) -> dict[str, dict[str, Any]]:
-    """Summary numbers for the manifest, per key column: distinct duplicated
-    keys, total violating rows and, when there are duplicates, the top-10
-    keys in the same total order as ``top_duplicates`` (dup_count
-    descending, then key ascending, null keys last). All columns share one
-    read and one exchange (duplicate_keys_multi); the rest is derived in
-    this process from the collected duplicate-key tables."""
+    """Summary numbers for the manifest, per key column, from one read and
+    one exchange (duplicate_keys_multi) over ``ds``; see ``reports``."""
+    return reports(duplicate_keys_multi(ds, columns, batch_size))
+
+
+def reports(dups: dict[str, pa.Table]) -> dict[str, dict[str, Any]]:
+    """Per key column of ``dups`` (``dup_tables``' result): distinct
+    duplicated keys, total violating rows and, when there are duplicates,
+    the top-10 keys in the same total order as ``top_duplicates``
+    (dup_count descending, then key ascending, null keys last)."""
     out = {}
-    for column, dup in duplicate_keys_multi(ds, columns, batch_size).items():
+    for column, dup in dups.items():
         rep: dict[str, Any] = {
             "column": column,
             "dup_keys": dup.num_rows,

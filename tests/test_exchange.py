@@ -11,7 +11,8 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from jsschema_ray.stages.exchange import by_key, partition_ids
+from jsschema_ray.stages.exchange import (ROWS_PER_PARTITION, by_key, fanout,
+                                          partition_ids)
 from jsschema_ray.state.hll import hash64
 
 
@@ -57,6 +58,21 @@ def test_partition_ids_signed_zero_one_partition():
     for keys in (["f"], ["s", "f"]):
         ids = partition_ids(t, keys, 64)
         assert ids[0] == ids[1]
+
+
+def test_fanout_is_the_cluster_cpus_until_partitions_grow_too_large(
+        ray_session, monkeypatch):
+    import os
+
+    import ray
+
+    # the test session has 4 CPUs
+    assert fanout(0) == fanout(4 * ROWS_PER_PARTITION) == 4
+    assert fanout(4 * ROWS_PER_PARTITION + 1) == 5
+    assert fanout(10 * ROWS_PER_PARTITION) == 10
+    # before Ray is started: the CPUs an auto-started local Ray would get
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    assert fanout(0) == os.cpu_count()
 
 
 def test_partition_ids_empty_input():

@@ -146,8 +146,9 @@ def test_top_duplicates_matches_pandas_null_key(ray_session, tmp_path):
 
 def test_uniqueness_handler_runs_one_execution(ray_session, tmp_path,
                                                monkeypatch):
-    """Two key columns share one read and one exchange: the x-uniqueness
-    handler starts exactly one Ray Data execution."""
+    """Two key columns share one exchange: after the scan has written its
+    pre-count files, the x-uniqueness handler starts exactly one Ray Data
+    execution."""
     import pyarrow.parquet as pq
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
@@ -159,8 +160,12 @@ def test_uniqueness_handler_runs_one_execution(ray_session, tmp_path,
     table = _uniqueness_table()
     for i, lo in enumerate(range(0, table.num_rows, 15)):
         pq.write_table(table.slice(lo, 15), str(tmp_path / f"p{i}.parquet"))
-    pipe = ValidationPipeline({}, str(tmp_path), str(tmp_path / "out"))
-    ctx = ConstraintContext(schema={}, input_files=pipe._input_files(),
+    specs = [{"column": "sku"}, {"column": "n", "report_only": True}]
+    pipe = ValidationPipeline({"x-uniqueness": specs}, str(tmp_path),
+                              str(tmp_path / "out"))
+    files = pipe._input_files()
+    pipe._partials = pipe._run_rowlocal(files, [])
+    ctx = ConstraintContext(schema=pipe.schema, input_files=files,
                             pipeline=pipe)
     executions = []
     execute = StreamingExecutor.execute
@@ -170,8 +175,7 @@ def test_uniqueness_handler_runs_one_execution(ray_session, tmp_path,
         return execute(self, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
-    out = get_handler("x-uniqueness")(
-        [{"column": "sku"}, {"column": "n", "report_only": True}], ctx)
+    out = get_handler("x-uniqueness")(specs, ctx)
     assert len(executions) == 1
     assert [r["dup_keys"] for r in out] == [16, 3]
 

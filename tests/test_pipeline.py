@@ -223,7 +223,8 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
     """The scan is a single ReadParquet->MapBatches(scan) operator with one
     task per shard, and every scan call sees the rows of one shard: each
     partial table it returns names a single partition. The uniqueness
-    pre-count is fused into its read the same way."""
+    pre-count runs inside the scan, so the only other execution is the
+    exchange over its files."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -258,14 +259,16 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
         assert len(set(t.column("partition").to_pylist())) == 1
     assert {t.column("partition")[0].as_py() for t in p1} == {
         f"part-{i:05d}" for i in range(4)}
-    # the uniqueness execution: its read and pre-count are one operator
+    # the uniqueness execution reads the scan's pre-count files, not the
+    # input, in at most F = 4 tasks (the session's CPUs), then exchanges
     uniq, = [d for d in dags if d is not scan]
-    while uniq.input_dependencies[0].name != "Input":
-        uniq = uniq.input_dependencies[0]
-    assert uniq.name.startswith("ReadParquet->")
-    assert uniq.name.endswith("MapBatches(fn)")
-    assert len(uniq.input_dependencies) == 1
-    assert uniq.metrics.num_tasks_finished == 4  # the shard count
+    names = []
+    while uniq.name != "Input":
+        names.append(uniq.name)
+        read = uniq
+        uniq, = uniq.input_dependencies
+    assert names == ["MapBatches(reduce_bucket)", "Sort", "ReadParquet"]
+    assert 0 < read.metrics.num_tasks_finished <= 4
 
 
 def test_two_passes_give_identical_global_sections(img_dir, ray_session,
@@ -318,11 +321,13 @@ def test_violation_files_are_fsynced_before_their_commit(tmp_path,
     pipe = ValidationPipeline(IMAGE_SCHEMA, str(tmp_path), str(tmp_path / "out"))
     commit = CheckpointManifest.commit_partition
 
-    def checked_commit(self, pid, path, metrics, violation_files, verdict):
+    def checked_commit(self, pid, path, metrics, violation_files, verdict,
+                       **identity):
         for f in violation_files:
             assert inode(f) in synced
             assert inode(os.path.dirname(f)) in synced
-        return commit(self, pid, path, metrics, violation_files, verdict)
+        return commit(self, pid, path, metrics, violation_files, verdict,
+                      **identity)
 
     monkeypatch.setattr(os, "fsync", spy_fsync)
     monkeypatch.setattr(CheckpointManifest, "commit_partition", checked_commit)
@@ -365,6 +370,71 @@ def test_full_resume_writes_no_violation_file(img_dir, ray_session,
     assert again["partitions"] == first["partitions"]
     for k in GLOBAL_SECTIONS:
         assert again[k] == first[k]
+
+
+def _two_shards(src) -> None:
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src.mkdir()
+    for i in range(2):
+        pq.write_table(pa.table({"id": [f"{i}-{j}" for j in range(10)],
+                                 "w": list(range(10))}),
+                       str(src / f"part-{i}.parquet"))
+
+
+def _w_at_most(limit: int) -> dict:
+    return {"type": "object",
+            "properties": {"w": {"type": "integer", "maximum": limit}}}
+
+
+def test_resume_under_another_schema_is_refused(ray_session, tmp_path):
+    """A pass of schema B over an output dir committed under schema A is
+    refused, naming the dir, instead of reporting A's verdicts as B's;
+    ``resume=False`` revalidates every shard under B."""
+    src, out = tmp_path / "in", str(tmp_path / "out")
+    _two_shards(src)
+    assert ValidationPipeline(_w_at_most(100), str(src), out,
+                              key_column="id").run()["valid"] is True
+    b = ValidationPipeline(_w_at_most(4), str(src), out, key_column="id")
+    with pytest.raises(ValueError, match=out):
+        b.run()
+    report = b.run(resume=False)
+    assert report["valid"] is False
+    assert report["partitions_resumed"] == 0
+    # B's own commits resume under B
+    again = ValidationPipeline(_w_at_most(4), str(src), out,
+                               key_column="id").run()
+    assert again["partitions_resumed"] == 2
+    assert again["valid"] is False
+
+
+def test_resume_recomputes_a_rewritten_shard(ray_session, tmp_path):
+    """A shard rewritten since its commit is validated again, and its old
+    violation files go; the unchanged shard is not."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src, out = tmp_path / "in", str(tmp_path / "out")
+    _two_shards(src)
+    schema = _w_at_most(5)
+    first = ValidationPipeline(schema, str(src), out, key_column="id").run()
+    assert first["partitions"]["part-0"]["metrics"] == {
+        "rows": 10, "violation_rows": 4}
+    old_files = first["partitions"]["part-0"]["violation_files"]
+    pq.write_table(pa.table({"id": ["new"], "w": [10 ** 6]}),
+                   str(src / "part-0.parquet"))
+    report = ValidationPipeline(schema, str(src), out, key_column="id").run()
+    assert report["partitions_resumed"] == 1
+    assert report["partitions"]["part-1"] == first["partitions"]["part-1"]
+    rec = report["partitions"]["part-0"]
+    assert rec["metrics"] == {"rows": 1, "violation_rows": 1}
+    assert rec["shard"]["rows"] == 1
+    assert set(glob.glob(os.path.join(out, "violations", "partition=part-0",
+                                      "*"))) == set(rec["violation_files"])
+    assert not set(old_files) & set(rec["violation_files"])
+    assert pq.read_table(rec["violation_files"][0]).column(
+        "key").to_pylist() == ["new"]
 
 
 _KILLED_CHILD = """
