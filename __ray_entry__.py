@@ -263,10 +263,8 @@ def q_violation_summary(sf_dir: str):
 def q_image_resize_plan(sf_dir: str):
     """Aspect-preserving resize plan over the image table's metadata
     (stages/multimodal.resize_plan): integer-exact (target_w, target_h)
-    for max_side=256 via round-half-up integer arithmetic — the
-    planning half of the multimodal resize stage, with the pixel work
-    in the actor-pool ResizeImages. DuckDB-oracled with the identical
-    integer formula."""
+    for max_side=256 via round-half-up integer arithmetic. DuckDB-oracled
+    with the identical integer formula."""
     from jsschema_ray.stages.multimodal import resize_plan
 
     ds = rd.read_parquet(_image_dir(sf_dir),

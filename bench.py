@@ -212,7 +212,9 @@ def _consume(res) -> int:
     import ray.data
 
     if isinstance(res, ray.data.Dataset):
-        return res.count()
+        # not count(): on a bare read it answers from the parquet footers
+        return sum(b.num_rows for b in res.iter_batches(
+            batch_size=None, batch_format="pyarrow"))
     if isinstance(res, pa.Table):
         return res.num_rows
     if isinstance(res, pd.DataFrame):

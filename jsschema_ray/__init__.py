@@ -5,8 +5,9 @@ Re-expresses the JSON Schema draft-04 semantics of lestrrat-go/jsschema
 constraint DAG evaluated with vectorized pyarrow.compute kernels over
 zero-copy Arrow batches of a `ray.data.Dataset`, extended with the global
 constraint classes (column statistics, uniqueness, referential integrity,
-distribution drift) and training-data-pipeline operators (dedup, similarity
-search, text analysis, multimodal plumbing) that a 10^12-row table needs.
+distribution drift, decode) and training-data-pipeline operators (dedup,
+similarity search, text analysis, image-metadata plans) that a 10^12-row
+table needs.
 
 Layout:
   schema/    dict -> ConstraintDAG compiler (+ to_json round-trip, registry)

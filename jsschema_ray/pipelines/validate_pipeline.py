@@ -273,6 +273,14 @@ class ValidationPipeline:
             if pa.types.is_binary(f.type) or pa.types.is_large_binary(f.type)
         }
 
+    def _committed(self, files: list[str]) -> dict[str, dict]:
+        """The manifest records of the partitions of ``files``: the record
+        of a shard no longer in the input neither decides the verdict nor
+        refuses a resume."""
+        ids = {partition_id_for(f) for f in files}
+        return {pid: rec for pid, rec in self.manifest.committed().items()
+                if pid in ids}
+
     # -- run ---------------------------------------------------------------
     def run(self, resume: bool = True) -> dict[str, Any]:
         """One pass. With ``resume`` a shard committed under this schema
@@ -280,7 +288,7 @@ class ValidationPipeline:
         and an output dir committed under another schema is refused."""
         files = self._input_files()
         fingerprint = schema_fingerprint(self.schema)
-        committed = self.manifest.committed() if resume else {}
+        committed = self._committed(files) if resume else {}
         if any(r.get("schema") not in (None, fingerprint)
                for r in committed.values()):
             raise ValueError(
@@ -297,7 +305,7 @@ class ValidationPipeline:
         shutil.rmtree(os.path.join(self.output_dir, "precount"),
                       ignore_errors=True)  # a killed pass's pre-counts
         self._partials = self._run_rowlocal(files, todo)
-        report["partitions"] = self.manifest.committed()
+        report["partitions"] = self._committed(files)
 
         # global constraints: every x-* keyword dispatches through the
         # extension registry (schema/registry.py — the formalized Extras

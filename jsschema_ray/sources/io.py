@@ -10,7 +10,6 @@ cluster with Lance available (``ray.data.read_lance`` ships with Ray).
 
 from __future__ import annotations
 
-import glob
 import os
 from typing import Optional
 
@@ -78,13 +77,6 @@ def _dir_of(path: str, ext: str) -> bool:
         return False
     files = [f for f in os.listdir(path) if not f.startswith((".", "_"))]
     return bool(files) and all(f.endswith(ext) for f in files)
-
-
-def input_shards(path: str) -> list[str]:
-    """Deterministic shard listing for partition-granular checkpointing."""
-    if os.path.isfile(path):
-        return [path]
-    return sorted(glob.glob(os.path.join(path, "*.parquet")))
 
 
 def write_table(ds: "rd.Dataset", path: str, fmt: str = "parquet",

@@ -1,70 +1,51 @@
-"""Multimodal (image payload) stages: decode check, feature extraction,
-resize — actor-pool `map_batches` over the opaque ``bytes`` binary column
-with typed metadata columns (BASELINE input_hint; driver instruction:
-image libs are absent from this container, so the LOSSY codecs are
-STUBBED while the Ray-side plumbing — schema, batch sizing, actor
-signature, output layout — is real and tested).
+"""Image payload stages: the decode invariant over the opaque ``bytes``
+binary column, and metadata-only planning (resize, aspect buckets,
+letterbox) over the typed ``w``/``h`` columns.
 
-Codec support matrix:
-  * png  — REAL: pure-Python codec (sources/png.py); the decode invariant
-    is pixel-level: the payload decodes with every chunk CRC, the zlib
-    Adler-32 and the IEND terminator intact. PNG is lossless, so decoded
-    pixels ARE the encoded pixels (PSNR = inf ≥ 40 dB) and roundtrip_ok
-    equals decode_ok; no re-encode is needed, and a PNG from another
-    encoder (other zlib level, ancillary chunks, split IDAT) passes;
-  * jpeg/webp — STUB: `on_unsupported` picks "skip" (decode_ok=null) or
-    "fail"; a deterministic-fake mode ("fake") decodes to a seeded noise
-    image so downstream feature plumbing can be driven in tests.
+The decode invariant (``decode_violations``, the x-decode keyword):
+  * png — pure-Python codec (sources/png.py). A payload passes when it
+    decodes with every chunk CRC, the zlib Adler-32 and the IEND
+    terminator intact. PNG is lossless, so the decoded pixels are the
+    encoded pixels and no re-encode is needed; a PNG from another encoder
+    (other zlib level, ancillary chunks, split IDAT) passes;
+  * jpeg/webp — where PIL is importable: decode, re-encode, decode again,
+    and the two decodes must keep PSNR >= ``min_psnr_db``. Without PIL
+    they are unsupported codecs, and unsupported codecs are skipped: they
+    give no violation row;
+  * a null payload is ``decode_failed``.
 
-Batch sizing: payload rows are wide — callers should use a SMALL
-batch_size (default 1024) so batch × concurrency fits the worker heap;
-`num_cpus=1` per actor, CPU-bound decode.
+Batch sizing: payload rows are wide, so callers use a small batch_size
+(default 1024); ``num_cpus=1`` per task, CPU-bound decode.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from jsschema_ray.sources.png import decode_png, encode_png
-
-
-def _payloads(batch: pa.Table, column: str, fmt_column: str):
-    """The payloads of ``batch`` and their formats (all None without a
-    format column)."""
-    payloads = batch.column(column).to_pylist()
-    return payloads, (batch.column(fmt_column).to_pylist()
-                      if fmt_column in batch.column_names
-                      else [None] * len(payloads))
+from jsschema_ray.sources.png import decode_png, psnr
 
 
-class DecodeImages:
-    """Appends decode_ok(bool), roundtrip_ok(bool), dec_w, dec_h (int32).
+class _DecodeCheck:
+    """The decode invariant as (key, reason) rows: ``decode_failed`` for a
+    null payload or one that does not decode, ``roundtrip_mismatch`` for a
+    lossy payload whose re-encode falls below ``min_psnr_db``. Unsupported
+    codecs give no row. All ``decode_failed`` rows come first, each group
+    in batch order.
 
-    PNG: decode_ok means ``decode_png`` accepted the payload (CRCs,
-    Adler-32 and IEND checked); roundtrip_ok equals decode_ok, since a
-    lossless decode reproduces the encoded pixels exactly. Lossy codecs:
-    roundtrip_ok means decode -> re-encode -> decode keeps PSNR >=
-    ``min_psnr_db``.
+    Payload presence is enforced here, not in the row-local stage, which
+    never reads payloads (pipelines/validate_pipeline._schema_for_rowlocal).
+    """
 
-    null payload -> decode_ok = False (payload presence is enforced HERE,
-    not in the row-local stage, which never reads bytes — see
-    pipelines/validate_pipeline._schema_for_rowlocal)."""
-
-    def __init__(self, column: str = "bytes", fmt_column: str = "fmt",
-                 on_unsupported: str = "skip", min_psnr_db: float = 40.0):
-        assert on_unsupported in ("skip", "fail", "fake")
+    def __init__(self, key_column: str = "image_id", column: str = "bytes",
+                 fmt_column: str = "fmt", min_psnr_db: float = 40.0):
+        self.key_column = key_column
         self.column = column
         self.fmt_column = fmt_column
-        self.on_unsupported = on_unsupported
         self.min_psnr_db = min_psnr_db
-        # gate, not a hard dependency: wherever PIL exists the lossy-codec
-        # invariant becomes REAL (decode + re-encode/decode PSNR >= 40 dB,
-        # BASELINE input_hint); in this container it is absent and the
-        # documented stub path below applies (once per actor, __init__)
+        # a gate, not a dependency: with PIL the lossy codecs are checked
         try:
             from PIL import Image  # type: ignore
 
@@ -72,344 +53,82 @@ class DecodeImages:
         except ImportError:
             self._pil = None
 
-    def _psnr(self, a: np.ndarray, b: np.ndarray) -> float:
-        mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
-        if mse == 0.0:
-            return float("inf")
-        return 10.0 * np.log10(255.0 ** 2 / mse)
-
-    def _decode_lossy_pil(self, payload: bytes, fmt: str):
-        """Real lossy path (requires PIL): decode, re-encode at high
-        quality, decode again; invariant = PSNR(dec, redec) >= min_psnr."""
+    def _lossy_reason(self, payload: bytes, fmt: str) -> Optional[str]:
+        """Decode, re-encode at quality 92, decode again; the two decodes
+        must keep PSNR >= ``min_psnr_db``."""
         import io
 
         try:
             img = np.asarray(self._pil.open(io.BytesIO(payload)).convert("RGB"))
         except Exception:
-            return False, False, None, None
+            return "decode_failed"
         buf = io.BytesIO()
         self._pil.fromarray(img).save(buf, format="JPEG" if fmt == "jpeg"
                                       else "WEBP", quality=92)
         buf.seek(0)
         redec = np.asarray(self._pil.open(buf).convert("RGB"))
-        ok_rt = self._psnr(img, redec) >= self.min_psnr_db
-        return True, ok_rt, img.shape[1], img.shape[0]
+        return (None if psnr(img, redec) >= self.min_psnr_db
+                else "roundtrip_mismatch")
 
-    def _decode_one(self, payload: Optional[bytes], fmt: Optional[str]):
-        """-> (decode_ok, roundtrip_ok, w, h) with None for not-applicable."""
+    def _reason(self, payload: Optional[bytes], fmt: Optional[str]
+                ) -> Optional[str]:
+        """The violation of one payload, or None."""
         if payload is None:
-            return False, False, None, None
+            return "decode_failed"
         if fmt == "png" or (fmt is None and payload[:4] == b"\x89PNG"):
             try:
-                img = decode_png(payload)
+                decode_png(payload)
             except ValueError:
-                return False, False, None, None
-            return True, True, img.shape[1], img.shape[0]
+                return "decode_failed"
+            return None
         if self._pil is not None and fmt in ("jpeg", "webp"):
-            return self._decode_lossy_pil(payload, fmt)
-        # lossy codecs: stubbed (no image libs in this container)
-        if self.on_unsupported == "fail":
-            return False, False, None, None
-        if self.on_unsupported == "fake":
-            rng = np.random.default_rng(len(payload))
-            img = rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)
-            return True, True, 8, 8
-        return None, None, None, None  # skip
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads, fmts = _payloads(batch, self.column, self.fmt_column)
-        oks, rts, ws, hs = [], [], [], []
-        for p, f in zip(payloads, fmts):
-            ok, rt, w, h = self._decode_one(p, f)
-            oks.append(ok)
-            rts.append(rt)
-            ws.append(w)
-            hs.append(h)
-        return (
-            batch.append_column("decode_ok", pa.array(oks, type=pa.bool_()))
-            .append_column("roundtrip_ok", pa.array(rts, type=pa.bool_()))
-            .append_column("dec_w", pa.array(ws, type=pa.int32()))
-            .append_column("dec_h", pa.array(hs, type=pa.int32()))
-        )
-
-
-class ImageFeatures:
-    """Per-image channel statistics (mean/std RGB) — the feature-extract
-    plumbing pattern; real for PNG, null for stubbed codecs."""
-
-    def __init__(self, column: str = "bytes", fmt_column: str = "fmt"):
-        self.column = column
-        self.fmt_column = fmt_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads, fmts = _payloads(batch, self.column, self.fmt_column)
-        means, stds = [], []
-        for p, f in zip(payloads, fmts):
-            if p is not None and (f == "png" or (f is None and p[:4] == b"\x89PNG")):
-                try:
-                    img = decode_png(p).astype(np.float32)
-                    means.append([float(x) for x in img.mean(axis=(0, 1))])
-                    stds.append([float(x) for x in img.std(axis=(0, 1))])
-                    continue
-                except ValueError:
-                    pass
-            means.append(None)
-            stds.append(None)
-        f32l = pa.list_(pa.float32(), 3)
-        return batch.append_column(
-            "rgb_mean", pa.array(means, type=f32l)
-        ).append_column("rgb_std", pa.array(stds, type=f32l))
-
-
-class ResizeImages:
-    """Nearest-neighbor resize to (size × size), re-encoded as PNG — real
-    for PNG payloads (pure numpy indexing), null for stubbed codecs."""
-
-    def __init__(self, size: int, column: str = "bytes",
-                 fmt_column: str = "fmt", out_column: str = "bytes_resized"):
-        self.size = size
-        self.column = column
-        self.fmt_column = fmt_column
-        self.out_column = out_column
+            return self._lossy_reason(payload, fmt)
+        return None  # unsupported codec: skipped
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch.column(self.column).to_pylist()
-        out = []
-        for p in payloads:
-            if p is not None and p[:4] == b"\x89PNG":
-                try:
-                    img = decode_png(p)
-                    h, w = img.shape[:2]
-                    yi = (np.arange(self.size) * h // self.size)
-                    xi = (np.arange(self.size) * w // self.size)
-                    out.append(encode_png(img[yi][:, xi]))
-                    continue
-                except ValueError:
-                    pass
-            out.append(None)
-        return batch.append_column(self.out_column, pa.array(out, type=pa.binary()))
-
-
-class _DecodeCheck(DecodeImages):
-    """The decode invariant as (key, reason) rows: one per payload that
-    fails to decode or to round-trip."""
-
-    def __init__(self, key_column: str = "image_id", column: str = "bytes",
-                 fmt_column: str = "fmt", min_psnr_db: float = 40.0):
-        super().__init__(column, fmt_column, on_unsupported="skip",
-                         min_psnr_db=min_psnr_db)
-        self.key_column = key_column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        dec = super().__call__(batch)
-        # Arrow-native mask filters (no Python row walk): decode_ok is
-        # null for skipped/unsupported payloads, so equality + fill_null
-        # reproduces the tri-state (False -> decode_failed; True with
-        # roundtrip False -> roundtrip_mismatch; null -> no row). Keys
-        # are unique per image, so emitting the two reason groups
-        # back-to-back instead of interleaved is order-equivalent under
-        # the downstream sort.
-        ok = dec.column("decode_ok")
-        rt = dec.column("roundtrip_ok")
-        keys = batch.column(self.key_column).cast(pa.string())
-        failed = pc.fill_null(pc.equal(ok, False), False)
-        mismatch = pc.fill_null(
-            pc.and_kleene(pc.equal(ok, True), pc.equal(rt, False)), False
-        )
-        parts = []
-        for mask, reason in ((failed, "decode_failed"),
-                             (mismatch, "roundtrip_mismatch")):
-            k = keys.filter(mask)
-            parts.append(pa.table({
-                "key": k.cast(pa.string()),
-                "reason": pa.array([reason] * len(k), type=pa.string()),
-            }))
-        return pa.concat_tables(parts)
+        fmts = (batch.column(self.fmt_column).to_pylist()
+                if self.fmt_column in batch.column_names
+                else [None] * len(payloads))
+        rows: dict[str, list[int]] = {"decode_failed": [],
+                                      "roundtrip_mismatch": []}
+        for i, (payload, fmt) in enumerate(zip(payloads, fmts)):
+            reason = self._reason(payload, fmt)
+            if reason is not None:
+                rows[reason].append(i)
+        return pa.table({
+            "key": batch.column(self.key_column).take(pa.array(
+                rows["decode_failed"] + rows["roundtrip_mismatch"],
+                pa.int64())).cast(pa.string()),
+            "reason": pa.array([r for r, idx in rows.items() for _ in idx],
+                               type=pa.string()),
+        })
 
 
 def decode_violations(ds, key_column: str = "image_id",
                       column: str = "bytes", fmt_column: str = "fmt",
-                      batch_size: int = 1024, concurrency: Any = None,
-                      min_psnr_db: float = 40.0):
-    """Rows failing the decode invariant (decode error, round-trip
-    mismatch, or missing payload) as (key, reason); ``min_psnr_db`` is the
-    lossy-codec round-trip floor (DecodeImages). Stateless tasks by
-    default (no per-actor state to amortize, and tasks scale elastically to
-    every core — an actor pool here caps the CPU-heavy decode at pool
-    size); small batches keep payload memory bounded."""
-    check = dict(key_column=key_column, column=column, fmt_column=fmt_column,
-                 min_psnr_db=min_psnr_db)
-    kwargs: dict = dict(batch_format="pyarrow", batch_size=batch_size,
-                        num_cpus=1)
-    if concurrency is not None:
-        return ds.map_batches(_DecodeCheck, fn_constructor_kwargs=check,
-                              concurrency=concurrency, **kwargs)
-    return ds.map_batches(_DecodeCheck(**check), **kwargs)
-
-
-class FrameSample:
-    """Video frame sampling over an opaque ``binary`` column with typed
-    metadata (video_id, bytes, n_frames, fps) — the driver-mandated
-    frame-sample stage. The SAMPLING layout is real and vectorized: given a
-    policy ('uniform_k' -> k evenly spaced frames incl. first/last;
-    'every_s' -> one frame per ``every_s`` seconds via fps), frame indices
-    are computed batch-wide and the stage EXPLODES to one output row per
-    sampled frame: (video_id, frame_idx, frame_ts_s, frame_bytes).
-
-    The frame DECODE is stubbed (no video codecs in this container — same
-    policy as lossy image codecs): ``on_decode='fake'`` (default) emits a
-    deterministic per-(payload, frame) pseudo-frame so downstream plumbing
-    is exercised end-to-end; ``on_decode='fail'`` raises NotImplementedError
-    at the decode call site, marking exactly what a real deployment plugs a
-    codec into. Stateless tasks, small batches (payloads are wide)."""
-
-    def __init__(self, policy: str = "uniform_k", k: int = 4,
-                 every_s: float = 1.0, column: str = "bytes",
-                 key_column: str = "video_id", on_decode: str = "fake"):
-        if policy not in ("uniform_k", "every_s"):
-            raise ValueError(f"unknown policy {policy!r}")
-        if on_decode not in ("fake", "fail"):
-            raise ValueError(f"unknown on_decode {on_decode!r}")
-        self.policy = policy
-        self.k = k
-        self.every_s = every_s
-        self.column = column
-        self.key_column = key_column
-        self.on_decode = on_decode
-
-    def _indices(self, n_frames: int, fps: float) -> np.ndarray:
-        if n_frames <= 0:
-            return np.empty(0, dtype=np.int64)
-        if self.policy == "uniform_k":
-            k = min(self.k, n_frames)
-            # k evenly spaced indices including endpoints (k=1 -> frame 0)
-            return np.unique(
-                np.round(np.linspace(0, n_frames - 1, k)).astype(np.int64)
-            )
-        step = max(int(round(self.every_s * max(fps, 1e-9))), 1)
-        return np.arange(0, n_frames, step, dtype=np.int64)
-
-    def _decode_frame(self, payload: bytes, idx: int) -> bytes:
-        if self.on_decode == "fail":
-            raise NotImplementedError(
-                "video frame decode requires a codec library not present "
-                "in this container; plug a real decoder here"
-            )
-        # deterministic fake: seeded by (payload content length, index) —
-        # stable across runs/layouts, distinct per frame
-        rng = np.random.default_rng(
-            np.random.SeedSequence([len(payload), idx])
-        )
-        return rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keys = batch.column(self.key_column).to_pylist()
-        payloads = batch.column(self.column).to_pylist()
-        n_frames = batch.column("n_frames").to_numpy(zero_copy_only=False)
-        fps = batch.column("fps").to_numpy(zero_copy_only=False)
-        out_key, out_idx, out_ts, out_bytes = [], [], [], []
-        for i, (key, payload) in enumerate(zip(keys, payloads)):
-            if payload is None:
-                continue
-            idxs = self._indices(int(n_frames[i]), float(fps[i]))
-            for j in idxs:
-                out_key.append(key)
-                out_idx.append(int(j))
-                out_ts.append(float(j / max(fps[i], 1e-9)))
-                out_bytes.append(self._decode_frame(payload, int(j)))
-        return pa.table({
-            self.key_column: pa.array(out_key),
-            "frame_idx": pa.array(out_idx, type=pa.int64()),
-            "frame_ts_s": pa.array(out_ts, type=pa.float64()),
-            "frame_bytes": pa.array(out_bytes, type=pa.binary()),
-        })
-
-
-class AudioFeatures:
-    """Audio feature extraction over an opaque ``binary`` column with typed
-    metadata (audio_id, bytes, sr) — appended columns: duration_s, rms,
-    zero_cross_rate, clip_frac. The PCM DECODE is stubbed (``on_decode=
-    'fake'`` synthesizes deterministic int16 PCM seeded by the payload;
-    'fail' raises NotImplementedError at the decode call site); the feature
-    kernels over the decoded samples are REAL and vectorized numpy."""
-
-    def __init__(self, column: str = "bytes", key_column: str = "audio_id",
-                 on_decode: str = "fake"):
-        if on_decode not in ("fake", "fail"):
-            raise ValueError(f"unknown on_decode {on_decode!r}")
-        self.column = column
-        self.key_column = key_column
-        self.on_decode = on_decode
-
-    def _decode_pcm(self, payload: bytes, sr: int) -> np.ndarray:
-        if self.on_decode == "fail":
-            raise NotImplementedError(
-                "audio decode requires a codec library not present in this "
-                "container; plug a real decoder here"
-            )
-        rng = np.random.default_rng(np.random.SeedSequence([len(payload)]))
-        n = max(int(sr * (0.5 + (len(payload) % 97) / 97.0)), 1)
-        return (rng.normal(0, 4000, size=n)).clip(-32768, 32767).astype(
-            np.int16
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch.column(self.column).to_pylist()
-        srs = batch.column("sr").to_numpy(zero_copy_only=False)
-        dur, rms, zcr, clip = [], [], [], []
-        for payload, sr in zip(payloads, srs):
-            if payload is None:
-                dur.append(None); rms.append(None)
-                zcr.append(None); clip.append(None)
-                continue
-            pcm = self._decode_pcm(payload, int(sr)).astype(np.float64)
-            dur.append(len(pcm) / max(int(sr), 1))
-            rms.append(float(np.sqrt(np.mean(pcm ** 2))))
-            s = np.sign(pcm)
-            zcr.append(float(np.mean(s[1:] != s[:-1])) if len(pcm) > 1
-                       else 0.0)
-            clip.append(float(np.mean(np.abs(pcm) >= 32767)))
-        return (
-            batch.drop_columns([self.column])
-            .append_column("duration_s", pa.array(dur, type=pa.float64()))
-            .append_column("rms", pa.array(rms, type=pa.float64()))
-            .append_column("zero_cross_rate",
-                           pa.array(zcr, type=pa.float64()))
-            .append_column("clip_frac", pa.array(clip, type=pa.float64()))
-        )
-
-
-def frame_sample(ds, policy: str = "uniform_k", k: int = 4,
-                 every_s: float = 1.0, batch_size: int = 256, **kw):
-    """FrameSample as a stage: small batches (wide payloads), stateless
-    tasks at full machine width."""
+                      batch_size: int = 1024, min_psnr_db: float = 40.0):
+    """Rows failing the decode invariant as (key, reason); see
+    ``_DecodeCheck``. Stateless tasks at full machine width; small batches
+    keep payload memory bounded."""
     return ds.map_batches(
-        FrameSample(policy=policy, k=k, every_s=every_s),
-        batch_format="pyarrow", batch_size=batch_size, num_cpus=1, **kw,
-    )
-
-
-def audio_features(ds, batch_size: int = 256, **kw):
-    return ds.map_batches(
-        AudioFeatures(), batch_format="pyarrow", batch_size=batch_size,
-        num_cpus=1, **kw,
-    )
+        _DecodeCheck(key_column, column, fmt_column, min_psnr_db),
+        batch_format="pyarrow", batch_size=batch_size, num_cpus=1)
 
 
 def resize_plan(ds, w_col: str = "w", h_col: str = "h",
                 max_side: int = 256, batch_size: int = 65536):
     """Aspect-preserving resize PLAN from metadata only — the integer-
-    exact (tw, th) targets the decode/resize actors execute: images whose
-    longest side already fits keep their dims; otherwise the long side
-    becomes ``max_side`` and the short side scales proportionally with
-    round-half-up integer arithmetic
+    exact (tw, th) targets of a resize: images whose longest side already
+    fits keep their dims; otherwise the long side becomes ``max_side``
+    and the short side scales proportionally with round-half-up integer
+    arithmetic
 
         t = (2 * s * max_side + m) // (2 * m)        (m = max(w, h))
 
-    — no float in the pipeline, so a SQL mirror is bit-equal (planning
-    is the metadata half of the multimodal resize stage; the pixel work
-    stays in ResizeImages). Appends (target_w, target_h) int64; NULL or
-    non-positive dims yield NULL targets."""
+    — no float in the pipeline, so a SQL mirror is bit-equal. Appends
+    (target_w, target_h) int64; NULL or non-positive dims yield NULL
+    targets."""
     import pyarrow.compute as pc
 
     def plan(batch: pa.Table) -> pa.Table:
@@ -487,10 +206,9 @@ def aspect_bucket_stats(ds, buckets=ASPECT_BUCKETS_1024, w_col: str = "w",
                         h_col: str = "h", batch_size: int = 65536):
     """Aspect-ratio bucketing — the training-batch collation op every
     large image-corpus pipeline runs (group images by nearest canonical
-    aspect ratio so a batch shares one target shape; the metadata half —
-    the pixel resize stays in ResizeImages, reference analogue: the
-    per-field numeric checks of /root/reference/schema.go applied to a
-    corpus-level layout decision). Each row with positive non-NULL dims
+    aspect ratio so a batch shares one target shape; reference analogue:
+    the per-field numeric checks of /root/reference/schema.go applied to
+    a corpus-level layout decision). Each row with positive non-NULL dims
     is assigned to the bucket minimizing
 
         dist = abs(f(w)/f(h) - f(bw)/f(bh))     (f = exact int->float64)
@@ -576,7 +294,7 @@ def letterbox_plan(ds, buckets=ASPECT_BUCKETS_1024, id_col: str = "image_id",
     the same CASE and integer formula is bit-equal.
 
     Scale shape: pure row-local map — one (rows x K) vectorized argmin
-    per batch, zero shuffles; the pixel work stays in ResizeImages."""
+    per batch, zero shuffles."""
     bw, bh, ratios = _bucket_arrays(buckets)
 
     def plan(batch: pa.Table) -> pa.Table:

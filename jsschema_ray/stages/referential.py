@@ -176,24 +176,6 @@ def _miss_report(column: str, parts: list[dict]) -> dict:
     }
 
 
-def referential_check(ds, column: str, ref, ref_column: Optional[str] = None,
-                      batch_size: int = 65536) -> dict:
-    """Count-only variant for the manifest: number of violating rows and a
-    sample of missing keys, via per-batch partial counts (no row shipping)."""
-    keys = _ref_key_array(ref, ref_column, batch_size)
-    key_ref = ray.put(keys)
-
-    def count_bad(batch: pa.Table) -> pa.Table:
-        return _miss_partial(batch.column(column).combine_chunks(),
-                             ray.get(key_ref))
-
-    parts = ds.select_columns([column]).map_batches(
-        count_bad, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ).take_all()
-    return _miss_report(column, parts)
-
-
 def functional_dependency(ds, det_col: str, dep_col: str,
                           num_parts: int = 64,
                           batch_size: int = 262144):

@@ -258,7 +258,7 @@ def similarity_join(ds, threshold: float, emb_column: str = "embedding",
     sub-quadratic scale path is embedding_dedup (hyperplane LSH), whose
     candidate recall this operator measures.
 
-    AUDIT-regime quadratic op (documented, like dedup.ngram_jaccard_matrix):
+    AUDIT-regime quadratic op (documented):
     the corpus is materialized once as an L2-normalized float64 matrix and
     broadcast via ``ray.put`` (read zero-copy by every task, never
     re-shipped per batch); the same corpus then STREAMS, each batch doing

@@ -258,8 +258,8 @@ def stats_partials(ds, spec: StatsSpec, batch_size: int = 65536,
 def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
                    batch_size: int, distributed_merge: bool = False,
                    merge_buckets: int = 64):
-    """Shared candidate+CMS collection for the heavy-hitter ops: each batch
-    emits its local top-``local_m`` candidate keys (blob-packed Arrow IPC)
+    """Candidate+CMS collection for top_k_exact: each batch emits its local
+    top-``local_m`` candidate keys (blob-packed Arrow IPC)
     plus a Count-Min partial (weighted by local counts; CMS merge =
     elementwise add, so partials combine in any order). Returns
     (merged CountMinSketch, unique candidate keys ChunkedArray) or
@@ -340,46 +340,6 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
     return merged, keys
 
 
-def approx_top_k(ds, column: str, k: int = 10, local_m: Optional[int] = None,
-                 width: int = 4096, depth: int = 5,
-                 batch_size: int = 262144,
-                 distributed_merge: bool = False) -> pa.Table:
-    """Approximate heavy hitters WITHOUT a key shuffle: candidate + CMS
-    partials (see `_topk_partials`), merged sketches estimate every
-    candidate's global count, keep top-k by (estimate desc, key asc) — a
-    total order.
-
-    Approximation contract (documented): CMS never underestimates
-    (overestimate ≤ e/width · N w.h.p.); a true heavy hitter is reported as
-    long as it is locally top-``local_m`` in at least one batch — true for
-    skewed (Zipf) keys, the case where heavy-hitter detection matters.
-    Driver holds O(batches × (local_m + width·depth)) — or
-    O(merge_buckets × ...) with ``distributed_merge=True`` (10^7+-batch
-    jobs: partials are tree-folded in-cluster first)."""
-    from jsschema_ray.state.hll import hash64
-
-    local_m = local_m or max(4 * k, 64)
-    merged, keys = _topk_partials(ds, column, local_m, width, depth,
-                                  batch_size, distributed_merge)
-    if merged is None:
-        return pa.table({column: pa.array([], type=pa.string()),
-                         "est_count": pa.array([], type=pa.int64())})
-    est = merged.estimate_hashes(hash64(keys))
-    # (estimate desc, key asc) is a total order across runs
-    import pandas as pd
-
-    df = pd.DataFrame({"key": keys.to_pandas(), "est": est})
-    df = df.sort_values(["est", "key"], ascending=[False, True],
-                        kind="stable").head(k)
-    return pa.table(
-        {
-            column: pa.Array.from_pandas(df["key"],
-                                         type=keys.type),
-            "est_count": pa.array(df["est"].to_numpy(), type=pa.int64()),
-        }
-    )
-
-
 def top_k_exact(ds, column: str, k: int = 10, local_m: Optional[int] = None,
                 width: int = 4096, depth: int = 5,
                 batch_size: int = 262144,
@@ -394,7 +354,7 @@ def top_k_exact(ds, column: str, k: int = 10, local_m: Optional[int] = None,
     no all-to-all key shuffle, output (column, n) sorted by
     (n desc, key asc).
 
-    Unlike `approx_top_k` the result is exactly SQL's
+    The result is exactly SQL's
     ``GROUP BY key ORDER BY count DESC, key LIMIT k`` (given the candidate
     contract), so it is DuckDB-oracle-able; the merged CMS's
     never-underestimate bound (estimate >= exact count for every reported

@@ -17,10 +17,9 @@ Scale design (SURVEY.md §7 hard part 3 — Zipf-skewed phash):
      exchange of stages/exchange.py (``partition_ids`` buckets the keys,
      ``by_part`` is the one group step); each bucket is reduced by ONE
      vectorized Arrow group_by (not a per-key Ray aggregate);
-  3. keys with total > 1 are collected (bounded: duplicate KEYS are rare
-     even when duplicate ROWS are many) and broadcast via `ray.put`; a
-     final map_batches pass flags member rows with a vectorized `pc.is_in`
-     — no second all-to-all shuffle ever touches the raw rows.
+  3. keys with total > 1 come back as (key, dup_count) tables, from which
+     the report counts duplicated keys and rows — the raw rows never cross
+     the exchange.
 
 The wide `bytes` column never enters the shuffle: step 1 projects to the
 key column only (SURVEY.md §7 hard part 4).
@@ -34,8 +33,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-
-import ray
 
 from jsschema_ray.stages.exchange import (PART, by_part, pack, pack_parts,
                                           partition_ids, unpack)
@@ -197,89 +194,6 @@ def top_duplicates(ds, column: str, k: int = 20, batch_size: int = 65536):
     return rd.from_arrow(_top(pa.concat_tables(parts), column, k))
 
 
-def uniqueness_violations(
-    ds,
-    column: str,
-    keep_columns: Optional[list[str]] = None,
-    batch_size: int = 65536,
-    max_broadcast_keys: int = 5_000_000,
-    strategy: str = "auto",
-):
-    """All rows whose ``column`` value is duplicated, with ``keep_columns``
-    projected (never the wide payload columns unless asked).
-
-    ``strategy='auto'`` (default, VERDICT r2 item #4): the duplicated-key
-    DATASET is materialized (distributed, never driver-side) and counted;
-    at or under ``max_broadcast_keys`` the broadcast path runs, beyond it
-    the op switches to 'shuffle' automatically instead of raising.
-    ``strategy='broadcast'``: the duplicated-key set is collected and
-    broadcast (`ray.put` once, read per task); ``max_broadcast_keys``
-    guards the driver — beyond it we raise. ``strategy='shuffle'``:
-    semi-join the rows against the duplicated-keys DATASET (partitioned
-    hash join, stages/join.py): no key set ever reaches the driver, the
-    right shape when duplicate KEYS themselves are web-scale."""
-    if strategy not in ("auto", "broadcast", "shuffle"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    dup = None
-    if strategy == "auto":
-        dup = duplicate_keys(ds, column, batch_size).materialize()
-        strategy = ("shuffle" if dup.count() > max_broadcast_keys
-                    else "broadcast")
-    if strategy == "shuffle":
-        from jsschema_ray.stages.join import hash_join
-
-        proj = keep_columns or [c for c in ds.columns() if c != "bytes"]
-        if column not in proj:
-            proj = proj + [column]
-        if dup is None:
-            dup = duplicate_keys(ds, column, batch_size)
-        dup = dup.select_columns([column])
-
-        def rename(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns(["__dupkey"])
-
-        dup = dup.map_batches(rename, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        return hash_join(ds.select_columns(proj), dup, key=column,
-                         right_key="__dupkey", how="semi",
-                         batch_size=batch_size)
-    if dup is None:
-        dup = duplicate_keys(ds, column, batch_size)
-    dup_rows = dup.take_all()  # small: distinct duplicated keys only
-    if len(dup_rows) > max_broadcast_keys:
-        raise ValueError(
-            f"{len(dup_rows)} duplicated keys on {column!r} exceeds the "
-            f"broadcast bound ({max_broadcast_keys}); use "
-            "strategy='shuffle' or consume duplicate_keys() directly"
-        )
-    schema = ds.schema()
-    pa_schema = getattr(schema, "base_schema", schema)  # ray Schema wrapper
-    if isinstance(pa_schema, pa.Schema):
-        col_type = pa_schema.field(column).type
-    else:  # pandas-block dataset: infer the arrow type from a 1-row sample
-        col_type = pa.Table.from_pandas(
-            ds.limit(1).to_pandas()
-        ).schema.field(column).type
-    keys = pa.array([r[column] for r in dup_rows], type=col_type)
-    if len(keys) == 0:
-        proj = keep_columns or [c for c in ds.columns() if c != "bytes"]
-        return ds.select_columns(proj).limit(0)
-    key_ref = ray.put(keys)
-
-    proj = keep_columns or [c for c in ds.columns() if c != "bytes"]
-
-    def flag_dupes(batch: pa.Table) -> pa.Table:
-        # stateless task: the broadcast key set is a zero-copy plasma read
-        keys = ray.get(key_ref)
-        m = pc.is_in(batch.column(column).combine_chunks(), value_set=keys)
-        return batch.filter(pc.fill_null(m, False))
-
-    return ds.select_columns(proj).map_batches(
-        flag_dupes, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    )
-
-
 def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
                        ) -> dict[str, dict[str, Any]]:
     """Summary numbers for the manifest, per key column, from one read and
@@ -303,11 +217,6 @@ def reports(dups: dict[str, pa.Table]) -> dict[str, dict[str, Any]]:
             rep["top_duplicates"] = _top(dup, column, 10).to_pylist()
         out[column] = rep
     return out
-
-
-def uniqueness_report(ds, column: str, batch_size: int = 65536) -> dict[str, Any]:
-    """``uniqueness_reports`` for one key column."""
-    return uniqueness_reports(ds, [column], batch_size)[column]
 
 
 def distinct_rows(ds, columns: Optional[list[str]] = None,

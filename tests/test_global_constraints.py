@@ -10,14 +10,12 @@ from jsschema_ray.sources.synth import synth_image_table
 from jsschema_ray.stages.referential import (
     _miss_partial,
     _miss_report,
-    referential_check,
     referential_violations,
 )
 from jsschema_ray.stages.uniqueness import (
     duplicate_keys,
     top_duplicates,
-    uniqueness_report,
-    uniqueness_violations,
+    uniqueness_reports,
 )
 
 
@@ -41,16 +39,14 @@ def test_duplicate_keys_exact(img_ds):
 
 
 def test_uniqueness_violations_rows(img_ds):
+    """The report counts every row of a duplicated key."""
     ds, table, manifest = img_ds
-    vio = uniqueness_violations(ds, "image_id", batch_size=2048)
-    rows = vio.take_all()
     ids = pd.Series(table.column("image_id").to_pylist())
     dup_ids = set(ids[ids.duplicated(keep=False)])
-    assert {r["image_id"] for r in rows} == dup_ids
-    # ALL rows of a duplicated key are returned
-    assert len(rows) == int(ids.isin(dup_ids).sum())
-    rep = uniqueness_report(ds, "image_id", batch_size=2048)
-    assert rep["dup_keys"] == len(dup_ids) and rep["dup_rows"] == len(rows)
+    assert set(manifest["dup_image_id"]) <= dup_ids
+    rep = uniqueness_reports(ds, ["image_id"], batch_size=2048)["image_id"]
+    assert rep["dup_keys"] == len(dup_ids)
+    assert rep["dup_rows"] == int(ids.isin(dup_ids).sum())
 
 
 def test_phash_skew_top_duplicates(img_ds):
@@ -71,7 +67,8 @@ def test_no_duplicates_empty_result(ray_session):
 
     ds = rd.from_arrow(pa.table({"k": [f"u{i}" for i in range(5000)]}))
     assert duplicate_keys(ds, "k").count() == 0
-    assert uniqueness_violations(ds, "k").count() == 0
+    assert uniqueness_reports(ds, ["k"]) == {
+        "k": {"column": "k", "dup_keys": 0, "dup_rows": 0}}
 
 
 def _uniqueness_table() -> pa.Table:
@@ -187,9 +184,6 @@ def test_referential_violations(img_ds):
     )
     got = {r["image_id"] for r in vio.take_all()}
     assert got == set(manifest["fmt_enum"])  # the injected "gif" rows
-    chk = referential_check(ds, "fmt", ["png", "jpeg", "webp", "bmp", "tiff"],
-                            batch_size=2048)
-    assert chk["n_violations"] == len(got) and "gif" in chk["missing_sample"]
 
 
 def test_miss_report_ignores_arrival_order():
@@ -207,6 +201,9 @@ def test_miss_report_ignores_arrival_order():
 
 
 def test_referential_against_dimension_dataset(ray_session):
+    """A Dataset ref side: its keys are collected per batch and
+    broadcast."""
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     # lineitem.l_orderkey ⊆ orders.o_orderkey on real testdata
@@ -214,14 +211,21 @@ def test_referential_against_dimension_dataset(ray_session):
                          columns=["l_orderkey"])
     orders = rd.read_parquet("/root/testdata/sf0.001/orders.parquet",
                              columns=["o_orderkey"])
-    chk = referential_check(li, "l_orderkey", orders, ref_column="o_orderkey")
-    assert chk["n_violations"] == 0
+    assert referential_violations(li, "l_orderkey", orders,
+                                  ref_column="o_orderkey",
+                                  strategy="broadcast").count() == 0
 
     # negative control: restrict the ref side -> violations appear
     some = rd.read_parquet("/root/testdata/sf0.001/orders.parquet",
-                           columns=["o_orderkey"]).limit(100)
-    chk2 = referential_check(li, "l_orderkey", some, ref_column="o_orderkey")
-    assert chk2["n_violations"] > 0 and len(chk2["missing_sample"]) > 0
+                           columns=["o_orderkey"]).limit(100).materialize()
+    kept = {r["o_orderkey"] for r in some.take_all()}
+    bad = [r["l_orderkey"] for r in referential_violations(
+        li, "l_orderkey", some, ref_column="o_orderkey",
+        strategy="broadcast").take_all()]
+    assert bad and not kept & set(bad)
+    li_keys = pq.read_table("/root/testdata/sf0.001/lineitem.parquet",
+                            columns=["l_orderkey"]).column(0).to_pylist()
+    assert len(bad) == sum(k not in kept for k in li_keys)
 
 
 def test_referential_shuffle_strategy_matches_broadcast(ray_session):
@@ -250,32 +254,6 @@ def test_referential_shuffle_strategy_matches_broadcast(ray_session):
 
     assert rows("shuffle") == rows("broadcast") == \
         [(3, 99), (6, 98), (9, 97), (11, 96)]
-
-
-def test_uniqueness_shuffle_strategy_matches_broadcast(ray_session):
-    """Semi-join fallback for web-scale duplicate-key sets: identical rows
-    to the broadcast path on a table with injected duplicate keys."""
-    import pandas as pd
-
-    import ray.data as rd
-
-    from jsschema_ray.stages.uniqueness import uniqueness_violations
-
-    df = pd.DataFrame({"rid": range(20),
-                       "k": [1, 2, 3, 4, 5, 1, 6, 7, 2, 8,
-                             9, 10, 1, 11, 12, 13, 2, 14, 15, 16]})
-    ds = rd.from_pandas(df).repartition(4)
-
-    def rows(strategy):
-        out = uniqueness_violations(ds, "k", keep_columns=["rid", "k"],
-                                    strategy=strategy).to_pandas()
-        return sorted(zip(out["rid"].astype(int), out["k"].astype(int)))
-
-    want = sorted(
-        (int(r.rid), int(r.k))
-        for r in df.itertuples() if (df["k"] == r.k).sum() > 1
-    )
-    assert rows("shuffle") == rows("broadcast") == want
 
 
 def test_stats_partition_grouping_arrow_native(ray_session):

@@ -437,6 +437,36 @@ def test_resume_recomputes_a_rewritten_shard(ray_session, tmp_path):
         "key").to_pylist() == ["new"]
 
 
+def test_removed_shard_leaves_the_verdict(ray_session, tmp_path):
+    """The record of a shard deleted from the input neither enters the
+    report nor decides its verdict, and after a ``resume=False`` pass
+    under another schema it does not refuse the next resume."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src, out = tmp_path / "in", str(tmp_path / "out")
+    src.mkdir()
+    for i, w in enumerate((1, 99)):  # part-1 breaks the maximum
+        pq.write_table(pa.table({"id": [f"r{i}"], "w": [w]}),
+                       str(src / f"part-{i}.parquet"))
+    first = ValidationPipeline(_w_at_most(5), str(src), out,
+                               key_column="id").run()
+    assert first["valid"] is False
+    os.remove(src / "part-1.parquet")
+    report = ValidationPipeline(_w_at_most(5), str(src), out,
+                                key_column="id").run()
+    assert report["partitions_total"] == 1
+    assert list(report["partitions"]) == ["part-0"]
+    assert report["valid"] is True
+    # part-1's record still carries the old schema; it refuses nothing
+    ValidationPipeline(_w_at_most(0), str(src), out,
+                       key_column="id").run(resume=False)
+    again = ValidationPipeline(_w_at_most(0), str(src), out,
+                               key_column="id").run()
+    assert again["partitions_resumed"] == 1
+    assert again["valid"] is False
+
+
 _KILLED_CHILD = """
 import json, os, signal, sys
 

@@ -78,7 +78,7 @@ def test_simhash_dedup_components_parity():
     import ray.data as rd
 
     from jsschema_ray.stages.dedup import (_clusters_from_pairs,
-                                           simhash_dedup,
+                                           _clusters_via_components,
                                            simhash_verified_pairs)
 
     pdf = pq.read_table(f"{SF}/documents.parquet").to_pandas().head(150)
@@ -86,14 +86,14 @@ def test_simhash_dedup_components_parity():
     twin["doc_id"] = twin["doc_id"] + 70_000
     ds = rd.from_pandas(pd.concat([pdf, twin], ignore_index=True)) \
         .repartition(3)
-    res = simhash_dedup(ds, "text", "doc_id", max_hamming=3, batch_size=32)
     verified = simhash_verified_pairs(ds, "text", "doc_id", max_hamming=3,
-                                      batch_size=32)
-    want = _clusters_from_pairs(
-        (r["a"], r["b"]) for r in verified.take_all())
+                                      batch_size=32).materialize()
+    rows = [(r["a"], r["b"]) for r in verified.take_all()]
+    want = _clusters_from_pairs(rows)
+    res = _clusters_via_components(verified)
+    assert want["clusters"]  # the twins verify
     assert res["clusters"] == want["clusters"]
     assert res["drop_keys"] == want["drop_keys"]
-    assert res["n_pairs"] == want["n_verified_pairs"]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -150,46 +150,3 @@ class TestHammingHistogram:
         assert len(one) == 0  # single distinct value: no pairs
 
 
-class TestLshBandPlan:
-    def test_plan_shape_and_monotonicity(self):
-        from jsschema_ray.stages.dedup import lsh_band_plan
-
-        s50s = []
-        for thr in (0.2, 0.5, 0.8):
-            p = lsh_band_plan(thr, 128)
-            assert p["bands"] * p["rows_per_band"] == 128
-            assert 0.0 <= p["fp"] <= 1.0 and 0.0 <= p["fn"] <= 1.0
-            s50s.append(p["s50"])
-        # the S-curve midpoint tracks the target threshold
-        assert s50s == sorted(s50s)
-
-    def test_objective_is_the_divisor_minimum(self):
-        from jsschema_ray.stages.dedup import lsh_band_plan
-
-        num_perm, thr = 64, 0.6
-        p = lsh_band_plan(thr, num_perm)
-        xs = (np.arange(1000) + 0.5) / 1000.0
-        objs = {}
-        for r in range(1, num_perm + 1):
-            if num_perm % r:
-                continue
-            b = num_perm // r
-            collide = 1.0 - (1.0 - xs ** r) ** b
-            fp = collide[xs < thr].sum() / 1000.0
-            fn = (1.0 - collide[xs >= thr]).sum() / 1000.0
-            objs[(b, r)] = 0.5 * fp + 0.5 * fn
-        assert (p["bands"], p["rows_per_band"]) == min(objs, key=objs.get)
-
-    def test_guards(self):
-        from jsschema_ray.stages.dedup import lsh_band_plan
-
-        for bad in (dict(threshold=0.0, num_perm=16),
-                    dict(threshold=0.5, num_perm=1),
-                    dict(threshold=0.5, num_perm=16, fp_weight=-1.0),
-                    dict(threshold=0.5, num_perm=16, fp_weight=0.0,
-                         fn_weight=0.0)):
-            try:
-                lsh_band_plan(**bad)
-                assert False, f"expected ValueError for {bad}"
-            except ValueError:
-                pass

@@ -13,14 +13,12 @@ import pytest
 
 
 def test_parquet_path(tmp_path, ray_session):
-    from jsschema_ray.sources.io import input_shards, read_table
+    from jsschema_ray.sources.io import read_table
 
     p = tmp_path / "t.parquet"
     pq.write_table(pa.table({"a": [1, 2, 3], "b": ["x", "y", "z"]}), str(p))
     ds = read_table(str(p), columns=["a"])
     assert ds.columns() == ["a"] and ds.count() == 3
-    assert input_shards(str(p)) == [str(p)]
-    assert input_shards(str(tmp_path)) == [str(p)]
 
 
 def test_lance_path_selected_and_projected(tmp_path, monkeypatch,

@@ -66,7 +66,7 @@ def test_fingerprint_stability(docs):
 def test_exact_dedup(ray_session):
     import ray.data as rd
 
-    from jsschema_ray.stages.dedup import exact_dedup, exact_duplicate_groups
+    from jsschema_ray.stages.dedup import exact_dedup
 
     pdf = pq.read_table(f"{SF}/documents.parquet").to_pandas()
     # duplicate some rows with new ids
@@ -78,11 +78,6 @@ def test_exact_dedup(ray_session):
     kept = exact_dedup(ds, "text", "doc_id").to_pandas()
     assert len(kept) == len(pdf)  # dups removed
     assert set(kept["doc_id"]) == set(pdf["doc_id"])  # min key survives
-
-    groups = exact_duplicate_groups(ds, "text", "doc_id").to_pylist()
-    assert len(groups) == 20
-    assert all(g["n_rows"] == 2 for g in groups)
-    assert all(g["keys"][1] - g["keys"][0] == 10_000 for g in groups)
 
 
 def test_minhash_dedup_finds_near_duplicates(ray_session):
@@ -109,37 +104,17 @@ def test_minhash_dedup_finds_near_duplicates(ray_session):
 def test_simhash_dedup(ray_session):
     import ray.data as rd
 
-    from jsschema_ray.stages.dedup import simhash_dedup
+    from jsschema_ray.stages.dedup import simhash_verified_pairs
 
     pdf = pq.read_table(f"{SF}/documents.parquet").to_pandas().head(100)
     twin = pdf.head(5).copy()
     twin["doc_id"] = twin["doc_id"] + 90_000  # identical text, new id
     both = pd.concat([pdf, twin], ignore_index=True)
     ds = rd.from_pandas(both).repartition(3)
-    res = simhash_dedup(ds, "text", "doc_id", max_hamming=3, batch_size=64)
-    cluster_map = {min(c): c for c in res["clusters"]}
+    pairs = {(r["a"], r["b"]) for r in simhash_verified_pairs(
+        ds, "text", "doc_id", max_hamming=3, batch_size=64).take_all()}
     for i in range(5):
-        assert i in cluster_map and (i + 90_000) in cluster_map[i]
-
-
-def test_ngram_jaccard_matrix(ray_session):
-    import ray.data as rd
-
-    from jsschema_ray.stages.dedup import ngram_jaccard_matrix
-
-    t = pa.table(
-        {
-            "doc_id": [1, 2, 3],
-            "text": [
-                "alpha beta gamma delta epsilon zeta",
-                "alpha beta gamma delta epsilon eta",   # 1 word differs
-                "totally different words here now then",
-            ],
-        }
-    )
-    out = ngram_jaccard_matrix(rd.from_arrow(t), threshold=0.3).to_pylist()
-    assert len(out) == 1 and {out[0]["key_a"], out[0]["key_b"]} == {1, 2}
-    assert 0.3 <= out[0]["jaccard"] < 1.0
+        assert (i, i + 90_000) in pairs
 
 
 def test_embedding_dedup_and_knn(ray_session):
@@ -241,29 +216,21 @@ def test_simhash_giant_bucket_capped(ray_session):
     star pairing keeps connectivity with O(m) pairs)."""
     import ray.data as rd
 
-    from jsschema_ray.stages.dedup import simhash_dedup
+    from jsschema_ray.stages.dedup import _UnionFind, simhash_verified_pairs
 
     n = 60
     df = pd.DataFrame({"doc_id": np.arange(n),
                        "text": ["same words everywhere"] * n})
     ds = rd.from_pandas(df).repartition(3)
-    res = simhash_dedup(ds, "text", "doc_id", max_hamming=3, batch_size=16)
-    # patch-level cap exercised via a tiny max_bucket_members in the
-    # verified-pairs path
-    from jsschema_ray.stages.dedup import simhash_verified_pairs
-
     pairs = simhash_verified_pairs(ds, "text", "doc_id", max_hamming=3,
                                    batch_size=16, max_bucket_members=8)
     got = {(r["a"], r["b"]) for r in pairs.take_all()}
-    from jsschema_ray.stages.dedup import _UnionFind
-
     uf = _UnionFind()
     for a, b in got:
         uf.union(a, b)
     roots = {uf.find(k) for k in range(n)}
     assert roots == {0}  # still one connected component
     assert len(got) < n * (n - 1) // 2  # quadratic blowup avoided
-    assert res["clusters"] == [list(range(n))]
 
 
 def test_simhash_vectorized_matches_scalar():
@@ -280,34 +247,6 @@ def test_simhash_vectorized_matches_scalar():
     sh = SimHash()
     vec = sh(batch).column("simhash").to_pylist()
     assert vec == [sh._one(x or "") for x in texts]
-
-
-def test_exact_duplicate_groups_shuffle_matches_collect(ray_session):
-    """The distributed (Dataset) variant must produce exactly the collect
-    variant's groups — duplicate members never reach the driver."""
-    import ray.data as rd
-
-    from jsschema_ray.stages.dedup import exact_duplicate_groups
-
-    pdf = pq.read_table(f"{SF}/documents.parquet").to_pandas()
-    dup = pdf.head(15).copy()
-    dup["doc_id"] = dup["doc_id"] + 10_000
-    both = pd.concat([pdf, dup], ignore_index=True)
-    ds = rd.from_pandas(both).repartition(4)
-
-    collected = exact_duplicate_groups(ds, "text", "doc_id").to_pylist()
-    shuffled = exact_duplicate_groups(
-        ds, "text", "doc_id", strategy="shuffle"
-    ).to_pandas()
-    got = sorted(
-        (int(r.content_hash), int(r.n_rows), tuple(r.keys))
-        for r in shuffled.itertuples()
-    )
-    want = sorted(
-        (int(r["content_hash"]), int(r["n_rows"]), tuple(r["keys"]))
-        for r in collected
-    )
-    assert got == want and len(want) == 15
 
 
 def test_simhash_band_parameter(ray_session):
@@ -364,7 +303,7 @@ def test_exact_dedup_null_content_both_strategies(ray_session):
     null == null (dedupe, min key survives), null != '' (distinct)."""
     import ray.data as rd
 
-    from jsschema_ray.stages.dedup import exact_dedup, exact_duplicate_groups
+    from jsschema_ray.stages.dedup import exact_dedup
 
     pdf = pd.DataFrame({
         "text": ["a", None, None, "", "", None, "a"],
@@ -377,14 +316,6 @@ def test_exact_dedup_null_content_both_strategies(ray_session):
     b = sorted(exact_dedup(ds, "text", "doc_id",
                            strategy="shuffle").to_pandas()["doc_id"])
     assert a == b == want
-
-    ga = exact_duplicate_groups(ds, "text", "doc_id").to_pylist()
-    gb = exact_duplicate_groups(
-        ds, "text", "doc_id", strategy="shuffle"
-    ).to_pandas().to_dict("records")
-    key_sets = sorted(tuple(g["keys"]) for g in ga)
-    assert key_sets == sorted(tuple(g["keys"]) for g in gb)
-    assert key_sets == [(1, 7), (2, 3, 6), (4, 5)]
 
 
 def _count_exchanges(monkeypatch) -> list:
@@ -417,10 +348,10 @@ def _count_exchanges(monkeypatch) -> list:
 
 
 def test_exact_dedup_shuffle_is_one_exchange(ray_session, monkeypatch):
-    """strategy='shuffle' runs ONE exchange on content_hash (plus the anti
-    join on the key for exact_dedup), and still matches the driver
-    strategies when distinct contents share a hash: 'x', 'y' and 'z' are
-    forced onto one hash, and null and '' collide by construction."""
+    """strategy='shuffle' runs ONE exchange on content_hash plus the anti
+    join on the key, and still matches the broadcast strategy when
+    distinct contents share a hash: 'x', 'y' and 'z' are forced onto one
+    hash, and null and '' collide by construction."""
     import ray.data as rd
 
     from jsschema_ray.stages import dedup
@@ -447,20 +378,6 @@ def test_exact_dedup_shuffle_is_one_exchange(ray_session, monkeypatch):
     })
     ds = rd.from_pandas(pdf).repartition(3)
 
-    shuffled = dedup.exact_duplicate_groups(ds, "text", "doc_id",
-                                            strategy="shuffle")
-    assert sorted(calls) == ["by_part", "groupby"]
-    collected = dedup.exact_duplicate_groups(ds, "text", "doc_id",
-                                             strategy="collect")
-    got = sorted((int(r["content_hash"]), int(r["n_rows"]),
-                  tuple(r["keys"])) for r in shuffled.take_all())
-    want = sorted((int(r["content_hash"]), int(r["n_rows"]),
-                   tuple(r["keys"])) for r in collected.to_pylist())
-    assert got == want
-    assert sorted(g[2] for g in got) == [(1, 3, 12), (2, 4), (6, 7),
-                                         (9, 10)]
-
-    del calls[:]
     kept = dedup.exact_dedup(ds, "text", "doc_id", strategy="shuffle")
     assert sorted(calls) == ["by_part"] * 2 + ["groupby"] * 2
     b = sorted(dedup.exact_dedup(ds, "text", "doc_id",
@@ -535,9 +452,8 @@ def test_auto_strategy_switches_on_broadcast_bound(ray_session):
     bound, auto == broadcast."""
     import ray.data as rd
 
-    from jsschema_ray.stages.dedup import exact_dedup, exact_duplicate_groups
+    from jsschema_ray.stages.dedup import exact_dedup
     from jsschema_ray.stages.referential import referential_violations
-    from jsschema_ray.stages.uniqueness import uniqueness_violations
 
     pdf = pq.read_table(f"{SF}/documents.parquet").to_pandas().head(60)
     dup = pdf.head(30).copy()
@@ -551,26 +467,6 @@ def test_auto_strategy_switches_on_broadcast_bound(ray_session):
     got = sorted(exact_dedup(ds, "text", "doc_id", strategy="auto",
                              max_broadcast_keys=5).to_pandas()["doc_id"])
     assert got == want == sorted(pdf["doc_id"])
-
-    # uniqueness_violations over the bound
-    uv_b = uniqueness_violations(ds, "text", keep_columns=["doc_id", "text"],
-                                 strategy="broadcast")
-    uv_a = uniqueness_violations(ds, "text", keep_columns=["doc_id", "text"],
-                                 strategy="auto", max_broadcast_keys=5)
-    assert sorted(uv_a.to_pandas()["doc_id"]) == \
-        sorted(uv_b.to_pandas()["doc_id"])
-
-    # exact_duplicate_groups: auto ALWAYS returns a Dataset, content equal
-    # to collect on both sides of the bound
-    coll = exact_duplicate_groups(ds, "text", "doc_id").to_pylist()
-    for bound in (5, 5_000_000):
-        auto = exact_duplicate_groups(
-            ds, "text", "doc_id", strategy="auto", max_broadcast_keys=bound
-        )
-        assert hasattr(auto, "to_pandas") and not isinstance(auto, pa.Table)
-        rows = auto.to_pandas().to_dict("records")
-        assert sorted(tuple(sorted(r["keys"])) for r in rows) == \
-            sorted(tuple(r["keys"]) for r in coll)
 
     # referential: ref side over the bound -> distributed anti-join
     cust_pdf = pq.read_table(f"{SF}/customer.parquet",
@@ -748,7 +644,7 @@ def test_kernels_handle_empty_batches():
     import pyarrow as pa
 
     from jsschema_ray.stages.dedup import MinHashSignatures, Shingles, SimHash
-    from jsschema_ray.stages.multimodal import AudioFeatures, FrameSample
+    from jsschema_ray.stages.multimodal import _DecodeCheck
     from jsschema_ray.stages.text import Fingerprint, LangId, TextStats
 
     empty_txt = pa.table({"doc_id": pa.array([], type=pa.int64()),
@@ -757,16 +653,10 @@ def test_kernels_handle_empty_batches():
                   LangId(), Fingerprint()):
         out = stage(empty_txt)
         assert out.num_rows == 0, type(stage).__name__
-    assert FrameSample()(pa.table({
-        "video_id": pa.array([], type=pa.string()),
+    assert _DecodeCheck()(pa.table({
+        "image_id": pa.array([], type=pa.string()),
         "bytes": pa.array([], type=pa.binary()),
-        "n_frames": pa.array([], type=pa.int32()),
-        "fps": pa.array([], type=pa.float64()),
-    })).num_rows == 0
-    assert AudioFeatures()(pa.table({
-        "audio_id": pa.array([], type=pa.string()),
-        "bytes": pa.array([], type=pa.binary()),
-        "sr": pa.array([], type=pa.int32()),
+        "fmt": pa.array([], type=pa.string()),
     })).num_rows == 0
 
 
