@@ -2924,8 +2924,8 @@ def q_tpch_q3(sf_dir: str):
     o_shippriority): BUILDING-segment customers → bloom semi join of
     date-filtered orders (bitmap broadcast, shuffle ∝ match rate) →
     per-order revenue from x100-exact int64 map partials merged through
-    aggregates.grouped_sums_partitioned (hash co-partition — never Ray's
-    key-SORTING Aggregate at order-key cardinality) → partitioned hash
+    aggregates.grouped_sums (one hash co-partition merge at order-key
+    cardinality) → partitioned hash
     join back to order attributes → exact global top-10 via
     stats.top_k_rows on the int revenue with a (days, orderkey)
     composite tiebreak (≤10 rows per batch cross the wire, no global
@@ -2935,7 +2935,7 @@ def q_tpch_q3(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import bloom_semi_join, hash_join
     from jsschema_ray.stages.stats import top_k_rows
     from jsschema_ray.stages.windows import round_half_away
@@ -2989,9 +2989,9 @@ def q_tpch_q3(sf_dir: str):
                ["l_orderkey", "l_extendedprice", "l_discount",
                 "l_shipdate"]).map_batches(
         rev, batch_format="pyarrow", zero_copy_batch=True)
-    rev_per_order = grouped_sums_partitioned(
+    rev_per_order = grouped_sums(
         li, ["l_orderkey"], {"rev10000": "rev10000"},
-        num_parts=_fanout(sf_dir, "lineitem"))
+        num_parts=_fanout(sf_dir, "lineitem"), count_alias=None)
 
     joined = hash_join(rev_per_order, orders, key="l_orderkey",
                        right_key="o_orderkey", how="inner",
@@ -3070,7 +3070,7 @@ def q_tpch_q18(sf_dir: str):
     """TPC-H Q18 large-volume orders: customers whose order carries more
     than 250 total quantity — GROUP BY + HAVING on an id-cardinality key,
     two partitioned joins, exact global top-100. Quantity sums are
-    x100-exact int64 through grouped_sums_partitioned (hash co-partition
+    x100-exact int64 through grouped_sums (hash co-partition
     merge at order-key cardinality), the HAVING filter compares exact
     ints, joins ride hash_join with metadata-derived fan-out, and the
     top-100 selection orders by the x100 int of o_totalprice with a
@@ -3080,7 +3080,7 @@ def q_tpch_q18(sf_dir: str):
     arithmetic) so every float column hashes bit-exact."""
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import hash_join
     from jsschema_ray.stages.stats import top_k_rows
     from jsschema_ray.stages.windows import round_half_away
@@ -3100,9 +3100,9 @@ def q_tpch_q18(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_quantity"]).map_batches(
         q100, batch_format="pyarrow", zero_copy_batch=True)
-    qty = grouped_sums_partitioned(
+    qty = grouped_sums(
         li, ["l_orderkey"], {"qty100": "qty100"},
-        num_parts=_fanout(sf_dir, "lineitem"))
+        num_parts=_fanout(sf_dir, "lineitem"), count_alias=None)
 
     def having(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater(b.column("qty100"), thr100))
@@ -3212,7 +3212,7 @@ def q_normalized_dedup(sf_dir: str):
     Scale shape: row-local normalize (Arrow C kernels), per-batch
     pyarrow group_by partials (min doc_id, count per normalized value),
     ONE hash(norm) co-partition merge (min-of-mins, sum-of-counts — the
-    grouped_sums_partitioned shape with a MIN lane), HAVING n > 1 on the
+    grouped_sums shape with a MIN lane), HAVING n > 1 on the
     merged rows. Raw text shuffles once as the group key of the count
     rows; at scale swap the key for add_content_hash's int64 to keep the
     shuffle narrow (documented)."""
@@ -3350,10 +3350,10 @@ def q_tpch_q5(sf_dir: str):
     bloom semi join against the date-windowed orders, picks up
     s_nationkey from the broadcast, pre-aggregates to (orderkey,
     s_nationkey) int64 revenue partials through
-    aggregates.grouped_sums_partitioned (hash co-partition, never a
-    key-sorting Aggregate), and only those partials flow through the
-    two partitioned hash joins (orders for o_custkey, customer for
-    c_nationkey). The co-location predicate c_nationkey = s_nationkey
+    aggregates.grouped_sums (one hash co-partition merge), and only
+    those partials flow through the two partitioned hash joins (orders
+    for o_custkey, customer for c_nationkey). The co-location predicate
+    c_nationkey = s_nationkey
     filters AFTER the customer join; the 25-row nation table broadcasts
     for names. float64 enters once per output row in the spelled
     /10000.0 division the mirror reproduces."""
@@ -3362,8 +3362,7 @@ def q_tpch_q5(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import (bloom_semi_join, broadcast_join,
                                           hash_join)
 
@@ -3409,9 +3408,9 @@ def q_tpch_q5(sf_dir: str):
     li = broadcast_join(li, supp, key="l_suppkey", small_key="s_suppkey",
                         how="inner")
     rev = _rev_x10000_batches(li, extra_cols=["s_nationkey"])
-    per_order = grouped_sums_partitioned(
+    per_order = grouped_sums(
         rev, ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"},
-        num_parts=fo)
+        num_parts=fo, count_alias=None)
 
     j1 = hash_join(per_order, orders, key="l_orderkey",
                    right_key="o_orderkey",
@@ -3514,7 +3513,7 @@ def q_tpch_q10(sf_dir: str):
     """TPC-H Q10 returned-item report: top-20 customers by revenue lost
     to 'R'-flag returns in 1997Q4. The big table cuts first (bloom semi
     join against the date-windowed orders + returnflag filter),
-    pre-aggregates per orderkey through grouped_sums_partitioned, joins
+    pre-aggregates per orderkey through grouped_sums, joins
     orders → re-aggregates per custkey → ONE partitioned hash join to
     customer attributes, exact global top-20 via stats.top_k_rows
     (value = int64 revenue, custkey tiebreak — ≤20 rows per batch cross
@@ -3526,7 +3525,7 @@ def q_tpch_q10(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import (bloom_semi_join, broadcast_join,
                                           hash_join)
     from jsschema_ray.stages.stats import top_k_rows
@@ -3555,15 +3554,16 @@ def q_tpch_q10(sf_dir: str):
     fo = _fanout(sf_dir, "lineitem")
     li = bloom_semi_join(li, orders, key="l_orderkey",
                          right_key="o_orderkey", num_buckets=fo)
-    per_order = grouped_sums_partitioned(
+    per_order = grouped_sums(
         _rev_x10000_batches(li), ["l_orderkey"], {"rev_x10000": "rev"},
-        num_parts=fo)
+        num_parts=fo, count_alias=None)
 
     fo_o = _fanout(sf_dir, "orders")
     j1 = hash_join(per_order, orders, key="l_orderkey",
                    right_key="o_orderkey", num_buckets=fo_o)
-    per_cust = grouped_sums_partitioned(
-        j1, ["o_custkey"], {"rev_x10000": "rev_x10000"}, num_parts=fo_o)
+    per_cust = grouped_sums(
+        j1, ["o_custkey"], {"rev_x10000": "rev_x10000"}, count_alias=None,
+        num_parts=fo_o)
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_name", "c_acctbal", "c_nationkey"])
@@ -3689,7 +3689,7 @@ def q_tpch_q7(sf_dir: str):
     supplier dimension (filtered to the two nations) broadcasts;
     lineitem year-filters, picks up s_nationkey from the broadcast, and
     pre-aggregates to (orderkey, s_nationkey, year) int64 partials
-    through grouped_sums_partitioned before the two partitioned hash
+    through grouped_sums before the two partitioned hash
     joins (orders → customer); the (supp, cust) ∈ {(1,2),(2,1)} pair
     predicate filters after the customer join; names resolve from the
     O(25)-row nation table driver-side. x100-exact int64 revenue, one
@@ -3699,8 +3699,7 @@ def q_tpch_q7(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import broadcast_join, hash_join
 
     # nations 3 and 8: the only pair present in the supplier table at
@@ -3740,9 +3739,9 @@ def q_tpch_q7(sf_dir: str):
                         how="inner")
     rev = _rev_x10000_batches(li, extra_cols=["s_nationkey", "l_year"])
     fo = _fanout(sf_dir, "lineitem")
-    per_order = grouped_sums_partitioned(
+    per_order = grouped_sums(
         rev, ["l_orderkey", "s_nationkey", "l_year"],
-        {"rev_x10000": "rev"}, num_parts=fo)
+        {"rev_x10000": "rev"}, num_parts=fo, count_alias=None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     j1 = hash_join(per_order, orders, key="l_orderkey",
@@ -3800,8 +3799,7 @@ def q_tpch_q12a(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import hash_join
 
     lo = datetime.datetime(1997, 1, 1)
@@ -3816,7 +3814,7 @@ def q_tpch_q12a(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_linestatus", "l_shipdate"]).map_batches(
         in_year, batch_format="pyarrow", zero_copy_batch=True)
-    per_order = grouped_sums_partitioned(
+    per_order = grouped_sums(
         li, ["l_orderkey", "l_linestatus"], {}, count_alias="cnt",
         num_parts=_fanout(sf_dir, "lineitem"))
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
@@ -3847,7 +3845,7 @@ def q_tpch_q15(sf_dir: str):
     """TPC-H Q15 top supplier: the supplier(s) achieving the MAX quarterly
     revenue, ties included — the groupwise-global-max shape (distinct
     from top_k_rows: the result size is data-dependent). Quarter-filtered
-    lineitem pre-aggregates per suppkey through grouped_sums_partitioned;
+    lineitem pre-aggregates per suppkey through grouped_sums;
     the O(suppliers) narrow totals materialize ONCE (documented: id-level
     rows only), the global max folds to one driver scalar, and the
     equality filter + supplier-name broadcast produce the winners.
@@ -3856,7 +3854,7 @@ def q_tpch_q15(sf_dir: str):
 
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import broadcast_join
 
     lo = datetime.datetime(1997, 1, 1)
@@ -3873,9 +3871,9 @@ def q_tpch_q15(sf_dir: str):
                 "l_shipdate"]).map_batches(
         quarter, batch_format="pyarrow", zero_copy_batch=True)
     rev = _rev_x10000_batches(li, order_col="l_suppkey")
-    per_supp = grouped_sums_partitioned(
+    per_supp = grouped_sums(
         rev, ["l_suppkey"], {"rev_x10000": "rev"},
-        num_parts=_fanout(sf_dir, "supplier")).materialize()
+        num_parts=_fanout(sf_dir, "supplier"), count_alias=None).materialize()
 
     best = per_supp.max("rev_x10000")
     if best is None:
@@ -3981,7 +3979,7 @@ def q_tpch_q8a(sf_dir: str):
     of ASIA-market ECONOMY-part revenue per order year. Two dimension
     broadcasts (ECONOMY part keys as a semi join, supplier →
     s_nationkey), per-(orderkey, supp-nation) int partials via
-    grouped_sums_partitioned, two partitioned hash joins (date-windowed
+    grouped_sums, two partitioned hash joins (date-windowed
     orders carrying the order YEAR, customer), ASIA filter on the
     customer nation, then per-year conditional int sums (rev × the
     s_nationkey=3 0/1 flag = the SQL CASE). mkt_share is ONE spelled
@@ -3991,8 +3989,7 @@ def q_tpch_q8a(sf_dir: str):
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import broadcast_join, hash_join
 
     target = 3
@@ -4026,9 +4023,10 @@ def q_tpch_q8a(sf_dir: str):
     li = broadcast_join(li, supp, key="l_suppkey", small_key="s_suppkey",
                         how="inner")
     fo = _fanout(sf_dir, "lineitem")
-    per_order = grouped_sums_partitioned(
+    per_order = grouped_sums(
         _rev_x10000_batches(li, extra_cols=["s_nationkey"]),
-        ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"}, num_parts=fo)
+        ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"}, count_alias=None,
+        num_parts=fo)
 
     def in_window(b: pa.Table) -> pa.Table:
         d = b.column("o_orderdate")
@@ -4088,14 +4086,13 @@ def q_tpch_q13(sf_dir: str):
     left-outer-join + second-level-groupby shape (the zero bucket only
     exists because of the outer join; o_orderpriority <> '5-LOW' stands
     in for the reference's comment-pattern exclusion). Order counts per
-    custkey come from grouped_sums_partitioned at customer cardinality;
+    custkey come from grouped_sums at customer cardinality;
     ONE partitioned left hash join against the customer keys, null
     counts fill to 0 row-locally, and the O(max-k) distribution folds
     through a map-side-combined grouped count. Integer-exact."""
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import hash_join
 
     def qualifying(b: pa.Table) -> pa.Table:
@@ -4106,7 +4103,7 @@ def q_tpch_q13(sf_dir: str):
                    ["o_custkey", "o_orderpriority"]).map_batches(
         qualifying, batch_format="pyarrow", zero_copy_batch=True)
     fo = _fanout(sf_dir, "customer")
-    per_cust = grouped_sums_partitioned(
+    per_cust = grouped_sums(
         orders, ["o_custkey"], {}, count_alias="c_count", num_parts=fo)
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
@@ -4128,7 +4125,7 @@ def q_tpch_q17(sf_dir: str):
     """TPC-H Q17 small-quantity-order revenue: total price of Brand#1
     lines whose quantity is below 0.2 × the part's average quantity —
     the correlated-scalar-aggregate shape. Per-part (sum_q100, n)
-    partials reduce through grouped_sums_partitioned, the O(brand
+    partials reduce through grouped_sums, the O(brand
     parts) threshold table broadcasts back, and the row-local compare
     runs the SAME spelled float chain both engines evaluate
     (0.2 * ((q100 / 100.0) / n)); the surviving extended prices fold to
@@ -4136,8 +4133,7 @@ def q_tpch_q17(sf_dir: str):
     spelled in the mirror."""
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import broadcast_join
     from jsschema_ray.stages.windows import round_half_away
 
@@ -4167,7 +4163,7 @@ def q_tpch_q17(sf_dir: str):
         return pa.table({"l_partkey": b.column("l_partkey"),
                          "q100": pa.array(q)})
 
-    per_part = grouped_sums_partitioned(
+    per_part = grouped_sums(
         li.map_batches(q100, batch_format="pyarrow", zero_copy_batch=True),
         ["l_partkey"], {"sum_q100": "q100"}, count_alias="n_lines",
         num_parts=_fanout(sf_dir, "part"))
@@ -5169,15 +5165,15 @@ def q_dedup_rate_by_source(sf_dir: str):
 def q_top_langs_per_source(sf_dir: str):
     """Top-2 most frequent languages per source with ranks — the exact
     grouped heavy-hitter report (the per-source language mix a curation
-    run checks before sampling): grouped_sums_partitioned pair counts
+    run checks before sampling): grouped_sums pair counts
     -> top_n_per_group (ROW_NUMBER QUALIFY, count DESC, lang ASC
     deterministic tiebreak). Raw docs collapse to O(source x lang)
     partials before the only shuffle."""
-    from jsschema_ray.stages.aggregates import (grouped_sums_partitioned,
+    from jsschema_ray.stages.aggregates import (grouped_sums,
                                                 top_n_per_group)
 
     ds = _read(sf_dir, "documents", ["source", "lang"])
-    counts = grouped_sums_partitioned(ds, ["source", "lang"], {},
+    counts = grouped_sums(ds, ["source", "lang"], {},
                                       count_alias="n_docs", num_parts=16)
     out = top_n_per_group(counts, group="source", value="n_docs",
                           tiebreak="lang", n=2)
@@ -5245,19 +5241,19 @@ def q_caption_spam(sf_dir: str):
     attached to MORE THAN 2 images, with counts — boilerplate/spam
     captions ('image', alt-text templates) poison caption-conditioned
     training and are invisible to byte dedup (the images differ). One
-    grouped_sums_partitioned over the caption key (captions collapse to
+    grouped_sums over the caption key (captions collapse to
     distinct (caption, count) partials before the only shuffle; the
     spam set is tiny so the final sort is O(spam)). NULL captions drop
     (the validator's finding). Deterministic order: count DESC, caption
     ASC, LIMIT 50."""
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
 
     ds = rd.read_parquet(_image_dir(sf_dir), columns=["caption"])
 
     def drop_null(b: pa.Table) -> pa.Table:
         return b.filter(pc.is_valid(b.column("caption")))
 
-    counts = grouped_sums_partitioned(
+    counts = grouped_sums(
         ds.map_batches(drop_null, batch_format="pyarrow",
                        batch_size=65536, zero_copy_batch=True),
         ["caption"], {}, count_alias="n_images", num_parts=16)
@@ -5433,19 +5429,18 @@ def q_dup_cluster_histogram(sf_dir: str):
     by a few megaclusters; caption_spam lists the offenders, this says
     how duplication is distributed). Stage 1 collapses per-batch to
     distinct captions and merges per-caption counts through the hash
-    co-partition (grouped_sums_partitioned — NOT the key-sorting
-    aggregate, which would sort ~O(corpus) strings); stage 2
+    co-partition (grouped_sums, which never sorts the ~O(corpus)
+    strings); stage 2
     re-aggregates the O(captions) count table by count VALUE (tiny
     universe). Pure int64."""
-    from jsschema_ray.stages.aggregates import (grouped_sums,
-                                                grouped_sums_partitioned)
+    from jsschema_ray.stages.aggregates import grouped_sums
 
     ds = rd.read_parquet(_image_dir(sf_dir), columns=["caption"])
 
     def drop_null(b: pa.Table) -> pa.Table:
         return b.filter(pc.is_valid(b.column("caption")))
 
-    per_text = grouped_sums_partitioned(
+    per_text = grouped_sums(
         ds.map_batches(drop_null, batch_format="pyarrow",
                        batch_size=65536, zero_copy_batch=True),
         ["caption"], {}, count_alias="__n",
@@ -5796,7 +5791,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "distinct_orders_sketch": q_distinct_orders_sketch,  # r5: grouped HLL
         "hopping_distinct_users": q_hopping_distinct_users,  # r5 NEW: sliding-window distinct — replaces histogram_chars in-window
         "event_transitions": q_event_transitions,  # r5 NEW: Markov transition matrix — replaces tfidf_terms in-window
-        "price_ks_flags": q_price_ks_flags,  # r5h rotation: exact two-sample KS, count merge moved to grouped_sums_partitioned THIS session (changed code needs its first driver row) — replaces top_events_per_user in-window (driver-green r4; its r5b __part hoist stays pinned by the local mirror and the in-window arrow-hoist rep top_quantity_ties)
+        "price_ks_flags": q_price_ks_flags,  # r5h rotation: exact two-sample KS, counts merged by grouped_sums — replaces top_events_per_user in-window (its r5b __part hoist stays pinned by the local mirror and the in-window arrow-hoist rep top_quantity_ties)
         "top_quantity_ties": q_top_quantity_ties,  # r5b NEW operator: RANK/DENSE_RANK WITH-TIES selection
         # --- new round-4 hard-signal groundings for the sketch dedups
         "minhash_recall": q_minhash_recall,
@@ -5827,13 +5822,13 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "revenue_pivot": q_revenue_pivot,  # r5f NEW tail operator: conditional-SUM crosstab (pivot_counts' exact-cents sibling) — wide-partial machinery pinned in-window by tpch_q1; local mirror verifies
         "user_first_seen": q_user_first_seen,  # r5g NEW tail operator: grouped_extrema (id-cardinality grouped MIN) — partitioned-merge machinery pinned in-window by user_activity_histogram; local mirror verifies
         "orders_checksum": q_orders_checksum,  # r5g NEW tail operator: anti-entropy table checksum — mix32 family pinned in-window by mixture_sample; same checksum machinery as in-window partition_checksums; local mirror verifies
-        "top_langs_per_source": q_top_langs_per_source,  # r5g NEW tail composition: exact grouped heavy hitters — grouped_sums_partitioned + top_n_per_group both pinned in-window (user_activity_histogram, top_events_per_user); local mirror verifies
+        "top_langs_per_source": q_top_langs_per_source,  # r5g NEW tail composition: exact grouped heavy hitters — grouped_sums + top_n_per_group both pinned in-window (user_activity_histogram, top_events_per_user); local mirror verifies
         "first_event_latency": q_first_event_latency,  # r5h NEW tail operator: per-user first-A-to-first-B conversion latency — one-pass dual null-skipping grouped_extrema MIN; local mirror verifies
         "price_size_heatmap": q_price_size_heatmap,  # r5h NEW tail operator: 2-D equi-width histogram (profiling heatmap) — bincount/grouped_sums family pinned in-window by benford_digits; local mirror verifies
         "dedup_rate_by_source": q_dedup_rate_by_source,  # r5h NEW tail composition: per-source duplication pressure — grouped_count_distinct + hash_join both previously driver-green; local mirror verifies
         "price_iqr_outliers": q_price_iqr_outliers,  # r5h NEW tail operator: Tukey-fence outlier audit (all-int64 fences) — _grouped_value_counts machinery pinned in-window by revenue_gini; local mirror verifies
         "image_bpp_outliers": q_image_bpp_outliers,  # r5h NEW tail operator: per-format bytes-per-pixel outlier audit (the suspicious-payload detector) — same IQR machinery; local mirror verifies
-        "caption_spam": q_caption_spam,  # r5h NEW tail composition: duplicate-caption spam detection — grouped_sums_partitioned pinned in-window; local mirror verifies
+        "caption_spam": q_caption_spam,  # r5h NEW tail composition: duplicate-caption spam detection — grouped_sums pinned in-window; local mirror verifies
         "phash_bit_balance": q_phash_bit_balance,  # r5h NEW tail operator: per-bit hash-health audit (stats.bit_balance) — local mirror verifies
         "order_totals_reconcile": q_order_totals_reconcile,  # r5h NEW tail operator: cross-table aggregate reconciliation (referential.reconcile_sums) — local mirror verifies
         "orders_upsert": q_orders_upsert,  # r5h NEW tail operator: keyed MERGE apply (transform.upsert), the diff->apply completion — local mirror verifies per-row
@@ -5880,7 +5875,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "approx_top_phash": q_approx_top_phash,  # driver-green r4, CMS path unchanged in r5 — rotated out for tpch_q1
         "incremental_dedup": q_incremental_dedup,  # driver-green r4, anti-join path unchanged by the r5 minhash-side hunks — rotated out for event_value_share
         "image_validate": q_image_validate,  # driver-green r1-r4 (4 rounds), validate.py unchanged in r5; entry() drives the same validator path every round — rotated out for fuzzy_name_join
-        "tpch_q18": q_tpch_q18,  # r5 tail: large-volume orders (every primitive it composes is window-pinned: grouped_sums_partitioned/hash_join/top_k_rows via tpch_q3; the window holds only never-verified/changed queries)
+        "tpch_q18": q_tpch_q18,  # r5 tail: large-volume orders (every primitive it composes is window-pinned: grouped_sums/hash_join/top_k_rows via tpch_q3; the window holds only never-verified/changed queries)
         "tpch_q4a": q_tpch_q4a,  # r5 tail: EXISTS semi join + grouped count (bloom_semi_join window-pinned via tpch_q3/quantity_zscore-family; local mirror verifies the pair)
         "tpch_q5": q_tpch_q5,  # r5 tail: local-supplier volume (co-location predicate over two partitioned joins; all primitives window-pinned)
         "tpch_q6": q_tpch_q6,  # r5 tail: pruned-scan global exact-int sum
@@ -5905,7 +5900,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "quantity_mad": q_quantity_mad,  # rotated out r5b: driver-green r4; the shared vectorized grouped-quantile path is pinned via group_quantiles (in-window)
         "event_lag_lead": q_event_lag_lead,  # rotated out r5b: driver-green r4; the _key_block_starts windows path is pinned via event_transitions (in-window)
         "event_funnel": q_event_funnel,  # rotated out r5b: driver-green r4; same per-key windows machinery as event_lag_lead
-        "normalized_dedup": q_normalized_dedup,  # r5 tail: normalize->dedup composition (normalize_text window-pinned via normalize_docs; the min/count merge mirrors the window-pinned grouped_sums_partitioned shape)
+        "normalized_dedup": q_normalized_dedup,  # r5 tail: normalize->dedup composition (normalize_text window-pinned via normalize_docs; the min/count merge mirrors the window-pinned grouped_sums shape)
         "violation_summary": q_violation_summary,  # driver-green r4, roll-up body unchanged in r5 — rotated out for source_vocab_overlap
         "phash_near_dup": q_phash_near_dup,  # driver-green r4, hamming path unchanged in r5 — rotated out for weighted_median
         "image_near_dup_components": q_image_near_dup_components,  # driver-green r4, unchanged — rotated out for name_typo_pairs

@@ -1,11 +1,14 @@
-"""Pre-aggregated grouped sums: the map-side-combine pattern for wide
+"""Grouped aggregates with a map-side combine: the pattern for wide
 aggregations (SURVEY.md §4 / ray_guide "Aggregation at scale").
 
-A bare ``groupby(keys).aggregate(Sum(col))`` shuffles every row; here each
-batch first collapses to one row per key via a vectorized
-``pyarrow.Table.group_by`` (map-side combine), so the all-to-all exchange
-carries O(distinct keys × batches) tiny partial rows. Averages are derived
-from (sum, count) after the final merge — never averaged across partials.
+Each batch first collapses to one partial row per key via a vectorized
+``pyarrow.Table.group_by``; ``exchange.by_key`` co-partitions the partials
+on the keys and one pyarrow ``group_by`` per partition merges them
+(``_combined``, the body of ``grouped_sums`` and ``grouped_extrema``). The
+exchange carries O(distinct keys × batches) tiny partial rows, never the
+raw rows, and the hash merge costs the same on six keys as on an id-like
+key. Averages are derived from (sum, count) after the final merge — never
+averaged across partials.
 """
 
 from __future__ import annotations
@@ -14,9 +17,41 @@ from typing import Optional
 
 import pyarrow as pa
 
-from ray.data.aggregate import Sum
+from jsschema_ray.stages.exchange import (PART, by_key, by_part, fanout,
+                                          partition_ids)
 
-from jsschema_ray.stages.exchange import PART, by_key, by_part, partition_ids
+# how each partial aggregate merges across batches
+_MERGE = {"sum": "sum", "count_all": "sum", "min": "min", "max": "max"}
+
+
+def _combined(ds, keys: list[str], aggs: dict[str, tuple],
+              num_parts: Optional[int], batch_size: int):
+    """groupby(keys) with ``aggs`` ({out_name: (in_col, fn)}, fn one of
+    ``_MERGE``; ``(None, "count_all")`` is COUNT(*)) as a map-side
+    combine: a pyarrow ``group_by`` partial per batch, ``by_key`` into
+    ``num_parts`` (default ``fanout(0)``) partitions, and a pyarrow
+    ``group_by`` merge per partition. Returns keys + out_names."""
+    specs = list(dict.fromkeys(aggs.values()))
+    in_cols = list(dict.fromkeys(c for c, _ in specs if c is not None))
+    outs = list(aggs)
+
+    def partial(batch: pa.Table) -> pa.Table:
+        g = batch.select(keys + in_cols).group_by(keys).aggregate(
+            [([] if c is None else c, fn) for c, fn in specs])
+        return g.select(
+            keys + ["count_all" if c is None else f"{c}_{fn}"
+                    for c, fn in aggs.values()]).rename_columns(keys + outs)
+
+    def merge_part(t: pa.Table) -> pa.Table:
+        merge = [(out, _MERGE[fn]) for out, (_, fn) in aggs.items()]
+        g = t.group_by(keys).aggregate(merge)
+        return g.select(keys + [f"{out}_{fn}" for out, fn in merge]
+                        ).rename_columns(keys + outs)
+
+    return by_key(ds.map_batches(
+        partial, batch_format="pyarrow", batch_size=batch_size,
+        zero_copy_batch=True,
+    ), keys, merge_part, num_parts or fanout(0))
 
 
 def grouped_sums(
@@ -24,38 +59,23 @@ def grouped_sums(
     keys: list[str],
     sum_cols: dict[str, str],
     count_alias: Optional[str] = "n",
+    num_parts: Optional[int] = None,
     batch_size: int = 65536,
 ):
     """groupby(keys) with SUM over ``sum_cols`` ({out_name: in_col}) and an
-    optional COUNT(*) — partial-aggregated per batch before the shuffle.
-    Returns the merged (still lazy) Dataset with columns keys + out_names
-    [+ count_alias]."""
-    in_cols = list(dict.fromkeys(sum_cols.values()))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        aggs = [(c, "sum") for c in in_cols]
-        if count_alias:
-            # ([], "count_all") is pyarrow's COUNT(*): row count per group,
-            # independent of any column's nulls (and valid when sum_cols
-            # is empty — a pure count-per-group aggregate)
-            aggs.append(([], "count_all"))
-        g = batch.select(keys + in_cols).group_by(keys).aggregate(aggs)
-        # rename pyarrow's col_sum/count_all to target names
-        renames = {f"{c}_sum": out for out, c in sum_cols.items()}
-        if count_alias:
-            renames["count_all"] = count_alias
-        return g.rename_columns(
-            [renames.get(name, name) for name in g.column_names]
-        )
-
-    partials = ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    )
-    aggs = [Sum(out, alias_name=out) for out in sum_cols]
+    optional COUNT(*) named ``count_alias`` (the row count per group,
+    independent of any column's nulls; ``sum_cols`` may be empty). Partial
+    sums per batch, then one ``exchange.by_key`` hash exchange into
+    ``num_parts`` partitions (default ``exchange.fanout(0)``, one per
+    cluster CPU) and a pyarrow merge per partition. NULL keys form one
+    group (SQL GROUP BY) and -0.0/+0.0 float keys merge into one key.
+    Returns the (lazy) Dataset keys + out_names [+ count_alias], in no
+    particular row order."""
+    aggs = {out: (c, "sum") for out, c in sum_cols.items()}
     if count_alias:
-        aggs.append(Sum(count_alias, alias_name=count_alias))
-    return partials.groupby(keys).aggregate(*aggs)
+        aggs[count_alias] = (None, "count_all")
+    return _combined(ds, keys, aggs, num_parts, batch_size)
+
 
 def pivot_counts(ds, row_key: str, col_key: str, categories: list,
                  prefix: str = "n_", batch_size: int = 65536):
@@ -1402,9 +1422,9 @@ def grouped_minmax_scale(ds, group: str, x: str, scale: int = 100,
     LEFT-join semantics, NULL never matches NULL), or a constant group
     (xmax == xmin) yield NULL ``minmax`` (the SQL CASE rule).
 
-    Scale shape: one map-side-combined extrema shuffle (per-batch
-    pyarrow ``group_by`` min/max partials — O(groups x batches) width-3
-    rows), then the O(groups) stats table broadcast-joins back (ray.put
+    Scale shape: one :func:`grouped_extrema` (per-batch pyarrow
+    ``group_by`` min/max partials — O(groups x batches) width-3 rows —
+    hash-merged), then the O(groups) stats table broadcast-joins back (ray.put
     once; groups must be bounded for the broadcast) and the finish is a
     row-local vectorized map. Reference analogue: the per-field numeric
     range keywords (minimum/maximum, /root/reference/schema.go) extended
@@ -1412,8 +1432,6 @@ def grouped_minmax_scale(ds, group: str, x: str, scale: int = 100,
     limits the output columns (plus group/x/minmax)."""
     import numpy as np
     import pyarrow.compute as pc
-
-    from ray.data.aggregate import Max, Min
 
     from jsschema_ray.stages.join import broadcast_join
     from jsschema_ray.stages.windows import round_half_away
@@ -1428,17 +1446,14 @@ def grouped_minmax_scale(ds, group: str, x: str, scale: int = 100,
                 f"grouped_minmax_scale values exceed 2^52 at "
                 f"scale={scale}; the int64 differences would lose "
                 "float64 exactness — lower the scale")
-        g = pa.table({group: b.column(group), "xv": pa.array(xv)}) \
-            .group_by([group]).aggregate([("xv", "min"), ("xv", "max")])
-        renames = {"xv_min": "xmin", "xv_max": "xmax"}
-        return g.rename_columns(
-            [renames.get(n, n) for n in g.column_names])
+        return pa.table({group: b.column(group), "xv": pa.array(xv)})
 
-    partials = ds.select_columns([group, x]).map_batches(
-        prep, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True)
-    stats = partials.groupby(group).aggregate(
-        Min("xmin", alias_name="xmin"), Max("xmax", alias_name="xmax"))
+    stats = grouped_extrema(
+        ds.select_columns([group, x]).map_batches(
+            prep, batch_format="pyarrow", batch_size=batch_size,
+            zero_copy_batch=True),
+        [group], {"xmin": ("xv", "min"), "xmax": ("xv", "max")},
+        batch_size=batch_size)
 
     cols = list(dict.fromkeys((keep or []) + [group, x]))
     joined = broadcast_join(ds.select_columns(cols), stats, key=group,
@@ -1828,89 +1843,26 @@ def grouped_concentration(ds, group: str, col: str,
                               zero_copy_batch=True)
 
 
-def grouped_sums_partitioned(ds, keys: list[str], sum_cols: dict[str, str],
-                             count_alias: Optional[str] = None,
-                             num_parts: int = 32, batch_size: int = 65536):
-    """grouped_sums for UNBOUNDED key cardinality: identical map-side
-    pyarrow partials, but the merge is a hash(keys) co-partition +
-    per-partition pyarrow group_by instead of Ray's key-SORTING
-    Aggregate — which collapses on high-cardinality keys (measured
-    26.8 s vs ~0.5 s on a 150k-distinct key at sf0.1; the r5 value_cdf
-    find). Use grouped_sums for single-digit group universes (its merged
-    output is globally combined per key already); use THIS when the key
-    is an id-like column (per-order, per-document totals). Returns
-    keys + out_names [+ count_alias]; NULL keys group together
-    (SQL GROUP BY), -0.0/0.0 float keys merge as one key (the exchange
-    normalizes them before the merge)."""
-    in_cols = list(dict.fromkeys(sum_cols.values()))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        aggs = [(c, "sum") for c in in_cols]
-        if count_alias:
-            aggs.append(([], "count_all"))
-        g = batch.select(keys + in_cols).group_by(keys).aggregate(aggs)
-        renames = {f"{c}_sum": out for out, c in sum_cols.items()}
-        if count_alias:
-            renames["count_all"] = count_alias
-        return g.rename_columns(
-            [renames.get(name, name) for name in g.column_names])
-
-    out_names = list(sum_cols) + ([count_alias] if count_alias else [])
-
-    def merge_part(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate([(c, "sum") for c in out_names])
-        return g.rename_columns(
-            [n[:-4] if n.endswith("_sum") and n[:-4] in out_names else n
-             for n in g.column_names])
-
-    return by_key(ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ), keys, merge_part, num_parts)
-
-
 def grouped_extrema(ds, keys: list[str], cols: dict,
-                    num_parts: int = 32, batch_size: int = 65536):
-    """groupby(keys) with MIN/MAX payloads for UNBOUNDED key cardinality
-    — the extrema sibling of :func:`grouped_sums_partitioned` (identical
-    scale shape: map-side pyarrow partials, hash(keys) co-partition, a
-    per-partition pyarrow group_by merge — min-of-mins / max-of-maxes is
-    the same two-level decomposition SUM uses, so raw rows never
-    shuffle). ``cols`` maps ``out_name -> (in_col, "min"|"max")``. The
-    first-seen / last-seen curation primitive (per-user MIN(ts), per-key
-    MAX(version)) the id-cardinality grouped_sums family had no extrema
-    answer for. NULL values skip per SQL MIN/MAX (an all-NULL group
-    emits NULL); NULL keys one group; -0.0/0.0 keys merge.
+                    num_parts: Optional[int] = None,
+                    batch_size: int = 65536):
+    """groupby(keys) with MIN/MAX payloads: ``cols`` maps
+    ``out_name -> (in_col, "min"|"max")``. The same map-side combine and
+    ``exchange.by_key`` merge as :func:`grouped_sums` (min-of-mins /
+    max-of-maxes is the same two-level decomposition SUM uses, so raw
+    rows never shuffle), with the same ``num_parts`` default. The
+    first-seen / last-seen curation primitive (per-user MIN(ts),
+    per-key MAX(version)). NULL values skip per SQL MIN/MAX (an all-NULL
+    group emits NULL); NULL keys one group; -0.0/0.0 keys merge.
 
-    No jsschema analogue (it validates one value at a time,
-    /root/reference/validator/validator.go:57); this extends the §2.C
+    No jsschema analogue (it validates one value at a time, the
+    reference's validator/validator.go:57); this extends the §2.C
     column-statistics surface to grouped form."""
     for out, (c, fn) in cols.items():
         if fn not in ("min", "max"):
             raise ValueError(f"grouped_extrema: {out} wants {fn!r}; "
                              "only min/max")
-    in_aggs = sorted({(c, fn) for c, fn in cols.values()})
-    in_cols = list(dict.fromkeys(c for c, _ in in_aggs))
-    renames = {f"{c}_{fn}": out for out, (c, fn) in cols.items()}
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(keys + in_cols).group_by(keys).aggregate(
-            list(in_aggs))
-        return g.rename_columns(
-            [renames.get(name, name) for name in g.column_names])
-
-    merge_aggs = [(out, fn) for out, (_, fn) in cols.items()]
-    back = {f"{out}_{fn}": out for out, (_, fn) in cols.items()}
-
-    def merge_part(t: pa.Table) -> pa.Table:
-        g = t.group_by(keys).aggregate(merge_aggs)
-        return g.rename_columns(
-            [back.get(n, n) for n in g.column_names])
-
-    return by_key(ds.map_batches(
-        partial, batch_format="pyarrow", batch_size=batch_size,
-        zero_copy_batch=True,
-    ), keys, merge_part, num_parts)
+    return _combined(ds, keys, cols, num_parts, batch_size)
 
 
 def pareto_front(ds, x: str, y: str, num_parts: int = 32,
@@ -1925,8 +1877,8 @@ def pareto_front(ds, x: str, y: str, num_parts: int = 32,
     NULL x/y rows drop (SQL WHERE IS NOT NULL on both).
 
     Scale shape: (1) raw rows collapse to distinct (x, y) pair counts
-    (grouped_sums_partitioned — map-side combine, one hash shuffle of
-    pairs); (2) per-x minimum y via top_n_with_ties ascending (batch
+    (grouped_sums — map-side combine, one hash shuffle of pairs);
+    (2) per-x minimum y via top_n_with_ties ascending (batch
     pre-trim, one co-partition); (3) the O(distinct x) per-x-min table
     range-sorts by x and the frontier test (y strictly below every
     smaller-x minimum) finishes with the value_cdf block-prefix shape:
@@ -1940,7 +1892,7 @@ def pareto_front(ds, x: str, y: str, num_parts: int = 32,
     def drop_nulls(b: pa.Table) -> pa.Table:
         return b.select([x, y]).drop_null()
 
-    pairs = grouped_sums_partitioned(
+    pairs = grouped_sums(
         ds.map_batches(drop_nulls, batch_format="pyarrow",
                        batch_size=batch_size, zero_copy_batch=True),
         keys=[x, y], sum_cols={}, count_alias="n",

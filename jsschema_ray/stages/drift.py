@@ -49,10 +49,10 @@ def _spec_for(columns: list[str], partition_col: Optional[str]) -> StatsSpec:
     return spec
 
 
-def build_profile(ds, columns: list[str], batch_size: int = 65536,
-                  concurrency: Optional[int] = None) -> DriftProfile:
+def build_profile(ds, columns: list[str], batch_size: int = 65536
+                  ) -> DriftProfile:
     """Global (partition-less) digests of the reference dataset."""
-    stats = collect_stats(ds, _spec_for(columns, None), batch_size, concurrency)
+    stats = collect_stats(ds, _spec_for(columns, None), batch_size)
     return DriftProfile(
         {col: cs.digest for (_, col), cs in stats.items() if cs.digest is not None}
     )
@@ -89,8 +89,7 @@ def _verdicts(stats, profile: DriftProfile, ks_threshold: float) -> pa.Table:
 
 
 def drift_check_self(ds, columns: list[str], partition_col: str,
-                     ks_threshold: float = 0.15, batch_size: int = 65536,
-                     concurrency: Optional[int] = None
+                     ks_threshold: float = 0.15, batch_size: int = 65536
                      ) -> tuple[pa.Table, DriftProfile]:
     """Self-profiling drift in ONE scan: the per-partition digests are
     collected once, the global reference profile is their driver-side
@@ -99,9 +98,7 @@ def drift_check_self(ds, columns: list[str], partition_col: str,
     build_profile + drift_check over the same input. Returns
     (verdict_table, profile) so the profile can be persisted for later
     incremental checks."""
-    stats = collect_stats(
-        ds, _spec_for(columns, partition_col), batch_size, concurrency
-    )
+    stats = collect_stats(ds, _spec_for(columns, partition_col), batch_size)
     merged: dict[str, TDigest] = {}
     for (_, col), cs in sorted(stats.items()):
         if cs.digest is not None:
@@ -113,13 +110,10 @@ def drift_check_self(ds, columns: list[str], partition_col: str,
 
 def drift_check(ds, profile: DriftProfile, columns: list[str],
                 partition_col: str, ks_threshold: float = 0.15,
-                batch_size: int = 65536,
-                concurrency: Optional[int] = None) -> pa.Table:
+                batch_size: int = 65536) -> pa.Table:
     """Per-(partition, column) KS distance vs the profile -> verdict table
     (partition, column, ks, n, passed)."""
-    stats = collect_stats(
-        ds, _spec_for(columns, partition_col), batch_size, concurrency
-    )
+    stats = collect_stats(ds, _spec_for(columns, partition_col), batch_size)
     return _verdicts(stats, profile, ks_threshold)
 
 
@@ -296,19 +290,18 @@ def exact_ks(ds, group_col: str, value_col: str, g1, g2,
     an empty slice (n1 or n2 = 0) RAISES — KS is undefined.
 
     Scale shape: per-(side, cents) counts via map-side-combined
-    grouped_sums_partitioned (raw rows never shuffle; the shuffle
-    carries distinct (side, value) count rows through a hash
-    co-partition merge — NOT Ray's key-sorting Aggregate, which
-    collapses on the O(distinct-cents) key universe: swapping it here
-    took the sf0.1 price query 21.4 s -> ~1 s, the same landmine
-    value_cdf hit), then ONE single-task finish over the
-    O(distinct-values) table — the same fits-one-worker contract as the
-    categorical-drift family (a 2-decimal domain is bounded by its
-    range). NOTE: a zero-row upstream yields a schema-less Dataset
-    (Ray's groupby emits no blocks); callers feed real slices."""
+    grouped_sums (raw rows never shuffle; the keyed exchange carries
+    distinct (side, value) count rows to a hash co-partition merge,
+    whose cost does not grow with the O(distinct-cents) key universe
+    the way a key-sorting merge's does), then ONE single-task finish
+    over the O(distinct-values) table — the same fits-one-worker
+    contract as the categorical-drift family (a 2-decimal domain is
+    bounded by its range). NOTE: a zero-row upstream yields a
+    schema-less Dataset (the exchange emits no blocks); callers feed real
+    slices."""
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.windows import round_half_away
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -335,7 +328,7 @@ def exact_ks(ds, group_col: str, value_col: str, g1, g2,
         return pa.table({"side": pa.array(side, pa.int64()),
                          "c": pa.array(scaled.astype(np.int64))})
 
-    counts = grouped_sums_partitioned(
+    counts = grouped_sums(
         ds.select_columns([group_col, value_col]).map_batches(
             prep, batch_format="pyarrow", batch_size=batch_size,
             zero_copy_batch=True,

@@ -35,7 +35,10 @@ into: one per cluster CPU, more only when a partition would otherwise
 hold over ``ROWS_PER_PARTITION`` input rows.
 
 Callers: windows, aggregates, quantiles, sampling, stats, referential,
-transform, uniqueness, dedup, join, text, packing and sources/io.
+transform, uniqueness, dedup, join, text, packing, graph, drift and
+sources/io. Every grouped aggregate (aggregates.grouped_sums and
+grouped_extrema, so graph's per-round MIN and drift's KS counts too)
+merges here; no module uses Ray's key-sorting groupby aggregate.
 """
 
 from __future__ import annotations

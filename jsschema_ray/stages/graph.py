@@ -23,8 +23,10 @@ Dataset.sum, no row comparison shuffle).
 
 Scale shape: the edge set is symmetrized ONCE and materialized (2|E| rows
 of two int64s); each round is two hash-partitioned joins (reusing
-stages/join.hash_join — Acero per bucket) plus one map-side-combined
-grouped-min.  Nothing per-round touches the driver except the int64
+stages/join.hash_join — Acero per bucket) plus one grouped MIN
+(aggregates.grouped_extrema: per-batch partial minima, merged per
+partition after the keyed exchange, exchange.by_key, one partition per
+cluster CPU).  Nothing per-round touches the driver except the int64
 checksum.  Nodes that appear in no edge are their own singleton components
 and are simply absent from the output (same contract as the SQL mirror,
 which also derives its node set from the edge list).
@@ -35,27 +37,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ray.data.aggregate import Min
+from jsschema_ray.stages.aggregates import grouped_extrema
 
-
-def _grouped_min(ds, key: str, col: str, batch_size: int = 262144):
-    """groupby(key).min(col) with a map-side combine (same shape as
-    aggregates.grouped_sums): each batch collapses to one row per key
-    before the shuffle, so the exchange carries O(distinct keys x batches)
-    partial rows."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([key, col]).group_by(key).aggregate([(col, "min")])
-        return g.rename_columns(
-            [col if c == f"{col}_min" else c for c in g.column_names]
-        )
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow",
-                       batch_size=batch_size, zero_copy_batch=True)
-        .groupby(key)
-        .aggregate(Min(col, alias_name=col))
-    )
+# a node's new label: the smallest label delivered to it
+_MIN_LABEL = {"label": ("label", "min")}
 
 
 def _quiet_empty_schema_warning():
@@ -127,10 +112,10 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         return pa.table({"node": pa.array(src),
                          "label": pa.array(np.minimum(src, dst))})
 
-    labels = _grouped_min(
+    labels = grouped_extrema(
         edges.map_batches(init_rows, batch_format="pyarrow",
                           batch_size=batch_size, zero_copy_batch=True),
-        "node", "label", batch_size=batch_size,
+        ["node"], _MIN_LABEL, batch_size=batch_size,
     ).materialize()
     prev_sum = labels.sum("label")
 
@@ -163,8 +148,8 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         # the doubling row (which exists for every node: every label is
         # itself a node) dominates it.  Union is therefore two LAZY
         # branches only, same shape as hash_join's internal union.
-        labels = _grouped_min(
-            nbr.union(dbl), "node", "label", batch_size=batch_size
+        labels = grouped_extrema(
+            nbr.union(dbl), ["node"], _MIN_LABEL, batch_size=batch_size
         ).materialize()
         cur_sum = labels.sum("label")
         if cur_sum == prev_sum:  # monotone witness: nothing moved

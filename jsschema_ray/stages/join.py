@@ -724,7 +724,7 @@ def join_cardinality(left, right, key, right_key=None,
     refusing loudly IS the answer.
 
     Scale shape: each side collapses to per-key COUNT partials
-    map-side (grouped_sums_partitioned — raw rows never shuffle), the
+    map-side (grouped_sums — raw rows never shuffle), the
     two O(keys) count tables meet in ONE partitioned hash join, each
     join bucket folds to a width-5 partial (its argmax rides along),
     and the driver-free finish is one single-block fold of O(parts)
@@ -735,7 +735,7 @@ def join_cardinality(left, right, key, right_key=None,
     import numpy as np
     import pyarrow.compute as pc
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
 
     rk = right_key or key
 
@@ -744,13 +744,13 @@ def join_cardinality(left, right, key, right_key=None,
             return b.filter(pc.is_valid(b.column(col)))
         return fn
 
-    lc = grouped_sums_partitioned(
+    lc = grouped_sums(
         left.select_columns([key]).map_batches(
             drop_null(key), batch_format="pyarrow",
             batch_size=batch_size, zero_copy_batch=True),
         [key], {}, count_alias="__lc", num_parts=num_parts,
         batch_size=batch_size)
-    rc = grouped_sums_partitioned(
+    rc = grouped_sums(
         right.select_columns([rk]).map_batches(
             drop_null(rk), batch_format="pyarrow",
             batch_size=batch_size, zero_copy_batch=True),

@@ -357,7 +357,7 @@ def reconcile_sums(detail, header, detail_key: str, header_key: str,
     wrapped (the grouped_moments recipe).
 
     Scale shape: detail rows collapse to per-key exact-cents partials
-    map-side (grouped_sums_partitioned — raw detail rows never
+    map-side (grouped_sums — raw detail rows never
     shuffle), ONE partitioned hash join against the header keys, and
     the k-worst cut is the sort-free top_k_rows gather (<= k rows per
     batch cross the wire). No reference analogue (single-value
@@ -365,7 +365,7 @@ def reconcile_sums(detail, header, detail_key: str, header_key: str,
     §2.C referential-integrity family to aggregate consistency."""
     import numpy as np
 
-    from jsschema_ray.stages.aggregates import grouped_sums_partitioned
+    from jsschema_ray.stages.aggregates import grouped_sums
     from jsschema_ray.stages.join import hash_join
     from jsschema_ray.stages.stats import top_k_rows
     from jsschema_ray.stages.windows import round_half_away
@@ -390,14 +390,14 @@ def reconcile_sums(detail, header, detail_key: str, header_key: str,
             return pa.table(cols)
         return fn
 
-    d_sums = grouped_sums_partitioned(
+    d_sums = grouped_sums(
         detail.select_columns([detail_key, detail_col]).map_batches(
             cents(detail_col, detail_key, "detail_cents", True),
             batch_format="pyarrow", batch_size=batch_size,
             zero_copy_batch=True),
         [detail_key], {"detail_cents": "detail_cents",
                        "__shadow": "__shadow"},
-        num_parts=num_parts)
+        num_parts=num_parts, count_alias=None)
 
     def wrap_check(b: pa.Table) -> pa.Table:
         ic = b.column("detail_cents").to_numpy(zero_copy_only=False)

@@ -3,14 +3,14 @@
 
 Scale pattern (SURVEY.md §2.C, §4): a `map_batches` stage emits ONE tiny
 partial row per (partition, column) per batch — counts + serialized
-sketches, never raw values — then a small `groupby(["partition","column"])
-.map_groups` merges sketches (both are associative monoids), and the driver
-folds the per-partition rows. Raw data is never shuffled; the shuffle
-payload is O(batches × columns × sketch_bytes).
+sketches, never raw values — and the driver folds those rows (both
+sketches are associative monoids). Raw data is never shuffled; the
+driver reads O(batches × columns × sketch_bytes).
 
 The stage is a callable class: spec parsing and sketch parameters are
-actor-state set up once in ``__init__`` (the distributed analogue of the
-reference's compile-once mutex, validator/validator.go:41-53).
+set up once in ``__init__`` and ship once in the task spec (the
+distributed analogue of the reference's compile-once mutex,
+validator/validator.go:41-53).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -217,60 +216,14 @@ def _fold_partials(rows, per_partition: bool = True
     return out
 
 
-def _merge_group(g: pd.DataFrame) -> pd.DataFrame:
-    """map_groups body: fold one (partition, column) group of partial rows
-    into a single partial row (sketches merged)."""
-    (cs,) = _fold_partials(g.to_dict("records")).values()
-    return pd.DataFrame(
-        [
-            {
-                "partition": cs.partition, "column": cs.column, "n": cs.count,
-                "nulls": cs.nulls, "vmin": cs.min, "vmax": cs.max,
-                "vsum": cs.sum, "smin": cs.smin, "smax": cs.smax,
-                "hll": cs.hll.to_bytes() if cs.hll else None,
-                "tdigest": cs.digest.to_bytes() if cs.digest else None,
-            }
-        ]
-    )
-
-
-def _accumulate(ds, spec: StatsSpec, batch_size: int,
-                concurrency: Optional[int]):
-    """The map step: one raw partial row per (partition, column, batch)."""
-    kwargs: dict[str, Any] = dict(batch_format="pyarrow", batch_size=batch_size,
-                                  zero_copy_batch=True)
-    if concurrency is not None:
-        return ds.map_batches(
-            StatsAccumulator, fn_constructor_kwargs={"spec": spec},
-            concurrency=concurrency, **kwargs
-        )
-    return ds.map_batches(StatsAccumulator(spec), **kwargs)
-
-
-def stats_partials(ds, spec: StatsSpec, batch_size: int = 65536,
-                   concurrency: Optional[int] = None):
-    """Dataset of merged partial rows: one per (partition, column)."""
-    return _accumulate(ds, spec, batch_size, concurrency).groupby(
-        ["partition", "column"]).map_groups(_merge_group,
-                                            batch_format="pandas")
-
-
 def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
-                   batch_size: int, distributed_merge: bool = False,
-                   merge_buckets: int = 64):
+                   batch_size: int):
     """Candidate+CMS collection for top_k_exact: each batch emits its local
     top-``local_m`` candidate keys (blob-packed Arrow IPC)
     plus a Count-Min partial (weighted by local counts; CMS merge =
     elementwise add, so partials combine in any order). Returns
     (merged CountMinSketch, unique candidate keys ChunkedArray) or
-    (None, None) on an empty input.
-
-    ``distributed_merge`` is the 10^7+-batch shape: partial rows are first
-    tree-folded INSIDE the cluster (repartition the tiny blob rows to
-    ``merge_buckets`` blocks, fold each block to one row — no key shuffle,
-    the moved payload is O(batches × (local_m + width·depth)) bytes), so
-    the driver folds O(merge_buckets) rows instead of O(batches). Safe for
-    any fold order: CMS add is commutative, candidates are deduped."""
+    (None, None) on an empty input."""
     import numpy as np
 
     from jsschema_ray.state.cms import CountMinSketch
@@ -298,37 +251,6 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
     )
-    if distributed_merge:
-        def fold_block(block: pa.Table) -> pa.Table:
-            if len(block) == 0:
-                return block
-            cms = CountMinSketch.from_bytes(block.column("cms")[0].as_py())
-            for b in block.column("cms").to_pylist()[1:]:
-                cms.merge(CountMinSketch.from_bytes(b))
-            cand = pa.concat_tables(
-                unpack(b) for b in block.column("cand_blob").to_pylist()
-            )
-            # re-dedupe keys inside the fold so candidate volume stays
-            # bounded by distinct keys, not batches × local_m
-            import pandas as pd
-
-            cdf = (pd.DataFrame({"key": cand.column("key").to_pandas(),
-                                 "cnt": cand.column("cnt").to_pandas()})
-                   .groupby("key", sort=False, dropna=False)["cnt"].sum()
-                   .reset_index())
-            folded = pa.table({
-                "key": pa.Array.from_pandas(
-                    cdf["key"], type=cand.column("key").type),
-                "cnt": pa.array(cdf["cnt"].to_numpy(), type=pa.int64()),
-            })
-            return pa.table(
-                {"cand_blob": pa.array([pack(folded)], type=pa.binary()),
-                 "cms": pa.array([cms.to_bytes()], type=pa.binary())}
-            )
-
-        partials = partials.repartition(merge_buckets).map_batches(
-            fold_block, batch_format="pyarrow", batch_size=None,
-        )
     rows = partials.take_all()
     if not rows:
         return None, None
@@ -342,8 +264,7 @@ def _topk_partials(ds, column: str, local_m: int, width: int, depth: int,
 
 def top_k_exact(ds, column: str, k: int = 10, local_m: Optional[int] = None,
                 width: int = 4096, depth: int = 5,
-                batch_size: int = 262144,
-                distributed_merge: bool = False) -> pa.Table:
+                batch_size: int = 262144) -> pa.Table:
     """EXACT top-k heavy hitters in two shuffle-free scans: scan 1 collects
     LSH-free candidates + CMS partials (`_topk_partials` — a true heavy
     hitter is a candidate as long as it is locally top-``local_m`` in at
@@ -367,7 +288,7 @@ def top_k_exact(ds, column: str, k: int = 10, local_m: Optional[int] = None,
 
     local_m = local_m or max(4 * k, 64)
     merged, keys = _topk_partials(ds, column, local_m, width, depth,
-                                  batch_size, distributed_merge)
+                                  batch_size)
     if merged is None:
         return pa.table({column: pa.array([], type=pa.string()),
                          "n": pa.array([], type=pa.int64())})
@@ -405,23 +326,16 @@ def top_k_exact(ds, column: str, k: int = 10, local_m: Optional[int] = None,
     return pa.table({column: top_keys, "n": pa.array(exact, type=pa.int64())})
 
 
-def collect_stats(ds, spec: StatsSpec, batch_size: int = 65536,
-                  concurrency: Optional[int] = None,
-                  distributed_merge: bool = False
+def collect_stats(ds, spec: StatsSpec, batch_size: int = 65536
                   ) -> dict[tuple[str, str], ColumnStats]:
-    """Driver-side fold of the partial sketch rows (HLL/t-digest merges are
-    associative, so raw per-batch partials fold exactly like pre-merged
-    ones). By default the RAW partials are collected — their count is
-    O(batches × columns), each ~20 KB of sketch bytes, which is MBs at any
-    single-job scale; skipping the groupby merge saves a full Ray
-    sort-shuffle of fixed ~1-2 s cost. Set ``distributed_merge=True`` when
-    batches × columns is itself huge (10^7+ blocks at 10^12 rows): that
-    path folds per (partition, column) inside the cluster first
-    (stats_partials) and the driver sees one row per group."""
-    if distributed_merge:
-        rows = stats_partials(ds, spec, batch_size, concurrency).take_all()
-    else:
-        rows = _accumulate(ds, spec, batch_size, concurrency).take_all()
+    """Driver-side fold of the raw partial sketch rows, one per
+    (partition, column, batch) (HLL/t-digest merges are associative).
+    Their count is O(batches × columns), each ~20 KB of sketch bytes,
+    which is MBs at any single-job scale, so no exchange merges them
+    first."""
+    rows = ds.map_batches(StatsAccumulator(spec), batch_format="pyarrow",
+                          batch_size=batch_size,
+                          zero_copy_batch=True).take_all()
     return _fold_partials(rows)
 
 
@@ -526,8 +440,8 @@ def grouped_distinct_sketch(ds, group_col: str, column: str, p: int = 12,
                             batch_size: int = 262144):
     """APPROXIMATE per-group COUNT(DISTINCT ``column``) at UNBOUNDED
     group cardinality — the HyperLogLog companion of
-    quantiles.grouped_tdigest_quantiles, extending the global HLL in
-    the §2.C column-statistics actor pool to grouped form. Returns
+    quantiles.grouped_tdigest_quantiles, extending the global HLL of
+    the §2.C column-statistics stage to grouped form. Returns
     (group_col, distinct_est: float64, is_exact: bool, n_rows: int64).
 
     Hybrid partials, layout-STABLE results: each batch emits one blob

@@ -176,24 +176,6 @@ def dup_tables(rows: list[dict], columns: list[str],
     return out
 
 
-def top_duplicates(ds, column: str, k: int = 20, batch_size: int = 65536):
-    """Top-k heaviest duplicate keys — the skew report feeding salting
-    decisions (SURVEY.md §2.D sorts/limits), in the ``_top`` order. Each
-    duplicate_keys block keeps its own top k and the driver merges those
-    few rows; no range-partitioned sort, which cannot order a null key
-    against the others once the duplicates span several blocks."""
-    import ray.data as rd
-
-    tops = duplicate_keys(ds, column, batch_size).map_batches(
-        lambda t: _top(t, column, k), batch_format="pyarrow")
-    parts = [t for t in tops.iter_batches(batch_size=None,
-                                          batch_format="pyarrow")
-             if t.num_rows]
-    if not parts:
-        return rd.from_arrow(_no_dups(column, _key_type(ds, column)))
-    return rd.from_arrow(_top(pa.concat_tables(parts), column, k))
-
-
 def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
                        ) -> dict[str, dict[str, Any]]:
     """Summary numbers for the manifest, per key column, from one read and
@@ -204,8 +186,8 @@ def uniqueness_reports(ds, columns: list[str], batch_size: int = 65536
 def reports(dups: dict[str, pa.Table]) -> dict[str, dict[str, Any]]:
     """Per key column of ``dups`` (``dup_tables``' result): distinct
     duplicated keys, total violating rows and, when there are duplicates,
-    the top-10 keys in the same total order as ``top_duplicates``
-    (dup_count descending, then key ascending, null keys last)."""
+    the top-10 keys in ``_top``'s total order (dup_count descending,
+    then key ascending, null keys last)."""
     out = {}
     for column, dup in dups.items():
         rep: dict[str, Any] = {

@@ -1,13 +1,13 @@
 """Row-local validation stages: the distributed `Validate` analogue.
 
 The reference validates one value per call after a lazy one-time compile
-(validator/validator.go:41-63). Here the DAG is compiled ONCE per worker —
-in the callable class's ``__init__`` for actor pools, or once per task via
-closure capture for stateless tasks — and then applied to zero-copy Arrow
-batches with the vectorized kernels (kernels/columnar.py). Per-batch work
-is pure pyarrow/numpy; no Python row loops. The violations table is
-built the same way: the failing rows' key and observed values are taken
-and cast to text by Arrow, which writes what ``str`` writes for string and
+(validator/validator.go:41-63). Here the DAG is compiled ONCE, in the
+callable class's ``__init__`` on the driver, ships once in the task spec
+of the stateless tasks, and is then applied to zero-copy Arrow batches
+with the vectorized kernels (kernels/columnar.py). Per-batch work is pure
+pyarrow/numpy; no Python row loops. The violations table is built the
+same way: the failing rows' key and observed values are taken and cast
+to text by Arrow, which writes what ``str`` writes for string and
 integer columns. Other types (float, bool, temporal, binary, nested) keep
 a per-value ``_obs``/``str`` fallback over the failing rows only, since
 Arrow prints ``1.0`` as ``1`` and ``True`` as ``true``.
@@ -58,9 +58,8 @@ def _column_of(path: str, keyword: str) -> str:
 
 class ValidateBatch:
     """Callable map_batches stage. Modes: 'annotate' | 'violations' |
-    'summary'. Pass the schema as a dict (cheap to serialize; compiled once
-    per actor/worker in __init__ — the actor-pool analogue of the
-    reference's compile-once mutex, validator/validator.go:41-53)."""
+    'summary'. The schema is compiled once in __init__ (the analogue of
+    the reference's compile-once mutex, validator/validator.go:41-53)."""
 
     def __init__(
         self,
@@ -278,51 +277,26 @@ def validate(
     mode: str = "annotate",
     key_column: Optional[str] = None,
     batch_size: int = 65536,
-    concurrency: Optional[int] = None,
 ) -> "ray.data.Dataset":
-    """Attach the validation stage to a Dataset. Stateless tasks by default
-    (the compiled-closure ships once in the task spec); pass ``concurrency``
-    for an actor pool when composing with other actor stages."""
-    kwargs: dict[str, Any] = dict(
-        batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True
-    )
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-        return ds.map_batches(
-            ValidateBatch,
-            fn_constructor_kwargs={
-                "schema": schema, "mode": mode, "key_column": key_column
-            },
-            **kwargs,
-        )
+    """Attach the validation stage to a Dataset: stateless tasks, the
+    compiled closure ships once in the task spec."""
     stage = ValidateBatch(schema, mode=mode, key_column=key_column)
-    return ds.map_batches(stage, **kwargs)
+    return ds.map_batches(stage, batch_format="pyarrow",
+                          batch_size=batch_size, zero_copy_batch=True)
 
 
 def violations(ds, schema, key_column=None, **kw):
     return validate(ds, schema, mode="violations", key_column=key_column, **kw)
 
 
-def summarize(ds, schema, distributed: bool = False, **kw):
-    """Global per-constraint failure counts: per-batch partials (one row
-    per batch × constraint) folded by a driver-side groupby — returns a
-    pyarrow Table. The partial count is O(batches × constraints): tiny at
-    any single-job scale, so a full Ray sort-shuffle over it would be pure
-    fixed cost (measured ~1-2 s regardless of data). Pass
-    ``distributed=True`` only when batches × constraints itself is huge
-    (e.g. 10^7+ blocks at 10^12 rows) — that path keeps the classic
-    pre-aggregate-then-shuffle groupby and returns a Dataset."""
-    partial = validate(ds, schema, mode="summary", **kw)
-    if distributed:
-        from ray.data.aggregate import Sum
-
-        return partial.groupby(["path", "keyword"]).aggregate(
-            Sum("n_failed", alias_name="n_failed"),
-            Sum("n_rows", alias_name="n_checked"),
-        )
+def summarize(ds, schema, **kw):
+    """Global per-constraint failure counts as a pyarrow Table: per-batch
+    partials (one row per batch × constraint) folded by a driver-side
+    groupby. The partial count is O(batches × constraints), tiny at any
+    single-job scale, so an exchange over it would be pure fixed cost."""
     import pandas as pd
 
-    rows = partial.take_all()
+    rows = validate(ds, schema, mode="summary", **kw).take_all()
     if not rows:
         return pa.table({"path": pa.array([], type=pa.string()),
                          "keyword": pa.array([], type=pa.string()),

@@ -1,8 +1,9 @@
 """The keyed exchange (stages/exchange.py): partition ids are the
 historical ``hash64(key) % n`` / ``h * 1000003 + hk`` formulas, so no key
 moves partition; signed zeros share a partition; ``by_key`` hands every
-key's rows to exactly one call without the ``__part`` column; and no
-migrated module grows its own copy of the exchange again."""
+key's rows to exactly one call without the ``__part`` column; no
+migrated module grows its own copy of the exchange again; and no grouped
+aggregate goes back to Ray's key-sorting ``Aggregate``."""
 
 import pathlib
 import re
@@ -119,7 +120,8 @@ _MIGRATED = ["stages/windows.py", "stages/aggregates.py",
              "stages/quantiles.py", "stages/sampling.py", "stages/stats.py",
              "stages/referential.py", "stages/transform.py",
              "stages/uniqueness.py", "sources/io.py", "stages/dedup.py",
-             "stages/join.py", "stages/text.py", "stages/packing.py"]
+             "stages/join.py", "stages/text.py", "stages/packing.py",
+             "stages/graph.py", "stages/drift.py"]
 
 #: a Ray group step on a partition-id column, or a partition id taken
 #: modulo the partition count; ``\s*`` lets a chain split across lines
@@ -160,3 +162,79 @@ def test_hand_rolled_pattern_sees_split_chains():
 
 def test_blob_format_defined_only_in_exchange():
     assert _scan(_BLOB_COPY) == []
+
+
+def test_no_module_imports_ray_aggregate():
+    """Grouped aggregates merge on the keyed exchange: no library module
+    imports Ray's aggregate functions (whose groupby merge sorts keys)."""
+    import ast
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted((root / "jsschema_ray").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [
+                    f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(m == "ray.data.aggregate"
+                   or m.startswith("ray.data.aggregate.") for m in mods):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+def _operator_names(dag) -> list[str]:
+    return [dag.name] + [n for d in dag.input_dependencies
+                         for n in _operator_names(d)]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_grouped_sums_matches_pyarrow_on_the_exchange(monkeypatch):
+    """grouped_sums over ~50k distinct int64 keys in several blocks equals
+    a pyarrow group_by: null keys form one group, -0.0 and +0.0 one key;
+    and its plan has no Aggregate operator."""
+    import pyarrow.compute as pc
+    import ray
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from jsschema_ray.stages.aggregates import grouped_sums
+
+    rng = np.random.default_rng(13)
+    n = 200_000
+    k = rng.integers(0, 50_000, n)
+    t = pa.table({
+        "k": pa.array(k, pa.int64(), mask=rng.random(n) < 0.05),
+        "f": pa.array(rng.choice([0.0, -0.0, 2.5], n)),
+        "v": pa.array(rng.integers(-1000, 1000, n), pa.int64())})
+    dags = []
+    execute = StreamingExecutor.execute
+
+    def spy_execute(self, dag, *args, **kwargs):
+        dags.append(dag)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
+    blocks = [t.slice(lo, 25_000) for lo in range(0, n, 25_000)]
+    out = grouped_sums(ray.data.from_arrow(blocks), ["k", "f"],
+                       {"sv": "v"}, batch_size=10_000).materialize()
+    # a partition no key hashed to is an empty block without a schema
+    got = pa.concat_tables(
+        [b for b in ray.get(out.to_arrow_refs()) if b.num_rows])
+
+    # -0.0 + 0.0 is +0.0: the reference merges the zeros the same way
+    ref = t.set_column(1, "f", pc.add(t.column("f"), 0.0))
+    want = ref.group_by(["k", "f"]).aggregate(
+        [("v", "sum"), ([], "count_all")]).rename_columns(
+        ["k", "f", "sv", "n"])
+    assert want.num_rows < t.group_by(["k", "f"]).aggregate([]).num_rows
+    order = [("k", "ascending"), ("f", "ascending")]
+    assert got.select(want.column_names).sort_by(order).equals(
+        want.sort_by(order))
+    assert not np.signbit(got.column("f").to_numpy()).any()
+    names = [n for d in dags for n in _operator_names(d)]
+    assert names and not [n for n in names if "Aggregate" in n], names

@@ -12,11 +12,7 @@ from jsschema_ray.stages.referential import (
     _miss_report,
     referential_violations,
 )
-from jsschema_ray.stages.uniqueness import (
-    duplicate_keys,
-    top_duplicates,
-    uniqueness_reports,
-)
+from jsschema_ray.stages.uniqueness import duplicate_keys, uniqueness_reports
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +46,10 @@ def test_uniqueness_violations_rows(img_ds):
 
 
 def test_phash_skew_top_duplicates(img_ds):
+    """The report's top_duplicates section finds the Zipf-hot phash."""
     ds, table, _ = img_ds
-    top = top_duplicates(ds, "phash", k=5, batch_size=2048).take_all()
+    top = uniqueness_reports(ds, ["phash"], batch_size=2048)["phash"][
+        "top_duplicates"]
     vc = pd.Series(table.column("phash").to_pylist()).value_counts()
     assert top[0]["dup_count"] == int(vc.iloc[0])  # hottest key found
     assert top[0]["phash"] == int(vc.index[0])
@@ -126,9 +124,10 @@ def test_uniqueness_report_matches_pandas(ray_session, tmp_path):
 
 
 def test_top_duplicates_matches_pandas_null_key(ray_session, tmp_path):
-    """top_duplicates over several blocks, with a duplicated null key tied
-    with a string key: the same keys and order as pandas, null last (a
-    range-partitioned sort used to fail comparing the null key)."""
+    """uniqueness_reports' top_duplicates over several blocks, with a
+    duplicated null key tied with a string key: the same keys and order
+    as pandas, null last (a range-partitioned sort used to fail comparing
+    the null key)."""
     import pyarrow.parquet as pq
     import ray.data as rd
 
@@ -136,7 +135,8 @@ def test_top_duplicates_matches_pandas_null_key(ray_session, tmp_path):
     for i, lo in enumerate(range(0, table.num_rows, 15)):
         pq.write_table(table.slice(lo, 15), str(tmp_path / f"p{i}.parquet"))
     ds = rd.read_parquet(str(tmp_path))
-    got = top_duplicates(ds, "sku", k=10, batch_size=8).take_all()
+    got = uniqueness_reports(ds, ["sku"], batch_size=8)["sku"][
+        "top_duplicates"]
     assert got == _pandas_uniqueness(table, {"column": "sku"})[
         "top_duplicates"]
 

@@ -5,10 +5,11 @@ A public (no leading underscore) module-level ``def`` or ``class`` in
 ``jsschema_ray/``, ``__ray_entry__.py``, ``bench.py`` or ``perfbench/``.
 Tests do not count: a definition only tests reach is surface nobody runs.
 
-A reference is a ``Name``, an ``Attribute``, an import alias or a string
-constant equal to the name (a registry key, an ``__all__`` entry);
-docstrings do not count. The scan is syntactic (``ast``), not a text grep,
-so a name in a comment or docstring keeps nothing alive.
+A reference is a ``Name``, an ``Attribute``, an import alias, or a string
+equal to the name that is an argument of ``register_constraint(...)`` or
+an entry of ``__all__``. Any other string (a column name, a report key, a
+docstring) keeps nothing alive, and the scan is syntactic (``ast``), not a
+text grep, so neither does a comment.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ ALLOWED = {
     "uniqueness_reports": "the reference the pipeline's scan-fused "
                           "x-uniqueness verdicts are compared against "
                           "(tests/test_pipeline_uniqueness.py)",
+    "jaccard": "the serial reference the vectorized jaccard verify is "
+               "compared against (tests/test_r5_dedup_distributed.py::"
+               "test_vectorized_jaccard_verify_matches_serial)",
     "drift_check": "drift against a saved profile, pinned by "
                    "tests/test_stats_drift.py; the planned reproducible "
                    "drift verdicts (ROADMAP item 4(a′)) change it in place",
@@ -40,22 +44,14 @@ def _sources() -> list[str]:
     return [p for p in paths if os.path.exists(p)]
 
 
-def _docstring_ids(tree: ast.AST) -> set[int]:
-    ids = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr)
-                    and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                ids.add(id(first.value))
-    return ids
+def _strings(node: ast.AST):
+    for c in ast.walk(node):
+        if isinstance(c, ast.Constant) and isinstance(c.value, str):
+            yield c
 
 
 def _references(tree: ast.AST):
     """(name, line) for every reference in ``tree``."""
-    docs = _docstring_ids(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
@@ -63,9 +59,18 @@ def _references(tree: ast.AST):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docs and node.value.isidentifier()):
-            yield node.value, node.lineno
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "register_constraint"):
+            for arg in node.args:
+                for c in _strings(arg):
+                    yield c.value, c.lineno
+        elif (isinstance(node, (ast.Assign, ast.AugAssign))
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target]))):
+            for c in _strings(node.value):
+                yield c.value, c.lineno
 
 
 def _unreferenced(allowed=ALLOWED) -> list[str]:

@@ -1,6 +1,6 @@
 """Round-5 additions: grouped_weighted_median (exact weighted order
 statistic), edit1_pairs (Levenshtein<=1 FastSS banding + vectorized
-verify), grouped_sums_partitioned (high-cardinality-safe grouped sums),
+verify), grouped_sums (high-cardinality-safe grouped sums),
 and the TPC-H Q3 composition. SQL parity for the three oracled queries
 runs in test_oracle_parity; these pin edge cases and refusal guards."""
 
@@ -10,8 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
-from jsschema_ray.stages.aggregates import (grouped_sums,
-                                            grouped_sums_partitioned)
+from jsschema_ray.stages.aggregates import grouped_sums
 from jsschema_ray.stages.dedup import _edit1_keep, edit1_pairs
 from jsschema_ray.stages.quantiles import grouped_weighted_median
 
@@ -126,20 +125,21 @@ class TestGroupedSumsPartitioned:
         n = 20000
         df = {"k": rng.integers(0, 15000, n),
               "x": rng.integers(-100, 100, n)}
-        a = grouped_sums_partitioned(
+        a = grouped_sums(
             _ds(df), ["k"], {"sx": "x"}, count_alias="n", num_parts=8
         ).to_pandas().sort_values("k").reset_index(drop=True)
-        b = grouped_sums(
-            _ds(df), ["k"], {"sx": "x"}, count_alias="n"
-        ).to_pandas().sort_values("k").reset_index(drop=True)
+        b = pd.DataFrame(df).groupby("k").agg(
+            sx=("x", "sum"), n=("x", "size")).reset_index()
         pd.testing.assert_frame_equal(a[["k", "sx", "n"]],
-                                      b[["k", "sx", "n"]])
+                                      b[["k", "sx", "n"]],
+                                      check_dtype=False)
 
     def test_null_and_negzero_keys_merge(self, ray_session):
         t = {"k": pa.array([0.0, -0.0, None, None, 1.0], pa.float64()),
              "x": pa.array([1, 2, 4, 8, 16], pa.int64())}
-        got = grouped_sums_partitioned(
-            _ds(t, n_blocks=2), ["k"], {"sx": "x"}, num_parts=4
+        got = grouped_sums(
+            _ds(t, n_blocks=2), ["k"], {"sx": "x"}, count_alias=None,
+            num_parts=4
         ).to_pandas().sort_values("k").reset_index(drop=True)
         m = {(-1 if pd.isna(k) else k): v
              for k, v in zip(got["k"], got["sx"])}
@@ -147,8 +147,9 @@ class TestGroupedSumsPartitioned:
 
     def test_multikey(self, ray_session):
         t = {"a": ["x", "x", "y"], "b": [1, 1, 1], "v": [2, 3, 4]}
-        got = grouped_sums_partitioned(
-            _ds(t, n_blocks=2), ["a", "b"], {"sv": "v"}, num_parts=4
+        got = grouped_sums(
+            _ds(t, n_blocks=2), ["a", "b"], {"sv": "v"}, count_alias=None,
+            num_parts=4
         ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
         assert got["sv"].tolist() == [5, 4]
 
