@@ -1,7 +1,7 @@
 """End-to-end validation pipeline: the distributed analogue of the
 reference CLI flow (cmd/jsschema/jsschema.go:34-91 — read schema, validate
 data, report) planned per SURVEY.md §3.4. A pass is one scan of the input
-plus one exchange over the scan's pre-count files:
+plus one map over the scan's pre-count files:
 
   scan  one fused read->scan task per shard (``_run_rowlocal``), which
         runs on each reader block of its shard: P1, the row-local mask
@@ -9,14 +9,18 @@ plus one exchange over the scan's pre-count files:
         writing their violation files; and the map side of x-stats/x-drift
         (sketch partials, stages/stats.py), x-referential (miss counts),
         x-decode (the decode check) and x-uniqueness (the block's key
-        pre-counts, stages/uniqueness.py, written to a file under
-        ``precount/``). Only these small partial rows and file paths
-        leave the task, never raw rows. The driver commits each shard (an
-        atomic manifest) once all its rows are in, and the handlers finish
-        from the partials.
-  x-uniqueness  the bucket exchange over the pre-count files the scan
-        reported, read in at most ``exchange.fanout`` tasks; the files
-        are deleted after it, and at pass start.
+        pre-counts, stages/uniqueness.py, one blob per part written back
+        to back into one file under ``precount/``, reported as byte
+        ranges). Only these small partial rows and file ranges leave the
+        task, never raw rows. The driver commits each shard (an atomic
+        manifest) once all its rows are in, and the handlers finish from
+        the partials.
+  x-uniqueness  no shuffle: the scan already split the pre-counts by
+        part, so the reported ranges are grouped by part on the driver,
+        and one map in at most ``exchange.fanout`` tasks reads each part's
+        ranges (each file opened once) and reduces it. Only reported
+        ranges are read, so a retried task's orphans never are; the files
+        are deleted after the map, and at pass start.
 
 Every ``x-*`` keyword (the Extras extension surface, reference
 interface.go:133) dispatches through the registry. Every read of the
@@ -36,6 +40,7 @@ output dir committed under another schema is refused.
 from __future__ import annotations
 
 import glob
+import itertools
 import os
 import shutil
 import uuid
@@ -55,11 +60,11 @@ from jsschema_ray.schema.registry import (ConstraintContext, get_handler,
                                           register_constraint)
 from jsschema_ray.stages import multimodal
 from jsschema_ray.stages.drift import DriftProfile, _verdicts
-from jsschema_ray.stages.exchange import fanout, pack, unpack
+from jsschema_ray.stages.exchange import PART, fanout, pack, unpack
 from jsschema_ray.stages.referential import (_miss_partial, _miss_report,
                                              _ref_key_array)
 from jsschema_ray.stages.stats import StatsAccumulator, StatsSpec, _fold_partials
-from jsschema_ray.stages.uniqueness import (_precount, dup_exchange,
+from jsschema_ray.stages.uniqueness import (_dup_counts, _precount,
                                             dup_tables, reports)
 from jsschema_ray.stages.validate import ValidateBatch
 
@@ -100,7 +105,7 @@ def _decode_side(pipe: "ValidationPipeline", columns: list[str]):
 
 def _uniqueness_side(pipe: "ValidationPipeline", _columns: list[str]):
     # the block's pre-count goes to a file, not through the driver: it
-    # holds O(distinct keys) rows, and only the exchange reads it
+    # holds O(distinct keys) rows, and only the reduce reads it
     keys = _unique_columns(pipe.schema["x-uniqueness"])
     precount = _precount(keys, pipe._fanout())
     pre_dir = os.path.join(pipe.output_dir, "precount")
@@ -108,10 +113,16 @@ def _uniqueness_side(pipe: "ValidationPipeline", _columns: list[str]):
     def side(pid, _, batch):
         if not batch.num_rows:
             return []
-        path = _write_parquet(precount(batch),
-                              os.path.join(pre_dir, f"partition={pid}"),
-                              durable=False)  # no manifest lists it
-        return [pa.table({"file": [path]})]
+        pre = precount(batch)
+        blobs = pre.column("blob").to_pylist()
+        path = _write_blobs(blobs, os.path.join(pre_dir, f"partition={pid}"))
+        lengths = [len(b) for b in blobs]
+        return [pa.table({
+            "part": pre.column(PART),
+            "file": [path] * len(blobs),
+            "offset": pa.array(itertools.accumulate(lengths[:-1], initial=0),
+                               pa.int64()),
+            "length": pa.array(lengths, pa.int64())})]
 
     return "uniqueness", sorted(set(keys) & pipe._payload_columns()), side
 
@@ -133,18 +144,24 @@ def _unique_columns(specs: list[dict]) -> list[str]:
 
 @register_constraint("x-uniqueness")
 def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
-    # one exchange for every distinct key column, over the pre-count files
-    # this pass's scan reported (orphans of a retried task are not read)
+    # the scan already split the pre-counts by part, so no shuffle runs:
+    # one map reduces each part from the byte ranges this pass's scan
+    # reported (orphans of a retried task are never read)
     pipe = ctx.pipeline
     columns = _unique_columns(specs)
-    files = sorted(r["file"] for r in pipe._partials["uniqueness"])
+    parts: dict[int, list[dict]] = {}  # part -> its (file, offset, length)
+    for r in pipe._partials["uniqueness"]:
+        parts.setdefault(r["part"], []).append(r)
     rows = []
     try:
-        if files:
-            rows = dup_exchange(rd.read_parquet(
-                files, partitioning=None,
-                override_num_blocks=min(pipe._fanout(), len(files)),
-            )).take_all()
+        if parts:
+            # a part is bucket * len(columns) + column index (_precount)
+            rows = rd.from_items(
+                [{"col_idx": p % len(columns), "ranges": rs}
+                 for p, rs in sorted(parts.items())],
+                override_num_blocks=min(pipe._fanout(), len(parts)),
+            ).map_batches(reduce_part, batch_format="pyarrow",
+                          batch_size=None).take_all()
     finally:
         shutil.rmtree(os.path.join(pipe.output_dir, "precount"),
                       ignore_errors=True)
@@ -153,6 +170,26 @@ def _handle_uniqueness(specs: list[dict], ctx: ConstraintContext):
     return [dict(by_column[spec["column"]],
                  report_only=bool(spec.get("report_only", False)))
             for spec in specs]
+
+
+def reduce_part(batch: pa.Table) -> pa.Table:
+    """The x-uniqueness reduce over (``col_idx``, ``ranges``) rows, one per
+    part, ``ranges`` holding the (``file``, ``offset``, ``length``) of each
+    of the part's ``_precount`` blobs: one (``col_idx``, ``blob``) row per
+    part, the blob its packed ``_dup_counts``. Each file is opened once."""
+    ranges = [[(r["file"], r["offset"], r["length"]) for r in rs]
+              for rs in batch.column("ranges").to_pylist()]
+    blobs: dict[tuple[str, int], bytes] = {}
+    for path, in_file in itertools.groupby(
+            sorted(r for rs in ranges for r in rs), key=lambda r: r[0]):
+        with open(path, "rb") as f:
+            for _, offset, length in in_file:
+                f.seek(offset)
+                blobs[path, offset] = f.read(length)
+    return pa.table({
+        "col_idx": batch.column("col_idx"),
+        "blob": pa.array([pack(_dup_counts([blobs[r[:2]] for r in rs]))
+                          for rs in ranges], pa.binary())})
 
 
 @register_constraint("x-referential")
@@ -230,6 +267,7 @@ class ValidationPipeline:
         self._footer = pa.schema([])  # the shards' schema, once checked
         self._shards: dict[str, dict] = {}  # path -> shard_identity
         self._partials: dict[str, list[dict]] = {}  # the scan's rows, by side
+        self._fingerprint = ""  # schema_fingerprint, once per run
 
     # -- helpers -----------------------------------------------------------
     def _input_files(self) -> list[str]:
@@ -287,9 +325,9 @@ class ValidationPipeline:
         whose footer still matches is not revalidated; a changed shard is,
         and an output dir committed under another schema is refused."""
         files = self._input_files()
-        fingerprint = schema_fingerprint(self.schema)
+        self._fingerprint = schema_fingerprint(self.schema)
         committed = self._committed(files) if resume else {}
-        if any(r.get("schema") not in (None, fingerprint)
+        if any(r.get("schema") not in (None, self._fingerprint)
                for r in committed.values()):
             raise ValueError(
                 f"{self.output_dir} holds partitions validated against "
@@ -449,8 +487,7 @@ class ValidationPipeline:
         self.manifest.commit_partition(
             pid, path, metrics={"rows": n_rows, "violation_rows": n_vio},
             violation_files=sorted(vio_files), verdict=(n_vio == 0),
-            schema=schema_fingerprint(self.schema),
-            shard=self._shards.get(path))
+            schema=self._fingerprint, shard=self._shards.get(path))
 
 
 def _partition_of(batch: pa.Table) -> str:
@@ -477,28 +514,40 @@ def _write_violations(stage: ValidateBatch, data: pa.Table, pid: str,
     lose. Returns the (partition, rows, violation_rows, file) row of the
     shard."""
     vio = stage(data)
-    path = (_write_parquet(vio, os.path.join(vio_dir, f"partition={pid}"),
-                           durable=True) if vio.num_rows else None)
+    path = (_write_parquet(vio, os.path.join(vio_dir, f"partition={pid}"))
+            if vio.num_rows else None)
     return {"partition": pid, "rows": data.num_rows,
             "violation_rows": vio.num_rows, "file": path}
 
 
-def _write_parquet(table: pa.Table, part_dir: str, durable: bool) -> str:
+def _write_parquet(table: pa.Table, part_dir: str) -> str:
     """``table`` as ``<part_dir>/<uuid>.parquet``, written under a
-    ``.``-prefixed name and renamed, so no reader sees a partial file.
-    ``durable`` fsyncs the file before the rename and the directory after
+    ``.``-prefixed name and renamed, so no reader sees a partial file, and
+    durable: the file is fsynced before the rename and the directory after
     it. Returns the path."""
     os.makedirs(part_dir, exist_ok=True)
     path = os.path.join(part_dir, f"{uuid.uuid4().hex}.parquet")
     tmp = os.path.join(part_dir, "." + os.path.basename(path))
     with open(tmp, "wb") as f:
         pq.write_table(table, f)
-        if durable:
-            f.flush()
-            os.fsync(f.fileno())
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
-    if durable:
-        _fsync_dir(part_dir)  # the rename survives a machine crash
+    _fsync_dir(part_dir)  # the rename survives a machine crash
+    return path
+
+
+def _write_blobs(blobs: list[bytes], part_dir: str) -> str:
+    """``blobs`` back to back as ``<part_dir>/<uuid>``, written under a
+    ``.``-prefixed name and renamed. Not fsynced: no manifest lists it,
+    and each pass deletes what the one before it left. Returns the
+    path."""
+    os.makedirs(part_dir, exist_ok=True)
+    path = os.path.join(part_dir, uuid.uuid4().hex)
+    tmp = os.path.join(part_dir, "." + os.path.basename(path))
+    with open(tmp, "wb") as f:
+        f.writelines(blobs)
+    os.replace(tmp, path)
     return path
 
 

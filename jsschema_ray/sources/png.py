@@ -40,14 +40,16 @@ def encode_png(img: np.ndarray) -> bytes:
     return _SIG + _chunk(b"IHDR", ihdr) + _chunk(b"IDAT", idat) + _chunk(b"IEND", b"")
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """PNG bytes -> RGB8 HxWx3 uint8 array. Supports what encode_png emits
-    (8-bit RGB, filter 0); anything else raises ValueError.
+def _scanlines(data: bytes) -> tuple[int, int, bytes]:
+    """The width, height and inflated scanlines (filter byte + RGB row,
+    ``h * (1 + 3w)`` bytes) of the PNG ``data``, or ValueError. Supports
+    what encode_png emits (8-bit RGB, filter 0).
 
-    The stream must also be intact: every chunk's CRC matches, the IDAT
-    zlib stream passes its Adler-32 check, and IEND is the last chunk with
-    no bytes after it. Ancillary chunks are skipped, IDAT may be split
-    across chunks and any zlib level decodes."""
+    The stream must be intact: every chunk's CRC matches, the IDAT zlib
+    stream passes its Adler-32 check, IEND is the last chunk with no bytes
+    after it, the inflated length is ``h * (1 + 3w)`` and every scanline's
+    filter byte is 0. Ancillary chunks are skipped, IDAT may be split
+    across chunks and any zlib level inflates."""
     if data[:8] != _SIG:
         raise ValueError("not a PNG: bad signature")
     pos = 8
@@ -81,16 +83,31 @@ def decode_png(data: bytes) -> np.ndarray:
     if w is None or not idat:
         raise ValueError("missing IHDR/IDAT")
     try:
-        raw = np.frombuffer(zlib.decompress(b"".join(idat)), dtype=np.uint8)
+        raw = zlib.decompress(b"".join(idat))
     except zlib.error as e:  # includes a failed Adler-32 check
         raise ValueError(f"bad IDAT stream: {e}") from None
     stride = 1 + w * 3
     if len(raw) != h * stride:
         raise ValueError("bad decompressed size")
-    raw = raw.reshape(h, stride)
-    if (raw[:, 0] != 0).any():
+    if raw[::stride].count(0) != h:
         raise ValueError("unsupported PNG filter (only 0/None)")
-    return raw[:, 1:].reshape(h, w, 3).copy()
+    return w, h, raw
+
+
+def check_png(data: bytes) -> None:
+    """Raise ValueError exactly when ``decode_png(data)`` would. PNG is
+    lossless and filter 0 stores the pixels as they are, so an intact
+    stream of the right inflated length settles the verdict without a
+    pixel array."""
+    _scanlines(data)
+
+
+def decode_png(data: bytes) -> np.ndarray:
+    """PNG bytes -> RGB8 HxWx3 uint8 array; see ``_scanlines`` for what
+    is accepted. Anything else raises ValueError."""
+    w, h, raw = _scanlines(data)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + w * 3)
+    return rows[:, 1:].reshape(h, w, 3).copy()
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -35,10 +35,14 @@ into: one per cluster CPU, more only when a partition would otherwise
 hold over ``ROWS_PER_PARTITION`` input rows.
 
 Callers: windows, aggregates, quantiles, sampling, stats, referential,
-transform, uniqueness, dedup, join, text, packing, graph, drift and
-sources/io. Every grouped aggregate (aggregates.grouped_sums and
-grouped_extrema, so graph's per-round MIN and drift's KS counts too)
-merges here; no module uses Ray's key-sorting groupby aggregate.
+transform, uniqueness (its Dataset-level functions), dedup, join, text,
+packing, graph, drift and sources/io. Every grouped aggregate
+(aggregates.grouped_sums and grouped_extrema, so graph's per-round MIN
+and drift's KS counts too) merges here; no module uses Ray's key-sorting
+groupby aggregate. The validation pipeline's x-uniqueness uses the
+exchange's parts without its shuffle: its scan ``pack_parts`` each
+block's pre-counts by ``partition_ids`` into a file, and its reduce
+reads each partition's byte ranges back in at most ``fanout`` tasks.
 """
 
 from __future__ import annotations

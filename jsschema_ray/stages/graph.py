@@ -18,8 +18,9 @@ label).  The neighbor term floods minima along edges (O(diameter) alone);
 the label's-label term is pointer doubling, which collapses the chains the
 flood builds, giving O(log diameter) rounds overall.  Labels only ever
 decrease, so SUM(label) is a monotone convergence witness: a round that
-leaves the sum unchanged changed nothing (termination check = one
-Dataset.sum, no row comparison shuffle).
+leaves the sum unchanged changed nothing (termination check = one small
+sum task per materialized label block, no Ray Data execution and no row
+comparison shuffle).
 
 Scale shape: the edge set is symmetrized ONCE and materialized (2|E| rows
 of two int64s); each round is two hash-partitioned joins (reusing
@@ -36,11 +37,28 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+
+import ray
 
 from jsschema_ray.stages.aggregates import grouped_extrema
 
 # a node's new label: the smallest label delivered to it
 _MIN_LABEL = {"label": ("label", "min")}
+
+
+@ray.remote
+def _block_label_sum(block: pa.Table) -> int:
+    # an empty partition's block may carry no columns at all
+    return pc.sum(block.column("label")).as_py() if block.num_rows else 0
+
+
+def _label_sum(labels) -> int:
+    """SUM(label) over the materialized ``labels``: one task per block,
+    where the block lives, so only one int per block reaches the driver
+    and no Ray Data execution (a global Aggregate) runs."""
+    return sum(ray.get([_block_label_sum.remote(b)
+                        for b in labels.to_arrow_refs()]))
 
 
 def _quiet_empty_schema_warning():
@@ -117,7 +135,7 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
                           batch_size=batch_size, zero_copy_batch=True),
         ["node"], _MIN_LABEL, batch_size=batch_size,
     ).materialize()
-    prev_sum = labels.sum("label")
+    prev_sum = _label_sum(labels)
 
     for _ in range(max_rounds):
         # neighbor flood: deliver label(dst) to src
@@ -151,7 +169,7 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         labels = grouped_extrema(
             nbr.union(dbl), ["node"], _MIN_LABEL, batch_size=batch_size
         ).materialize()
-        cur_sum = labels.sum("label")
+        cur_sum = _label_sum(labels)
         if cur_sum == prev_sum:  # monotone witness: nothing moved
             break
         prev_sum = cur_sum

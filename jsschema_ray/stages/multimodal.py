@@ -3,11 +3,12 @@ binary column, and metadata-only planning (resize, aspect buckets,
 letterbox) over the typed ``w``/``h`` columns.
 
 The decode invariant (``decode_violations``, the x-decode keyword):
-  * png — pure-Python codec (sources/png.py). A payload passes when it
-    decodes with every chunk CRC, the zlib Adler-32 and the IEND
-    terminator intact. PNG is lossless, so the decoded pixels are the
-    encoded pixels and no re-encode is needed; a PNG from another encoder
-    (other zlib level, ancillary chunks, split IDAT) passes;
+  * png — pure-Python codec (sources/png.py). A payload passes when its
+    stream is intact (``check_png``): every chunk CRC, the zlib Adler-32,
+    the IEND terminator, the inflated length ``h * (1 + 3w)`` and filter
+    byte 0 on every scanline. PNG is lossless, so these settle the verdict
+    without building a pixel array or re-encoding; a PNG from another
+    encoder (other zlib level, ancillary chunks, split IDAT) passes;
   * jpeg/webp — where PIL is importable: decode, re-encode, decode again,
     and the two decodes must keep PSNR >= ``min_psnr_db``. Without PIL
     they are unsupported codecs, and unsupported codecs are skipped: they
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from jsschema_ray.sources.png import decode_png, psnr
+from jsschema_ray.sources.png import check_png, psnr
 
 
 class _DecodeCheck:
@@ -77,7 +78,7 @@ class _DecodeCheck:
             return "decode_failed"
         if fmt == "png" or (fmt is None and payload[:4] == b"\x89PNG"):
             try:
-                decode_png(payload)
+                check_png(payload)
             except ValueError:
                 return "decode_failed"
             return None

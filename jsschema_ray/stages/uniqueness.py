@@ -6,17 +6,19 @@ test/arrayunique*.json — the global form is new, BASELINE axes A+B).
 Scale design (SURVEY.md §7 hard part 3 — Zipf-skewed phash):
   1. per-block pre-aggregation: `pc.value_counts` inside map_batches emits
      (key, partial_count) pairs — a hot key leaves each block as ONE row no
-     matter how many times it appears there, so the shuffle payload is
+     matter how many times it appears there, so the exchanged payload is
      O(distinct keys per block), not O(rows); this is the skew-salting
-     effect without explicit salts (the block is the salt). The
-     validation pipeline runs ``_precount`` inside its scan, one call per
-     reader block, and writes each call's rows to a small pre-count file;
-     its exchange reads those files, never the input, split into
-     ``exchange.fanout`` buckets (one per cluster CPU);
-  2. partial counts are packed per key bucket and cross the keyed
-     exchange of stages/exchange.py (``partition_ids`` buckets the keys,
-     ``by_part`` is the one group step); each bucket is reduced by ONE
-     vectorized Arrow group_by (not a per-key Ray aggregate);
+     effect without explicit salts (the block is the salt). ``_precount``
+     splits them by key bucket (``partition_ids``) into one packed blob
+     per (bucket, key column) part;
+  2. each part is reduced by ONE vectorized Arrow group_by (``_dup_counts``,
+     not a per-key Ray aggregate). ``duplicate_keys_multi`` brings a part's
+     blobs together with the keyed exchange of stages/exchange.py
+     (``by_part``). The validation pipeline needs no shuffle: its scan runs
+     ``_precount`` on each reader block and writes the blobs back to back
+     into one file under ``precount/``, and its reduce reads each part's
+     reported byte ranges in at most ``exchange.fanout`` tasks (one per
+     cluster CPU);
   3. keys with total > 1 come back as (key, dup_count) tables, from which
      the report counts duplicated keys and rows — the raw rows never cross
      the exchange.
@@ -70,13 +72,14 @@ def _precount(columns: list[str], num_buckets: int):
     return fn
 
 
-def _dup_counts(g: pa.Table) -> pa.Table:
-    """(key, dup_count) for the keys of one bucket whose summed partial
-    count exceeds 1. Arrow-native (r5 fix): a pandas groupby promoted an
-    int64 key to float64 whenever the bucket held a NULL key (value_counts
-    emits null as a countable value), collapsing distinct large ints;
-    pyarrow group_by keeps exact dtypes and groups nulls together."""
-    tbl = pa.concat_tables(unpack(b) for b in g.column("blob").to_pylist())
+def _dup_counts(blobs: list[bytes]) -> pa.Table:
+    """(key, dup_count) for the keys of one part, given as its packed
+    ``_precount`` blobs, whose summed partial count exceeds 1. Arrow-native
+    (r5 fix): a pandas groupby promoted an int64 key to float64 whenever
+    the part held a NULL key (value_counts emits null as a countable
+    value), collapsing distinct large ints; pyarrow group_by keeps exact
+    dtypes and groups nulls together."""
+    tbl = pa.concat_tables(unpack(b) for b in blobs)
     tot = tbl.group_by("key").aggregate([("partial_count", "sum")])
     dup = tot.filter(pc.greater(tot.column("partial_count_sum"), 1))
     return pa.table({"key": dup.column("key"),
@@ -118,7 +121,8 @@ def duplicate_keys(ds, column: str, batch_size: int = 262144,
     )
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
-        return _dup_counts(g).rename_columns([column, "dup_count"])
+        return _dup_counts(g.column("blob").to_pylist()).rename_columns(
+            [column, "dup_count"])
 
     return by_part(partials, reduce_bucket)
 
@@ -133,36 +137,30 @@ def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
         _precount(columns, num_buckets), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
     )
-    return dup_tables(dup_exchange(partials).take_all(), columns,
-                      lambda column: _key_type(ds, column))
-
-
-def dup_exchange(partials):
-    """The exchange half of duplicate_keys_multi: ``partials`` holds
-    ``_precount`` rows (``__part``, ``col_idx``, ``blob``), and each
-    (bucket, column) group reduces to one (``col_idx``, ``blob``) row whose
-    blob is that bucket's (key, dup_count) table."""
 
     def reduce_bucket(g: pa.Table) -> pa.Table:
         # RE-PACKED as one IPC blob: different columns carry different key
         # TYPES (string image_id vs int64 phash), so typed `key` blocks
         # from different buckets cannot unify into one Dataset schema —
         # the blob keeps each column's exact type opaque to the block layer
+        dup = _dup_counts(g.column("blob").to_pylist())
         return pa.table(
             {
                 "col_idx": g.column("col_idx").slice(0, 1),
-                "blob": pa.array([pack(_dup_counts(g))], type=pa.binary()),
+                "blob": pa.array([pack(dup)], type=pa.binary()),
             }
         )
 
-    return by_part(partials, reduce_bucket)
+    return dup_tables(by_part(partials, reduce_bucket).take_all(), columns,
+                      lambda column: _key_type(ds, column))
 
 
 def dup_tables(rows: list[dict], columns: list[str],
                key_type) -> dict[str, pa.Table]:
     """The (column, dup_count) table of each key column from the collected
-    ``dup_exchange`` rows. A column no bucket reduced (an input without
-    rows) gets an empty table typed ``key_type(column)``."""
+    reduce rows (``col_idx``, ``blob``), each blob one part's packed
+    ``_dup_counts``. A column no part reduced (an input without rows) gets
+    an empty table typed ``key_type(column)``."""
     out: dict[str, pa.Table] = {}
     for ci, column in enumerate(columns):
         tabs = [unpack(r["blob"]) for r in rows if r["col_idx"] == ci]

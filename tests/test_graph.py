@@ -61,6 +61,32 @@ def test_layout_independence_and_duplicates():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_convergence_check_runs_no_aggregate(monkeypatch):
+    """The per-round convergence sum comes from the materialized label
+    blocks: no execution runs Ray's global Aggregate, and the labels are
+    the reference ones."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    names, execute = [], StreamingExecutor.execute
+
+    def spy_execute(self, dag, *args, **kwargs):
+        todo = [dag]
+        while todo:
+            op = todo.pop()
+            names.append(op.name)
+            todo.extend(op.input_dependencies)
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
+    edges = [(1, 2), (2, 3), (10, 11)]
+    assert _run(edges, num_buckets=4) == _brute(edges) == [
+        (1, 1), (2, 1), (3, 1), (10, 10), (11, 10)]
+    assert names and not [n for n in names if "Aggregate" in n]
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_long_path_converges_logarithmically():
     n = 512
     edges = [(i, i + 1) for i in range(n - 1)]

@@ -134,6 +134,53 @@ def test_decode_invariant_png_vectors():
     assert vio.column("reason").to_pylist() == ["decode_failed"] * len(corrupt)
 
 
+def _verdict(fn, data: bytes):
+    """None when ``fn(data)`` returns, else the ValueError's message."""
+    try:
+        fn(data)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_check_png_verdict_equals_decode_png():
+    """check_png raises exactly when decode_png does, with the same
+    message: on every single-byte flip and every truncation of a 4x4 PNG,
+    and on edited streams with filter byte 1, bytes after IEND, a split
+    IDAT and zlib level 9."""
+    from jsschema_ray.sources.png import check_png, decode_png, encode_png
+
+    img = np.arange(4 * 4 * 3, dtype=np.uint8).reshape(4, 4, 3)
+    clean = encode_png(img)
+    (ihdr_len,) = struct.unpack_from(">I", clean, 8)
+    ihdr = clean[16:16 + ihdr_len]
+    pos = 8 + 12 + ihdr_len
+    (idat_len,) = struct.unpack_from(">I", clean, pos)
+    idat = clean[pos + 8:pos + 8 + idat_len]
+    raw = bytearray(zlib.decompress(idat))
+    raw[1 + 4 * 3] = 1  # row 1 declares the Sub filter
+    head, iend = clean[:8] + _chunk(b"IHDR", ihdr), _chunk(b"IEND", b"")
+    cases = {
+        "clean": clean,
+        "filter_1": head + _chunk(b"IDAT", zlib.compress(bytes(raw))) + iend,
+        "bytes_after_iend": clean + b"\x00",
+        "split_idat": head + _chunk(b"IDAT", idat[:5])
+        + _chunk(b"IDAT", idat[5:]) + iend,
+        "zlib_level_9": head + _chunk(
+            b"IDAT", zlib.compress(zlib.decompress(idat), 9)) + iend,
+    }
+    for i in range(len(clean)):
+        flipped = bytearray(clean)
+        flipped[i] ^= 0x01
+        cases[f"flip_{i}"] = bytes(flipped)
+        cases[f"cut_{i}"] = clean[:i]
+    verdicts = {k: _verdict(check_png, v) for k, v in cases.items()}
+    assert verdicts == {k: _verdict(decode_png, v) for k, v in cases.items()}
+    assert [k for k, v in verdicts.items() if v is None] == [
+        "clean", "split_idat", "zlib_level_9"]
+    assert verdicts["filter_1"] == "unsupported PNG filter (only 0/None)"
+
+
 class _FakePIL:
     """Stands in for PIL.Image: any payload decodes to a flat grey 8x8
     image, and its re-encode decodes 2 levels brighter everywhere

@@ -224,7 +224,7 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
     task per shard, and every scan call sees the rows of one shard: each
     partial table it returns names a single partition. The uniqueness
     pre-count runs inside the scan, so the only other execution is the
-    exchange over its files."""
+    reduce over the byte ranges of its files."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -259,16 +259,13 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
         assert len(set(t.column("partition").to_pylist())) == 1
     assert {t.column("partition")[0].as_py() for t in p1} == {
         f"part-{i:05d}" for i in range(4)}
-    # the uniqueness execution reads the scan's pre-count files, not the
-    # input, in at most F = 4 tasks (the session's CPUs), then exchanges
+    # the uniqueness execution reads no input and sorts nothing: one map
+    # over the byte ranges the scan reported, in at most F = 4 tasks (the
+    # session's CPUs)
     uniq, = [d for d in dags if d is not scan]
-    names = []
-    while uniq.name != "Input":
-        names.append(uniq.name)
-        read = uniq
-        uniq, = uniq.input_dependencies
-    assert names == ["MapBatches(reduce_bucket)", "Sort", "ReadParquet"]
-    assert 0 < read.metrics.num_tasks_finished <= 4
+    assert uniq.name == "MapBatches(reduce_part)"
+    assert [d.name for d in uniq.input_dependencies] == ["Input"]
+    assert 0 < uniq.metrics.num_tasks_finished <= 4
 
 
 def test_two_passes_give_identical_global_sections(img_dir, ray_session,

@@ -1,5 +1,6 @@
 """x-uniqueness in the validation pipeline: the scan writes each block's
-key pre-counts to small files, and one exchange reads only those files.
+key pre-counts, split by part, to one small file, and one map reduces each
+part from the byte ranges the scan reported, without a shuffle.
 The report's uniqueness sections must equal ``uniqueness_reports`` over
 the input itself, whatever the key type."""
 
@@ -76,27 +77,27 @@ def test_sections_equal_uniqueness_reports_over_the_input(key_dir,
 
 def test_one_input_read_and_the_exchange_reads_only_reported_files(
         key_dir, ray_session, tmp_path, monkeypatch):
-    """Exactly one read per pass touches input shards. The other read
-    names exactly the pre-count files the scan reported, none of a stray
-    file planted beforehand, whose counts do not reach the report; no
-    ``precount/`` outlives the pass; and the exchange carries at most
-    scan calls x key columns x F blob rows."""
+    """Exactly one read per pass, and it reads the input shards. The reduce
+    is handed exactly the byte ranges the scan reported, in one pre-count
+    file per scan call, so a stray file planted under ``precount/`` during
+    the pass does not reach the report; no ``precount/`` outlives the pass;
+    the exchange carries at most scan calls x key columns x F ranges; and
+    no execution sorts."""
     import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
 
     from jsschema_ray.stages.exchange import fanout
 
     want = _run(key_dir, str(tmp_path / "clean"))["uniqueness"]
     out = str(tmp_path / "out")
-    stray = os.path.join(out, "precount", "partition=part-00000")
-    os.makedirs(stray)
-    planted = pa.table({"id": ["zz"] * 4, "f": [1.0] * 4, "big": [1] * 4,
-                        "b": [b"zz"] * 4})
-    pq.write_table(_precount(KEYS, 4)(planted),
-                   os.path.join(stray, "stray.parquet"))
+    planted = _precount(KEYS, 4)(pa.table({
+        "id": ["zz"] * 4, "f": [1.0] * 4, "big": [1] * 4, "b": [b"zz"] * 4}))
 
-    reads, reported, calls, blob_rows = [], [], [], []
-    read_parquet, unpack = rd.read_parquet, validate_pipeline.unpack
-    dup_exchange = validate_pipeline.dup_exchange
+    reads, reported, handed, calls, names = [], [], [], [], []
+    read_parquet, from_items = rd.read_parquet, rd.from_items
+    unpack, execute = validate_pipeline.unpack, StreamingExecutor.execute
 
     def spy_read(paths, **kwargs):
         reads.append(sorted([paths] if isinstance(paths, str) else paths))
@@ -104,31 +105,48 @@ def test_one_input_read_and_the_exchange_reads_only_reported_files(
 
     def spy_unpack(blob):
         t = unpack(blob)
-        if t.column_names == ["file"]:
-            reported.extend(t.column("file").to_pylist())
+        if "offset" in t.column_names:
+            if not reported:  # the pass has begun: plant a stray file
+                stray = os.path.join(out, "precount", "partition=part-00000")
+                os.makedirs(stray, exist_ok=True)
+                with open(os.path.join(stray, "stray"), "wb") as f:
+                    f.writelines(planted.column("blob").to_pylist())
+            reported.extend(zip(*(t.column(c).to_pylist()
+                                  for c in ("file", "offset", "length"))))
         if "violation_rows" in t.column_names:  # one P1 row per scan call
             calls.extend(t.column("partition").to_pylist())
         return t
 
-    def spy_exchange(partials):
-        blob_rows.append(partials.count())
-        return dup_exchange(partials)
+    def spy_from_items(items, **kwargs):
+        handed.extend((r["file"], r["offset"], r["length"])
+                      for item in items for r in item["ranges"])
+        return from_items(items, **kwargs)
+
+    def spy_execute(self, dag, *args, **kwargs):
+        op = dag
+        while op.input_dependencies:
+            names.append(op.name)
+            op, = op.input_dependencies
+        return execute(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(rd, "read_parquet", spy_read)
+    monkeypatch.setattr(rd, "from_items", spy_from_items)
     monkeypatch.setattr(validate_pipeline, "unpack", spy_unpack)
-    monkeypatch.setattr(validate_pipeline, "dup_exchange", spy_exchange)
+    monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
     got = _run(key_dir, out)
 
     assert got["uniqueness"] == want
     inputs = sorted(glob.glob(os.path.join(key_dir, "*.parquet")))
-    assert reads[0] == inputs
-    assert len(reads) == 2 and reads[1] == sorted(reported)
+    assert reads == [inputs]
+    assert sorted(handed) == sorted(reported)
+    files = {path for path, _, _ in reported}
     assert all(p.startswith(os.path.join(out, "precount") + os.sep)
-               for p in reported)
+               for p in files)
     assert not os.path.exists(os.path.join(out, "precount"))
     # every scan call saw rows, and wrote one file
-    assert len(reported) == len(calls) > len(inputs)
-    assert blob_rows[0] <= len(calls) * len(KEYS) * fanout(15)
+    assert len(files) == len(calls) > len(inputs)
+    assert len(reported) <= len(calls) * len(KEYS) * fanout(15)
+    assert names and not [n for n in names if "Sort" in n]
 
 
 def test_shards_without_rows_give_typed_empty_sections(ray_session,
