@@ -108,22 +108,6 @@ def _doc_batch(sf_dir: str, table: str = "documents",
     return max(512, min(cap, n // 5))
 
 
-def _fanout(sf_dir: str, table: str, rows_per_task: int = 100_000,
-            lo: int = 4, hi: int = 64) -> int:
-    """Input-size-derived shuffle fan-out (r5: fixed num_buckets /
-    num_parts defaults of 32-64 make tiny inputs pay 32-64 per-task
-    fixed costs PER SHUFFLE — the exact term the degraded-host bench
-    windows inflate 5-7x on the sub-second queries). One parquet
-    metadata read (no scan, the _doc_batch pattern); clamped to
-    [lo, hi] so web-scale inputs still spread to the documented
-    defaults — the stage-level knobs remain the explicit override for
-    real clusters."""
-    import pyarrow.parquet as pq
-
-    n = pq.read_metadata(f"{sf_dir}/{table}.parquet").num_rows
-    return int(np.clip(-(-n // rows_per_task), lo, hi))
-
-
 def _round_away(arr):
     """pc.round with SQL ROUND semantics (half away from zero) — DuckDB's
     ROUND is half-away while pyarrow defaults to half-to-even; every
@@ -256,7 +240,7 @@ def q_violation_summary(sf_dir: str):
     out = hash_join(
         counts.map_batches(rejoin_key, batch_format="pyarrow",
                            zero_copy_batch=True),
-        nkeys, key="__ck", num_buckets=8)
+        nkeys, key="__ck")
     return out.drop_columns(["__ck"]).sort(["column", "keyword"])
 
 
@@ -311,33 +295,29 @@ def q_image_curation_pipeline(sf_dir: str):
     # validation chain (measured 35 s -> ~its stage sum at sf0.1); the
     # heavy bytes column itself still streams through its one stage
     valid = hash_join(meta.select_columns(["image_id", "phash"]), bad,
-                      key="image_id", how="anti",
-                      num_buckets=32).materialize()
+                      key="image_id", how="anti").materialize()
 
     byts = rd.read_parquet(_image_dir(sf_dir),
                            columns=["image_id", "bytes"])
     valid_bytes = bloom_semi_join(
         byts, valid.select_columns(["image_id"]), key="image_id",
-        num_bits=1 << 16, num_buckets=32)
+        num_bits=1 << 16)
     kept = exact_dedup(valid_bytes, "bytes", "image_id").select_columns(
         ["image_id"]).materialize()
-    surv = hash_join(valid, kept, key="image_id", how="semi",
-                     num_buckets=32).materialize()
+    surv = hash_join(valid, kept, key="image_id", how="semi").materialize()
 
     pairs = hamming_pairs(surv.select_columns(["phash"]), column="phash",
-                          max_distance=3, num_parts=32)
+                          max_distance=3)
     # materialize the tiny (phash, component) label table: a corpus with
     # ZERO near-dup pairs yields an empty dataset whose schema Ray drops
     # on the next map, which the left join cannot type — in that case
     # every phash is its own cluster (finish() coalesces)
-    comp_m = connected_components(pairs, a_col="a", b_col="b",
-                                  num_buckets=32).materialize()
+    comp_m = connected_components(pairs, a_col="a", b_col="b").materialize()
     if comp_m.count():
         comp = comp_m.map_batches(
             lambda b: b.rename_columns(["phash", "component"]),
             batch_format="pyarrow", zero_copy_batch=True)
-        labeled = hash_join(surv, comp, key="phash", how="left",
-                            num_buckets=32)
+        labeled = hash_join(surv, comp, key="phash", how="left")
     else:
         labeled = surv.map_batches(
             lambda b: b.append_column(
@@ -447,7 +427,7 @@ def q_phash_near_dup(sf_dir: str):
     ds = rd.read_parquet(_image_dir(sf_dir), columns=["phash"])
     out = hamming_pairs(
         ds.map_batches(_with_phash_probe, batch_format="pyarrow"),
-        column="phash", max_distance=3, num_parts=32)
+        column="phash", max_distance=3)
 
     def rename(b):
         return b.rename_columns(["phash_a", "phash_b", "hamming"])
@@ -471,9 +451,8 @@ def q_image_near_dup_components(sf_dir: str):
     ds = rd.read_parquet(_image_dir(sf_dir), columns=["phash"])
     pairs = hamming_pairs(
         ds.map_batches(_with_phash_probe, batch_format="pyarrow"),
-        column="phash", max_distance=3, num_parts=32)
-    comp = connected_components(pairs, a_col="a", b_col="b",
-                                num_buckets=32)
+        column="phash", max_distance=3)
+    comp = connected_components(pairs, a_col="a", b_col="b")
 
     def rename(b):
         return b.rename_columns(["phash", "component"])
@@ -636,8 +615,7 @@ def q_join_orders_customers(sf_dir: str):
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = hash_join(orders, cust, key="o_custkey",
-                       right_key="c_custkey",
-                       num_buckets=_fanout(sf_dir, "orders"))
+                       right_key="c_custkey")
     return joined.select_columns(
         ["o_orderkey", "o_custkey", "c_mktsegment"]
     ).sort(["o_orderkey"])
@@ -668,7 +646,6 @@ def q_bloom_semi_orders(sf_dir: str):
     # bits -> fp ~ 2%); at 100 TB size num_bits to ~10 bits/key
     return bloom_semi_join(orders, keys, key="o_custkey",
                            right_key="c_custkey", num_bits=1 << 12,
-                           num_buckets=_fanout(sf_dir, "orders"),
                            ).sort("o_orderkey")
 
 
@@ -848,14 +825,12 @@ def q_revenue_by_nation(sf_dir: str):
         orders_1996, batch_format="pyarrow", zero_copy_batch=True)
 
     j1 = hash_join(per_order, orders, key="l_orderkey",
-                   right_key="o_orderkey",
-                   num_buckets=_fanout(sf_dir, "lineitem"))
+                   right_key="o_orderkey")
     per_cust = grouped_sums(j1, ["o_custkey"],
                             {"rev_x10000": "rev_x10000"}, count_alias=None)
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j2 = hash_join(per_cust, cust, key="o_custkey", right_key="c_custkey",
-                   num_buckets=_fanout(sf_dir, "orders"))
+    j2 = hash_join(per_cust, cust, key="o_custkey", right_key="c_custkey")
     per_nation = grouped_sums(j2, ["c_nationkey"],
                               {"rev_x10000": "rev_x10000"},
                               count_alias=None)
@@ -905,7 +880,7 @@ def q_left_join_customer_orders(sf_dir: str):
         "o_custkey", 3, [0],
     )
     joined = hash_join(cust, orders, key="c_custkey", right_key="o_custkey",
-                       how="left", num_buckets=_fanout(sf_dir, "orders"))
+                       how="left")
     # within one c_custkey group o_orderkey is either all-null (no match —
     # exactly one row) or all non-null, so null placement in the sort can
     # never differ between engines
@@ -929,7 +904,7 @@ def q_outer_join_orders_customers(sf_dir: str):
         "c_custkey", 2, [0],
     )
     joined = hash_join(orders, cust, key="o_custkey", right_key="c_custkey",
-                       how="outer", num_buckets=_fanout(sf_dir, "orders"))
+                       how="outer")
     return joined.select_columns(
         ["o_custkey", "o_orderkey", "c_mktsegment"]
     ).sort(["o_custkey", "o_orderkey"])
@@ -945,7 +920,7 @@ def q_anti_join_customers(sf_dir: str):
         expr="o_totalprice > 150000"
     ).select_columns(["o_custkey"])
     joined = hash_join(cust, big, key="c_custkey", right_key="o_custkey",
-                       how="anti", num_buckets=_fanout(sf_dir, "orders"))
+                       how="anti")
     return joined.select_columns(["c_custkey", "c_mktsegment"]).sort(
         ["c_custkey"]
     )
@@ -1003,7 +978,7 @@ def q_asof_join_orders(sf_dir: str):
     marks = orders.map_batches(preagg, batch_format="pyarrow")
     joined = asof_join(events, marks, key="user_id", ts="ts",
                        right_key="o_custkey", right_ts="o_orderdate",
-                       how="left", num_buckets=_fanout(sf_dir, "events"),
+                       how="left",
                        right_agg={"o_maxkey": "max"})
     return joined.select_columns(["event_id", "user_id", "o_maxkey"]).sort(
         ["event_id"]
@@ -1419,7 +1394,7 @@ def q_duplicate_keys(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey"])
     return duplicate_keys(
-        ds, "l_orderkey", num_buckets=_fanout(sf_dir, "lineitem")
+        ds, "l_orderkey"
     ).sort(["l_orderkey"])
 
 
@@ -1428,7 +1403,7 @@ def q_top_duplicates(sf_dir: str):
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey"])
     return duplicate_keys(
-        ds, "l_orderkey", num_buckets=_fanout(sf_dir, "lineitem")
+        ds, "l_orderkey"
     ).sort(
         ["dup_count", "l_orderkey"], descending=[True, False]
     ).limit(10)
@@ -2181,7 +2156,6 @@ def q_jaccard_pairs(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return exact_jaccard_pairs(
         ds, threshold=0.7, k=5,
-        num_parts=4 * _fanout(sf_dir, "documents", rows_per_task=2_000),
     ).sort(["doc_a", "doc_b"])
 
 
@@ -2199,7 +2173,6 @@ def q_containment_pairs(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return exact_jaccard_pairs(
         ds, threshold=0.9, k=5, measure="containment",
-        num_parts=4 * _fanout(sf_dir, "documents", rows_per_task=2_000),
     ).sort(["doc_a", "doc_b"])
 
 
@@ -2218,9 +2191,8 @@ def q_dedup_components(sf_dir: str):
     from jsschema_ray.stages.graph import connected_components
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    fo = _fanout(sf_dir, "documents", rows_per_task=2_000)
-    pairs = exact_jaccard_pairs(ds, threshold=0.7, k=5, num_parts=4 * fo)
-    comp = connected_components(pairs, num_buckets=fo)
+    pairs = exact_jaccard_pairs(ds, threshold=0.7, k=5)
+    comp = connected_components(pairs)
 
     def rename(b):
         return b.rename_columns(["doc_id", "component"])
@@ -2241,9 +2213,7 @@ def q_near_dedup_corpus(sf_dir: str):
 
     ds = _read(sf_dir, "documents",
                ["doc_id", "text", "lang", "source", "n_chars"])
-    fo = _fanout(sf_dir, "documents", rows_per_task=2_000)
-    out = near_dedup_corpus(ds, threshold=0.7, k=5, num_parts=4 * fo,
-                            num_buckets=fo)
+    out = near_dedup_corpus(ds, threshold=0.7, k=5)
     return out.select_columns(
         ["doc_id", "lang", "source", "n_chars"]
     ).sort("doc_id")
@@ -2355,7 +2325,7 @@ def q_tfidf_terms(sf_dir: str):
     from jsschema_ray.stages.text import tfidf_top_terms
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = tfidf_top_terms(ds, k=3, num_parts=16)
+    out = tfidf_top_terms(ds, k=3)
     return out.select_columns(["doc_id", "token", "tf", "df"]).sort(
         ["doc_id", "token"]
     )
@@ -2440,7 +2410,7 @@ def q_group_quantile_sketch(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()
 
-    joined = hash_join(sk, bounds, key="l_partkey", num_buckets=8)
+    joined = hash_join(sk, bounds, key="l_partkey")
 
     def finish(batch: pa.Table) -> pa.Table:
         est = batch.column("q50").to_numpy(zero_copy_only=False)
@@ -2473,14 +2443,12 @@ def q_distinct_orders_sketch(sf_dir: str):
     from jsschema_ray.stages.stats import grouped_distinct_sketch
 
     ds = _read(sf_dir, "lineitem", ["l_returnflag", "l_orderkey"])
-    sk = grouped_distinct_sketch(ds, "l_returnflag", "l_orderkey", p=12,
-                                 num_parts=4)
-    exact = grouped_count_distinct(ds, "l_returnflag", "l_orderkey",
-                                   num_partitions=4)
+    sk = grouped_distinct_sketch(ds, "l_returnflag", "l_orderkey", p=12)
+    exact = grouped_count_distinct(ds, "l_returnflag", "l_orderkey")
     joined = hash_join(sk, exact.map_batches(
         lambda b: b.rename_columns(["l_returnflag", "nd"]),
         batch_format="pyarrow", zero_copy_batch=True,
-    ), key="l_returnflag", num_buckets=4)
+    ), key="l_returnflag")
 
     def finish(batch: pa.Table) -> pa.Table:
         est = batch.column("distinct_est").to_numpy(zero_copy_only=False)
@@ -2661,8 +2629,7 @@ def q_multikey_join(sf_dir: str):
         _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]),
         ["l_orderkey", "l_returnflag"], {}, count_alias="grp_n",
     )
-    out = hash_join(li, g, key=["l_orderkey", "l_returnflag"],
-                    num_buckets=32)
+    out = hash_join(li, g, key=["l_orderkey", "l_returnflag"])
     return out.sort(["l_orderkey", "l_linenumber"])
 
 
@@ -2958,10 +2925,8 @@ def q_tpch_q3(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_orderdate",
                     "o_orderpriority"]).map_batches(
         before_cutoff, batch_format="pyarrow", zero_copy_batch=True)
-    fo = _fanout(sf_dir, "orders")
     orders = bloom_semi_join(orders, cust, key="o_custkey",
-                             right_key="c_custkey",
-                             num_buckets=fo).drop_columns(["o_custkey"])
+                             right_key="c_custkey").drop_columns(["o_custkey"])
 
     def rev(b: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -2990,12 +2955,10 @@ def q_tpch_q3(sf_dir: str):
                 "l_shipdate"]).map_batches(
         rev, batch_format="pyarrow", zero_copy_batch=True)
     rev_per_order = grouped_sums(
-        li, ["l_orderkey"], {"rev10000": "rev10000"},
-        num_parts=_fanout(sf_dir, "lineitem"), count_alias=None)
+        li, ["l_orderkey"], {"rev10000": "rev10000"}, count_alias=None)
 
     joined = hash_join(rev_per_order, orders, key="l_orderkey",
-                       right_key="o_orderkey", how="inner",
-                       num_buckets=fo)
+                       right_key="o_orderkey", how="inner")
 
     def add_tiebreak(b: pa.Table) -> pa.Table:
         # ORDER BY rev DESC, o_orderdate, l_orderkey — fold (days since
@@ -3101,8 +3064,7 @@ def q_tpch_q18(sf_dir: str):
                ["l_orderkey", "l_quantity"]).map_batches(
         q100, batch_format="pyarrow", zero_copy_batch=True)
     qty = grouped_sums(
-        li, ["l_orderkey"], {"qty100": "qty100"},
-        num_parts=_fanout(sf_dir, "lineitem"), count_alias=None)
+        li, ["l_orderkey"], {"qty100": "qty100"}, count_alias=None)
 
     def having(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater(b.column("qty100"), thr100))
@@ -3110,15 +3072,14 @@ def q_tpch_q18(sf_dir: str):
     big = qty.map_batches(having, batch_format="pyarrow",
                           zero_copy_batch=True)
 
-    fo = _fanout(sf_dir, "orders")
     orders = _read(sf_dir, "orders",
                    ["o_orderkey", "o_custkey", "o_orderdate",
                     "o_totalprice"])
     j1 = hash_join(big, orders, key="l_orderkey",
-                   right_key="o_orderkey", how="inner", num_buckets=fo)
+                   right_key="o_orderkey", how="inner")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
     j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey",
-                   how="inner", num_buckets=fo)
+                   how="inner")
 
     def add_keys(b: pa.Table) -> pa.Table:
         # same unit/NULL refusals as tpch_q3's fold: a non-us timestamp
@@ -3218,8 +3179,8 @@ def q_normalized_dedup(sf_dir: str):
     shuffle narrow (documented)."""
     import pyarrow.compute as pc
 
+    from jsschema_ray.stages.exchange import by_part, fanout, partition_ids
     from jsschema_ray.stages.text import normalize_text
-    from jsschema_ray.state.hll import hash64
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -3233,7 +3194,7 @@ def q_normalized_dedup(sf_dir: str):
     both = docs.union(docs.map_batches(mk_twin, batch_format="pyarrow",
                                        zero_copy_batch=True))
     norm = normalize_text(both, "text", "doc_id")
-    num_parts = 4 * _fanout(sf_dir, "documents")
+    n = fanout()
 
     def partial(b: pa.Table) -> pa.Table:
         g = b.select(["norm_text", "doc_id"]).group_by(
@@ -3241,21 +3202,19 @@ def q_normalized_dedup(sf_dir: str):
                                       ([], "count_all")])
         g = g.rename_columns(
             ["norm_text", "keeper", "n_docs"])
-        part = (hash64(g.column("norm_text").combine_chunks())
-                % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
+        return g.append_column(
+            "__part", pa.array(partition_ids(g, ["norm_text"], n)))
 
     def merge(t: pa.Table) -> pa.Table:
-        g = t.drop_columns(["__part"]).group_by(["norm_text"]).aggregate(
+        g = t.group_by(["norm_text"]).aggregate(
             [("keeper", "min"), ("n_docs", "sum")])
         g = g.rename_columns(["norm_text", "keeper", "n_docs"])
         g = g.filter(pc.greater(g.column("n_docs"), 1))
         return g.select(["keeper", "n_docs"])
 
-    return norm.map_batches(
+    return by_part(norm.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("__part").map_groups(
-        merge, batch_format="pyarrow").sort("keeper")
+    ), merge).sort("keeper")
 
 
 def _rev_x10000_batches(ds, order_col: str = "l_orderkey",
@@ -3335,8 +3294,7 @@ def q_tpch_q4a(sf_dir: str):
         returned, batch_format="pyarrow", zero_copy_batch=True)
 
     hit = bloom_semi_join(orders, li_r, key="o_orderkey",
-                          right_key="l_orderkey",
-                          num_buckets=_fanout(sf_dir, "orders"))
+                          right_key="l_orderkey")
     return grouped_sums(hit.select_columns(["o_orderpriority"]),
                         ["o_orderpriority"], {},
                         count_alias="order_count").sort("o_orderpriority")
@@ -3402,22 +3360,19 @@ def q_tpch_q5(sf_dir: str):
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"])
-    fo = _fanout(sf_dir, "lineitem")
     li = bloom_semi_join(li, orders, key="l_orderkey",
-                         right_key="o_orderkey", num_buckets=fo)
+                         right_key="o_orderkey")
     li = broadcast_join(li, supp, key="l_suppkey", small_key="s_suppkey",
                         how="inner")
     rev = _rev_x10000_batches(li, extra_cols=["s_nationkey"])
     per_order = grouped_sums(
         rev, ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"},
-        num_parts=fo, count_alias=None)
+        count_alias=None)
 
     j1 = hash_join(per_order, orders, key="l_orderkey",
-                   right_key="o_orderkey",
-                   num_buckets=_fanout(sf_dir, "orders"))
+                   right_key="o_orderkey")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey",
-                   num_buckets=_fanout(sf_dir, "customer"))
+    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey")
 
     def colocated(b: pa.Table) -> pa.Table:
         mask = pc.equal(b.column("c_nationkey").cast(pa.int32()),
@@ -3551,24 +3506,20 @@ def q_tpch_q10(sf_dir: str):
                ["l_orderkey", "l_extendedprice", "l_discount",
                 "l_returnflag"]).map_batches(
         returned, batch_format="pyarrow", zero_copy_batch=True)
-    fo = _fanout(sf_dir, "lineitem")
     li = bloom_semi_join(li, orders, key="l_orderkey",
-                         right_key="o_orderkey", num_buckets=fo)
+                         right_key="o_orderkey")
     per_order = grouped_sums(
         _rev_x10000_batches(li), ["l_orderkey"], {"rev_x10000": "rev"},
-        num_parts=fo, count_alias=None)
+        count_alias=None)
 
-    fo_o = _fanout(sf_dir, "orders")
     j1 = hash_join(per_order, orders, key="l_orderkey",
-                   right_key="o_orderkey", num_buckets=fo_o)
+                   right_key="o_orderkey")
     per_cust = grouped_sums(
-        j1, ["o_custkey"], {"rev_x10000": "rev_x10000"}, count_alias=None,
-        num_parts=fo_o)
+        j1, ["o_custkey"], {"rev_x10000": "rev_x10000"}, count_alias=None)
 
     cust = _read(sf_dir, "customer",
                  ["c_custkey", "c_name", "c_acctbal", "c_nationkey"])
-    j2 = hash_join(per_cust, cust, key="o_custkey", right_key="c_custkey",
-                   num_buckets=_fanout(sf_dir, "customer"))
+    j2 = hash_join(per_cust, cust, key="o_custkey", right_key="c_custkey")
 
     top20 = top_k_rows(j2, value="rev_x10000", tiebreak="o_custkey", k=20,
                        descending=True)
@@ -3738,18 +3689,15 @@ def q_tpch_q7(sf_dir: str):
     li = broadcast_join(li, supp, key="l_suppkey", small_key="s_suppkey",
                         how="inner")
     rev = _rev_x10000_batches(li, extra_cols=["s_nationkey", "l_year"])
-    fo = _fanout(sf_dir, "lineitem")
     per_order = grouped_sums(
         rev, ["l_orderkey", "s_nationkey", "l_year"],
-        {"rev_x10000": "rev"}, num_parts=fo, count_alias=None)
+        {"rev_x10000": "rev"}, count_alias=None)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     j1 = hash_join(per_order, orders, key="l_orderkey",
-                   right_key="o_orderkey",
-                   num_buckets=_fanout(sf_dir, "orders"))
+                   right_key="o_orderkey")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey",
-                   num_buckets=_fanout(sf_dir, "customer"))
+    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey")
 
     def pair_filter(b: pa.Table) -> pa.Table:
         s = b.column("s_nationkey").cast(pa.int32())
@@ -3815,12 +3763,10 @@ def q_tpch_q12a(sf_dir: str):
                ["l_orderkey", "l_linestatus", "l_shipdate"]).map_batches(
         in_year, batch_format="pyarrow", zero_copy_batch=True)
     per_order = grouped_sums(
-        li, ["l_orderkey", "l_linestatus"], {}, count_alias="cnt",
-        num_parts=_fanout(sf_dir, "lineitem"))
+        li, ["l_orderkey", "l_linestatus"], {}, count_alias="cnt")
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     j = hash_join(per_order, orders, key="l_orderkey",
-                  right_key="o_orderkey",
-                  num_buckets=_fanout(sf_dir, "orders"))
+                  right_key="o_orderkey")
 
     def flags(b: pa.Table) -> pa.Table:
         high = pc.is_in(b.column("o_orderpriority"),
@@ -3873,7 +3819,7 @@ def q_tpch_q15(sf_dir: str):
     rev = _rev_x10000_batches(li, order_col="l_suppkey")
     per_supp = grouped_sums(
         rev, ["l_suppkey"], {"rev_x10000": "rev"},
-        num_parts=_fanout(sf_dir, "supplier"), count_alias=None).materialize()
+        count_alias=None).materialize()
 
     best = per_supp.max("rev_x10000")
     if best is None:
@@ -4022,11 +3968,9 @@ def q_tpch_q8a(sf_dir: str):
                         how="semi")
     li = broadcast_join(li, supp, key="l_suppkey", small_key="s_suppkey",
                         how="inner")
-    fo = _fanout(sf_dir, "lineitem")
     per_order = grouped_sums(
         _rev_x10000_batches(li, extra_cols=["s_nationkey"]),
-        ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"}, count_alias=None,
-        num_parts=fo)
+        ["l_orderkey", "s_nationkey"], {"rev_x10000": "rev"}, count_alias=None)
 
     def in_window(b: pa.Table) -> pa.Table:
         d = b.column("o_orderdate")
@@ -4043,11 +3987,9 @@ def q_tpch_q8a(sf_dir: str):
                    ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         in_window, batch_format="pyarrow", zero_copy_batch=True)
     j1 = hash_join(per_order, orders, key="l_orderkey",
-                   right_key="o_orderkey",
-                   num_buckets=_fanout(sf_dir, "orders"))
+                   right_key="o_orderkey")
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey",
-                   num_buckets=_fanout(sf_dir, "customer"))
+    j2 = hash_join(j1, cust, key="o_custkey", right_key="c_custkey")
 
     def flags(b: pa.Table) -> pa.Table:
         b = b.filter(pc.is_in(b.column("c_nationkey").cast(pa.int32()),
@@ -4102,13 +4044,12 @@ def q_tpch_q13(sf_dir: str):
     orders = _read(sf_dir, "orders",
                    ["o_custkey", "o_orderpriority"]).map_batches(
         qualifying, batch_format="pyarrow", zero_copy_batch=True)
-    fo = _fanout(sf_dir, "customer")
     per_cust = grouped_sums(
-        orders, ["o_custkey"], {}, count_alias="c_count", num_parts=fo)
+        orders, ["o_custkey"], {}, count_alias="c_count")
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     j = hash_join(cust, per_cust, key="c_custkey", right_key="o_custkey",
-                  how="left", num_buckets=fo)
+                  how="left")
 
     def fill(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4165,8 +4106,7 @@ def q_tpch_q17(sf_dir: str):
 
     per_part = grouped_sums(
         li.map_batches(q100, batch_format="pyarrow", zero_copy_batch=True),
-        ["l_partkey"], {"sum_q100": "q100"}, count_alias="n_lines",
-        num_parts=_fanout(sf_dir, "part"))
+        ["l_partkey"], {"sum_q100": "q100"}, count_alias="n_lines")
 
     def thresh(b: pa.Table) -> pa.Table:
         sq = b.column("sum_q100").to_numpy(zero_copy_only=False).astype(
@@ -4275,8 +4215,7 @@ def q_tpch_q22a(sf_dir: str):
                    ["o_custkey", "o_orderpriority"]).map_batches(
         urgent, batch_format="pyarrow", zero_copy_batch=True)
     no_orders = hash_join(rich, orders, key="c_custkey",
-                          right_key="o_custkey", how="anti",
-                          num_buckets=_fanout(sf_dir, "customer"))
+                          right_key="o_custkey", how="anti")
 
     def bal100(b: pa.Table) -> pa.Table:
         a = round_half_away(
@@ -4375,8 +4314,7 @@ def q_cumulative_new_users(sf_dir: str):
 
     first = grouped_extrema(
         ev.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
-        ["user_id"], {"first_ts": ("ts", "min")},
-        num_parts=_fanout(sf_dir, "events"))
+        ["user_id"], {"first_ts": ("ts", "min")})
 
     def day_of(b: pa.Table) -> pa.Table:
         return pa.table({
@@ -4411,7 +4349,6 @@ def q_quantile_normalize(sf_dir: str):
     ds = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     return quantile_normalize(
         ds, "n_chars", keep=["doc_id"],
-        num_parts=_fanout(sf_dir, "documents", rows_per_task=20_000),
     ).sort("doc_id")
 
 
@@ -4440,7 +4377,6 @@ def q_tpch_q21a(sf_dir: str):
     from jsschema_ray.stages.join import broadcast_join, hash_join
     from jsschema_ray.stages.stats import top_k_rows
 
-    fo = _fanout(sf_dir, "lineitem")
 
     def finished(b: pa.Table) -> pa.Table:
         return b.filter(pc.equal(b.column("o_orderstatus"), "F")).select(
@@ -4453,7 +4389,7 @@ def q_tpch_q21a(sf_dir: str):
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_suppkey", "l_shipdate"])
     joined = hash_join(li, orders, key="l_orderkey",
-                       right_key="o_orderkey", how="inner", num_buckets=fo)
+                       right_key="o_orderkey", how="inner")
 
     SIXTY_DAYS_US = 60 * 86_400 * 1_000_000
 
@@ -4614,9 +4550,7 @@ def q_user_coverage(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(
         iv, batch_format="pyarrow", zero_copy_batch=True)
-    return interval_coverage(ds, "user_id", "s", "e",
-                             num_partitions=_fanout(sf_dir, "events")
-                             ).sort("user_id")
+    return interval_coverage(ds, "user_id", "s", "e").sort("user_id")
 
 
 def q_quantity_skewness(sf_dir: str):
@@ -5151,8 +5085,8 @@ def q_dedup_rate_by_source(sf_dir: str):
     distinct = grouped_count_distinct(
         ds.map_batches(drop_null_text, batch_format="pyarrow",
                        batch_size=65536, zero_copy_batch=True),
-        "source", "text", num_partitions=8)
-    joined = hash_join(counts, distinct, "source", num_buckets=4)
+        "source", "text")
+    joined = hash_join(counts, distinct, "source")
 
     def finish(b: pa.Table) -> pa.Table:
         return b.append_column(
@@ -5174,7 +5108,7 @@ def q_top_langs_per_source(sf_dir: str):
 
     ds = _read(sf_dir, "documents", ["source", "lang"])
     counts = grouped_sums(ds, ["source", "lang"], {},
-                                      count_alias="n_docs", num_parts=16)
+                                      count_alias="n_docs")
     out = top_n_per_group(counts, group="source", value="n_docs",
                           tiebreak="lang", n=2)
     return out.select_columns(["source", "lang", "n_docs", "rn"]).sort(
@@ -5256,7 +5190,7 @@ def q_caption_spam(sf_dir: str):
     counts = grouped_sums(
         ds.map_batches(drop_null, batch_format="pyarrow",
                        batch_size=65536, zero_copy_batch=True),
-        ["caption"], {}, count_alias="n_images", num_parts=16)
+        ["caption"], {}, count_alias="n_images")
     def spam_only(b: pa.Table) -> pa.Table:
         return b.filter(pc.greater(b.column("n_images"), 2))
 
@@ -5294,8 +5228,7 @@ def q_order_totals_reconcile(sf_dir: str):
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     return reconcile_sums(li, orders, "l_orderkey", "o_orderkey",
-                          "l_extendedprice", "o_totalprice", k=20,
-                          num_parts=_fanout(sf_dir, "orders"))
+                          "l_extendedprice", "o_totalprice", k=20)
 
 
 def q_orders_upsert(sf_dir: str):
@@ -5330,8 +5263,7 @@ def q_orders_upsert(sf_dir: str):
 
     updates = _read(sf_dir, "orders", cols).map_batches(
         derive_updates, batch_format="pyarrow", batch_size=262144)
-    return upsert(base, updates, "o_orderkey",
-                  num_parts=_fanout(sf_dir, "orders")).sort("o_orderkey")
+    return upsert(base, updates, "o_orderkey").sort("o_orderkey")
 
 
 def q_events_join_fanout(sf_dir: str):
@@ -5346,8 +5278,7 @@ def q_events_join_fanout(sf_dir: str):
 
     ev = _read(sf_dir, "events", ["user_id"])
     ev2 = _read(sf_dir, "events", ["user_id"])
-    return join_cardinality(ev, ev2, "user_id",
-                            num_parts=_fanout(sf_dir, "events"))
+    return join_cardinality(ev, ev2, "user_id")
 
 
 def q_balance_band_pairs(sf_dir: str):
@@ -5368,8 +5299,7 @@ def q_balance_band_pairs(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     supp = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"])
     return band_join(cust, supp, "c_custkey", "c_acctbal",
-                     "s_suppkey", "s_acctbal", eps_x=500,
-                     num_parts=_fanout(sf_dir, "customer")).sort(
+                     "s_suppkey", "s_acctbal", eps_x=500).sort(
                          ["key_l", "key_r"])
 
 
@@ -5387,7 +5317,6 @@ def q_unmatched_balances(sf_dir: str):
     cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
     return band_join(supp, cust, "s_suppkey", "s_acctbal",
                      "c_custkey", "c_acctbal", eps_x=100,
-                     num_parts=_fanout(sf_dir, "customer"),
                      how="anti").sort("key_l")
 
 
@@ -5417,8 +5346,7 @@ def q_click_purchase_pairs(sf_dir: str):
                           batch_size=65536, zero_copy_batch=True)
     return keyed_band_join(
         clicks, buys, "user_id", "event_id", "ts",
-        "user_id", "event_id", "ts", eps_x=3_600_000_000,
-        num_parts=_fanout(sf_dir, "events")).sort(
+        "user_id", "event_id", "ts", eps_x=3_600_000_000).sort(
             ["eq", "key_l", "key_r"])
 
 
@@ -5443,8 +5371,7 @@ def q_dup_cluster_histogram(sf_dir: str):
     per_text = grouped_sums(
         ds.map_batches(drop_null, batch_format="pyarrow",
                        batch_size=65536, zero_copy_batch=True),
-        ["caption"], {}, count_alias="__n",
-        num_parts=_fanout(sf_dir, "documents"))
+        ["caption"], {}, count_alias="__n")
     out = grouped_sums(per_text.select_columns(["__n"]), ["__n"], {},
                        count_alias="n_clusters")
 
@@ -5582,9 +5509,8 @@ def q_doc_quality_blend(sf_dir: str):
 
     feats_ds = ds.map_batches(feats, batch_format="pyarrow",
                               batch_size=_doc_batch(sf_dir, "documents"))
-    return rank_blend(feats_ds, ["doc_id"], ["n_chars", "n_tokens"],
-                      num_buckets=_fanout(sf_dir, "documents")
-                      ).sort("doc_id")
+    return rank_blend(feats_ds, ["doc_id"], ["n_chars", "n_tokens"]).sort(
+        "doc_id")
 
 
 def q_phash_distance_histogram(sf_dir: str):
@@ -5626,9 +5552,9 @@ def q_canonical_docs(sf_dir: str):
     import pyarrow.compute as pc
 
     from jsschema_ray.stages.aggregates import argmax_per_group
+    from jsschema_ray.stages.exchange import by_part, fanout, partition_ids
     from jsschema_ray.stages.join import hash_join
     from jsschema_ray.stages.text import normalize_text
-    from jsschema_ray.state.hll import hash64
 
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -5653,31 +5579,27 @@ def q_canonical_docs(sf_dir: str):
 
     narrow = norm.map_batches(with_chars, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
-    num_parts = 4 * _fanout(sf_dir, "documents")
+    n = fanout()
 
     def count_partial(b: pa.Table) -> pa.Table:
         g = b.select(["norm_text"]).group_by(["norm_text"]).aggregate(
             [([], "count_all")])
         g = g.rename_columns(["norm_text", "n_dups"])
-        part = (hash64(g.column("norm_text").combine_chunks())
-                % np.uint64(num_parts)).astype(np.int32)
-        return g.append_column("__part", pa.array(part))
+        return g.append_column(
+            "__part", pa.array(partition_ids(g, ["norm_text"], n)))
 
     def count_merge(t: pa.Table) -> pa.Table:
-        g = t.drop_columns(["__part"]).group_by(["norm_text"]).aggregate(
-            [("n_dups", "sum")])
+        g = t.group_by(["norm_text"]).aggregate([("n_dups", "sum")])
         g = g.rename_columns(["norm_text", "n_dups"])
         return g.filter(pc.greater(g.column("n_dups"), 1))
 
-    clusters = narrow.map_batches(
+    clusters = by_part(narrow.map_batches(
         count_partial, batch_format="pyarrow", zero_copy_batch=True,
-    ).groupby("__part").map_groups(count_merge, batch_format="pyarrow")
+    ), count_merge)
 
     winners = argmax_per_group(narrow, group="norm_text",
-                               value="n_chars", tiebreak="doc_id",
-                               num_partitions=num_parts)
-    out = hash_join(winners, clusters, key="norm_text", how="inner",
-                    num_buckets=_fanout(sf_dir, "documents"))
+                               value="n_chars", tiebreak="doc_id")
+    out = hash_join(winners, clusters, key="norm_text", how="inner")
     return out.select_columns(["doc_id", "n_chars", "n_dups"]).sort(
         "doc_id")
 
@@ -5700,8 +5622,7 @@ def q_event_gap_quantiles(sf_dir: str):
     from jsschema_ray.stages.windows import event_deltas
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
-    gaps = event_deltas(ds, key="user_id", ts="ts", tiebreak="event_id",
-                        num_partitions=_fanout(sf_dir, "events"))
+    gaps = event_deltas(ds, key="user_id", ts="ts", tiebreak="event_id")
 
     def non_null(b: pa.Table) -> pa.Table:
         return b.filter(pc.is_valid(b.column("delta_us")))
@@ -5709,8 +5630,7 @@ def q_event_gap_quantiles(sf_dir: str):
     gaps = gaps.map_batches(non_null, batch_format="pyarrow",
                             zero_copy_batch=True)
     return grouped_quantile_disc(
-        gaps, "user_id", "delta_us", 0.5, qs=(0.5, 0.9),
-        num_parts=_fanout(sf_dir, "events")).sort("user_id")
+        gaps, "user_id", "delta_us", 0.5, qs=(0.5, 0.9)).sort("user_id")
 
 
 def entry():

@@ -334,7 +334,6 @@ def run_flagship() -> dict:
 
     import __ray_entry__ as m
     from jsschema_ray.pipelines.image_schema import IMAGE_SCHEMA  # noqa: E501
-    from jsschema_ray.stages.exchange import fanout
     from jsschema_ray.stages.multimodal import decode_violations
     from jsschema_ray.stages.stats import StatsSpec, collect_stats
     from jsschema_ray.stages.uniqueness import duplicate_keys_multi
@@ -364,8 +363,7 @@ def run_flagship() -> dict:
     def stage_uniqueness():
         res = duplicate_keys_multi(
             rd.read_parquet(img, columns=["image_id", "phash"]),
-            ["image_id", "phash"], num_buckets=fanout(n_rows),
-        )
+            ["image_id", "phash"])
         assert res["image_id"].num_rows >= 0 and res["phash"].num_rows >= 0
 
     def stage_decode():
@@ -392,7 +390,6 @@ def run_flagship() -> dict:
         _consume(rolling_rows_windows(
             rd.read_parquet(ev_dir), key="user_id", ts="ts",
             tiebreak="event_id", value="value", n_rows=5,
-            num_partitions=ncpu * 4,
         ))
 
     # repeat and keep the per-stage minimum: single-node runs are noisy

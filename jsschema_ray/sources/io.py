@@ -102,8 +102,7 @@ def write_table(ds: "rd.Dataset", path: str, fmt: str = "parquet",
                          "one of parquet/jsonl/csv")
 
 
-def write_partitioned(ds: "rd.Dataset", path: str, by: str,
-                      num_parts: int = 64) -> "rd.Dataset":
+def write_partitioned(ds: "rd.Dataset", path: str, by: str) -> "rd.Dataset":
     """Hive-style RESUMABLE partitioned sink: one directory per distinct
     value of ``by`` (``path/<by>=<value>/part-*.parquet``), each
     partition committed ATOMICALLY (files land under a tmp name and
@@ -176,4 +175,4 @@ def write_partitioned(ds: "rd.Dataset", path: str, by: str,
             "skipped": pa.array(out["skipped"], pa.bool_()),
         })
 
-    return by_key(ds, [by], write_group, num_parts)
+    return by_key(ds, [by], write_group)

@@ -17,20 +17,19 @@ from typing import Optional
 
 import pyarrow as pa
 
-from jsschema_ray.stages.exchange import (PART, by_key, by_part, fanout,
-                                          partition_ids)
+from jsschema_ray.stages import exchange
+from jsschema_ray.stages.exchange import PART, by_key, by_part, partition_ids
 
 # how each partial aggregate merges across batches
 _MERGE = {"sum": "sum", "count_all": "sum", "min": "min", "max": "max"}
 
 
 def _combined(ds, keys: list[str], aggs: dict[str, tuple],
-              num_parts: Optional[int], batch_size: int):
+              batch_size: int):
     """groupby(keys) with ``aggs`` ({out_name: (in_col, fn)}, fn one of
     ``_MERGE``; ``(None, "count_all")`` is COUNT(*)) as a map-side
-    combine: a pyarrow ``group_by`` partial per batch, ``by_key`` into
-    ``num_parts`` (default ``fanout(0)``) partitions, and a pyarrow
-    ``group_by`` merge per partition. Returns keys + out_names."""
+    combine: a pyarrow ``group_by`` partial per batch, ``by_key``, and a
+    pyarrow ``group_by`` merge per partition. Returns keys + out_names."""
     specs = list(dict.fromkeys(aggs.values()))
     in_cols = list(dict.fromkeys(c for c, _ in specs if c is not None))
     outs = list(aggs)
@@ -51,7 +50,7 @@ def _combined(ds, keys: list[str], aggs: dict[str, tuple],
     return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), keys, merge_part, num_parts or fanout(0))
+    ), keys, merge_part)
 
 
 def grouped_sums(
@@ -59,22 +58,21 @@ def grouped_sums(
     keys: list[str],
     sum_cols: dict[str, str],
     count_alias: Optional[str] = "n",
-    num_parts: Optional[int] = None,
     batch_size: int = 65536,
 ):
     """groupby(keys) with SUM over ``sum_cols`` ({out_name: in_col}) and an
     optional COUNT(*) named ``count_alias`` (the row count per group,
     independent of any column's nulls; ``sum_cols`` may be empty). Partial
-    sums per batch, then one ``exchange.by_key`` hash exchange into
-    ``num_parts`` partitions (default ``exchange.fanout(0)``, one per
-    cluster CPU) and a pyarrow merge per partition. NULL keys form one
+    sums per batch, then one ``exchange.by_key`` hash exchange (one
+    partition per cluster CPU, ``exchange.fanout``) and a pyarrow merge
+    per partition. NULL keys form one
     group (SQL GROUP BY) and -0.0/+0.0 float keys merge into one key.
     Returns the (lazy) Dataset keys + out_names [+ count_alias], in no
     particular row order."""
     aggs = {out: (c, "sum") for out, c in sum_cols.items()}
     if count_alias:
         aggs[count_alias] = (None, "count_all")
-    return _combined(ds, keys, aggs, num_parts, batch_size)
+    return _combined(ds, keys, aggs, batch_size)
 
 
 def pivot_counts(ds, row_key: str, col_key: str, categories: list,
@@ -209,7 +207,6 @@ def pivot_sums(ds, row_key: str, col_key: str, value_col: str,
                         count_alias=None)
 
 def grouped_count_distinct(ds, group: str, col: str,
-                           num_partitions: int = 64,
                            batch_size: int = 65536):
     """Exact per-group COUNT(DISTINCT col) — the exact counterpart of the
     HLL sketch in stages/stats (use the sketch when 2% error is fine;
@@ -245,11 +242,12 @@ def grouped_count_distinct(ds, group: str, col: str,
     return by_key(ds.select_columns([group, col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group], per_partition, num_partitions)
+    ), [group], per_partition)
 
 
-def _hash_part_arrow(ds, key: str, num_partitions: int, batch_size: int):
-    """Append the co-partition column ``__part`` (exchange.partition_ids)
+def _hash_part_arrow(ds, key: str, batch_size: int):
+    """Append the co-partition column ``__part`` (exchange.partition_ids
+    over ``exchange.fanout()`` partitions)
     PLUS the exact grouping surrogates ``__gv`` (is_valid) / ``__gf``
     (null-filled key on its native type) in an ARROW step, before any pandas
     conversion (r5 fix, extended after review): Ray's arrow→pandas batch
@@ -263,10 +261,12 @@ def _hash_part_arrow(ds, key: str, num_partitions: int, batch_size: int):
     column from them (_restore_group) before returning. Float keys keep
     the documented NaN-splits-groups caveat (NaN is a data value, not a
     null — fill_null cannot canonicalize it)."""
+    n = exchange.fanout()
+
     def add(tbl: pa.Table) -> pa.Table:
         col = tbl.column(key).combine_chunks()
         tbl = tbl.append_column(PART, pa.array(
-            partition_ids(tbl, [key], num_partitions)))
+            partition_ids(tbl, [key], n)))
         t = col.type
         fill = None
         try:
@@ -331,7 +331,6 @@ def _restore_group(df, group: str):
 
 
 def argmax_per_group(ds, group: str, value: str, tiebreak: str,
-                     num_partitions: int = 64,
                      batch_size: int = 65536):
     """Keep each group's best row — SQL
     ``QUALIFY ROW_NUMBER() OVER (PARTITION BY group
@@ -386,15 +385,13 @@ def argmax_per_group(ds, group: str, value: str, tiebreak: str,
     # __part comes from the ARROW view of the group column (see
     # _hash_part_arrow) and rides through the pandas pre-trim as data
     # (functionally dependent on group, so the dedup keeps it correct)
-    return by_part(_hash_part_arrow(ds, group, num_partitions,
-                                    batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, batch_size).map_batches(
         winners, batch_format="pandas", batch_size=batch_size,
     ), arrow_out(per_partition), batch_format="pandas")
 
 
 def top_n_per_group(ds, group: str, value: str, tiebreak: str,
-                    n: int = 3, num_partitions: int = 64,
-                    batch_size: int = 65536):
+                    n: int = 3, batch_size: int = 65536):
     """Keep each group's best ``n`` rows — SQL
     ``QUALIFY ROW_NUMBER() OVER (PARTITION BY group
     ORDER BY value DESC, tiebreak ASC) <= n`` — with the rank emitted as
@@ -459,15 +456,13 @@ def top_n_per_group(ds, group: str, value: str, tiebreak: str,
     # __part from the ARROW view of the group column (_hash_part_arrow):
     # pandas-view hashing was batch-composition-dependent for nullable
     # int keys
-    return by_part(_hash_part_arrow(ds, group, num_partitions,
-                                    batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, batch_size).map_batches(
         pre_trim, batch_format="pandas", batch_size=batch_size,
     ), arrow_out(per_partition), batch_format="pandas")
 
 
 def top_n_with_ties(ds, group: str, value: str, n: int = 1,
                     dense: bool = False, ascending: bool = False,
-                    num_partitions: int = 64,
                     batch_size: int = 65536):
     """Keep each group's rows whose value RANKS in the top ``n``,
     TIES INCLUDED — SQL ``QUALIFY RANK() OVER (PARTITION BY group
@@ -558,15 +553,13 @@ def top_n_with_ties(ds, group: str, value: str, n: int = 1,
     # __part from the ARROW view of the group column (_hash_part_arrow):
     # pandas-view hashing was batch-composition-dependent for nullable
     # int keys
-    return by_part(_hash_part_arrow(ds, group, num_partitions,
-                                    batch_size).map_batches(
+    return by_part(_hash_part_arrow(ds, group, batch_size).map_batches(
         pre_trim, batch_format="pandas", batch_size=batch_size,
     ), arrow_out(per_partition), batch_format="pandas")
 
 
 def grouped_string_agg(ds, key: str, col: str, order_cols: list[str],
-                       sep: str = ">", out_name: str = "path",
-                       num_partitions: int = 64):
+                       sep: str = ">", out_name: str = "path"):
     """Ordered per-key string aggregation — SQL
     ``STRING_AGG(col, sep ORDER BY order_cols...)`` — the
     session-path / clickstream-journey primitive.  The order must be a
@@ -597,11 +590,11 @@ def grouped_string_agg(ds, key: str, col: str, order_cols: list[str],
 
     cols = [key, col] + [c for c in order_cols if c != col]
     return by_key(ds.select_columns(cols), [key], arrow_out(per_partition),
-                  num_partitions, batch_format="pandas")
+                  batch_format="pandas")
 
 
 def grouped_mode(ds, group: str, col: str, out_name: str = "mode",
-                 num_partitions: int = 64, batch_size: int = 65536):
+                 batch_size: int = 65536):
     """Most frequent ``col`` value per ``group`` with its count — SQL's
     deterministic mode (DuckDB's ``mode()`` leaves ties unspecified, so
     the oracle-able contract here is: highest count wins, ties broken by
@@ -627,7 +620,7 @@ def grouped_mode(ds, group: str, col: str, out_name: str = "mode",
         [group, col], {}, count_alias="n", batch_size=batch_size,
     )
     winners = argmax_per_group(counts, group=group, value="n",
-                               tiebreak=col, num_partitions=num_partitions)
+                               tiebreak=col)
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -1489,7 +1482,6 @@ def grouped_minmax_scale(ds, group: str, x: str, scale: int = 100,
 def cooccurrence_counts(ds, key: str, col: str, out_a: str = "item_a",
                         out_b: str = "item_b",
                         count_alias: str = "n_keys",
-                        num_partitions: int = 64,
                         batch_size: int = 262144,
                         max_items_per_key: int = 10000):
     """Pairwise co-occurrence counts: for every unordered pair (a < b) of
@@ -1575,7 +1567,7 @@ def cooccurrence_counts(ds, key: str, col: str, out_a: str = "item_a",
     partials = by_key(ds.select_columns([key, col]).map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [key], expand, num_partitions)
+    ), [key], expand)
     return grouped_sums(partials, [out_a, out_b],
                         {count_alias: count_alias}, count_alias=None)
 
@@ -1844,13 +1836,12 @@ def grouped_concentration(ds, group: str, col: str,
 
 
 def grouped_extrema(ds, keys: list[str], cols: dict,
-                    num_parts: Optional[int] = None,
                     batch_size: int = 65536):
     """groupby(keys) with MIN/MAX payloads: ``cols`` maps
     ``out_name -> (in_col, "min"|"max")``. The same map-side combine and
     ``exchange.by_key`` merge as :func:`grouped_sums` (min-of-mins /
     max-of-maxes is the same two-level decomposition SUM uses, so raw
-    rows never shuffle), with the same ``num_parts`` default. The
+    rows never shuffle). The
     first-seen / last-seen curation primitive (per-user MIN(ts),
     per-key MAX(version)). NULL values skip per SQL MIN/MAX (an all-NULL
     group emits NULL); NULL keys one group; -0.0/0.0 keys merge.
@@ -1862,11 +1853,10 @@ def grouped_extrema(ds, keys: list[str], cols: dict,
         if fn not in ("min", "max"):
             raise ValueError(f"grouped_extrema: {out} wants {fn!r}; "
                              "only min/max")
-    return _combined(ds, keys, cols, num_parts, batch_size)
+    return _combined(ds, keys, cols, batch_size)
 
 
-def pareto_front(ds, x: str, y: str, num_parts: int = 32,
-                 batch_size: int = 262144):
+def pareto_front(ds, x: str, y: str, batch_size: int = 262144):
     """2-D skyline (Pareto frontier, minimize both): the distinct
     ``(x, y)`` points no other row dominates — ``o`` dominates ``q``
     when ``o.x <= q.x AND o.y <= q.y`` and at least one is strict —
@@ -1895,10 +1885,8 @@ def pareto_front(ds, x: str, y: str, num_parts: int = 32,
     pairs = grouped_sums(
         ds.map_batches(drop_nulls, batch_format="pyarrow",
                        batch_size=batch_size, zero_copy_batch=True),
-        keys=[x, y], sum_cols={}, count_alias="n",
-        num_parts=num_parts, batch_size=batch_size)
+        keys=[x, y], sum_cols={}, count_alias="n", batch_size=batch_size)
     mins = top_n_with_ties(pairs, group=x, value=y, n=1, ascending=True,
-                           num_partitions=num_parts,
                            batch_size=batch_size).drop_columns(["rnk"])
     srt = mins.sort(x).materialize()
 

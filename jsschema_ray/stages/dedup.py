@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from jsschema_ray.stages import exchange
 from jsschema_ray.stages.exchange import (PART, by_key, by_part, pack_parts,
                                           partition_ids, unpack)
 from jsschema_ray.state.hll import hash64
@@ -90,8 +91,7 @@ def _dup_hash_members(hashed, columns: list[str], key_column: str,
 
 
 def exact_dedup(ds, column: str, key_column: str, batch_size: int = 8192,
-                strategy: str = "auto", num_parts: int = 64,
-                max_broadcast_keys: int = 5_000_000):
+                strategy: str = "auto", max_broadcast_keys: int = 5_000_000):
     """Keep exactly one row (the min ``key_column``) per distinct ``column``
     value. Content equality is verified WITHIN each duplicated-hash group
     (grouping on the actual ``column`` value), so a 63-bit hash collision
@@ -130,7 +130,7 @@ def exact_dedup(ds, column: str, key_column: str, batch_size: int = 8192,
 
         losers = by_key(
             hashed.select_columns(["content_hash", column, key_column]),
-            ["content_hash"], emit_losers, num_parts, batch_format="pandas")
+            ["content_hash"], emit_losers, batch_format="pandas")
         out = hash_join(hashed, losers, key=key_column,
                         right_key="__loser", how="anti",
                         batch_size=batch_size)
@@ -400,7 +400,6 @@ def minhash_candidate_pairs(ds, column: str = "text",
                             key_column: str = "doc_id", num_perm: int = 128,
                             bands: int = 16, shingle_k: int = 3,
                             batch_size: int = 4096,
-                            concurrency: Any = (1, 8), num_parts: int = 64,
                             max_bucket_members: int = 256):
     """LSH banding to a DATASET of candidate pairs (a, b) — fully
     distributed: band bucket keys are hash-partitioned (blob-packed, one
@@ -409,6 +408,7 @@ def minhash_candidate_pairs(ds, column: str = "text",
     vectorized reduce. Nothing is ever collected to the driver here."""
     assert num_perm % bands == 0
     rows_per_band = num_perm // bands
+    n_parts = exchange.fanout()
     # stateless tasks, not an actor pool: the stage has no expensive init
     # to amortize (perm params are microseconds), and a pool spin-up costs
     # ~1 s of fixed wall per invocation
@@ -443,8 +443,8 @@ def minhash_candidate_pairs(ds, column: str = "text",
                 ).combine_chunks(),
             }
         )
-        return pack_parts(tbl, partition_ids(tbl, ["bucket_key"], num_parts),
-                          num_parts)
+        return pack_parts(tbl, partition_ids(tbl, ["bucket_key"], n_parts),
+                          n_parts)
 
     exploded = sigged.select_columns(["minhash", key_column]).map_batches(
         explode, batch_format="pyarrow", batch_size=batch_size
@@ -470,7 +470,7 @@ def minhash_candidate_pairs(ds, column: str = "text",
     return by_part(exploded, emit_pairs, batch_format="pandas")
 
 
-def _dedupe_pairs(pairs, num_parts: int = 64):
+def _dedupe_pairs(pairs):
     """Global (a, b) pair dedup: the same candidate pair surfaces once per
     colliding band, and those bands live in different partitions — hash
     both keys to a coarse partition and drop duplicates inside each with
@@ -480,8 +480,7 @@ def _dedupe_pairs(pairs, num_parts: int = 64):
     def drop_dupes(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a", "b"])
 
-    return by_key(pairs, ["a", "b"], drop_dupes, num_parts,
-                  batch_format="pandas")
+    return by_key(pairs, ["a", "b"], drop_dupes, batch_format="pandas")
 
 
 def minhash_verified_pairs(ds, column: str = "text",
@@ -502,7 +501,7 @@ def minhash_verified_pairs(ds, column: str = "text",
     pairs = _dedupe_pairs(
         minhash_candidate_pairs(
             ds, column, key_column, num_perm, bands, shingle_k, batch_size,
-            num_parts=64, max_bucket_members=max_bucket_members,
+            max_bucket_members=max_bucket_members,
         )
     ).materialize()  # consumed by count + join; unique candidate pairs only
     n_candidates = pairs.count()
@@ -523,10 +522,8 @@ def minhash_verified_pairs(ds, column: str = "text",
         return sketches.map_batches(rename, batch_format="pyarrow",
                                     zero_copy_batch=True)
 
-    with_a = hash_join(pairs, _renamed("a", "sh_a"), key="a",
-                       how="inner", num_buckets=32)
-    with_b = hash_join(with_a, _renamed("b", "sh_b"), key="b",
-                       how="inner", num_buckets=32)
+    with_a = hash_join(pairs, _renamed("a", "sh_a"), key="a", how="inner")
+    with_b = hash_join(with_a, _renamed("b", "sh_b"), key="b", how="inner")
 
     def verify(batch: pa.Table) -> pa.Table:
         # BATCH-vectorized exact Jaccard over the packed sketch blobs (r5
@@ -599,8 +596,7 @@ def jaccard(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union if union else 1.0
 
 
-def _clusters_via_components(verified, num_buckets: int = 32
-                             ) -> dict[str, Any]:
+def _clusters_via_components(verified) -> dict[str, Any]:
     """Distributed cluster assembly from a verified-pair Dataset (columns
     a, b [+extras]): graph.connected_components (pointer-doubling
     min-label BSP) groups the pairs in-cluster; the driver reads only the
@@ -617,8 +613,7 @@ def _clusters_via_components(verified, num_buckets: int = 32
     n_pairs = pairs.count()
     if n_pairs == 0:
         return {"clusters": [], "drop_keys": [], "n_verified_pairs": 0}
-    comp = connected_components(pairs, a_col="a", b_col="b",
-                                num_buckets=num_buckets)
+    comp = connected_components(pairs, a_col="a", b_col="b")
     clusters: dict = {}
     for r in comp.take_all():
         clusters.setdefault(r["component"], []).append(r["node"])
@@ -739,7 +734,6 @@ class SimHash:
 def simhash_verified_pairs(ds, column: str = "text",
                            key_column: str = "doc_id", max_hamming: int = 3,
                            batch_size: int = 4096,
-                           concurrency: Any = (1, 8), num_parts: int = 64,
                            max_bucket_members: int = 256,
                            n_bands: int = 4):
     """SimHash banding to a DATASET of Hamming-verified pairs: chunk bucket
@@ -763,6 +757,7 @@ def simhash_verified_pairs(ds, column: str = "text",
         )
     bits = 64 // n_bands
     chunk_mask = np.uint64((1 << bits) - 1)
+    n_parts = exchange.fanout()
     sh = ds.select_columns([key_column, column]).map_batches(
         SimHash(column=column), batch_format="pyarrow",
         batch_size=batch_size,
@@ -792,8 +787,8 @@ def simhash_verified_pairs(ds, column: str = "text",
                 "simhash": pa.array(np.tile(h.astype(np.int64), n_bands)),
             }
         )
-        return pack_parts(tbl, partition_ids(tbl, ["bucket_key"], num_parts),
-                          num_parts)
+        return pack_parts(tbl, partition_ids(tbl, ["bucket_key"], n_parts),
+                          n_parts)
 
     exploded = sh.map_batches(explode, batch_format="pyarrow",
                               batch_size=batch_size)
@@ -825,8 +820,7 @@ def simhash_verified_pairs(ds, column: str = "text",
 
 def exact_jaccard_pairs(ds, threshold: float, column: str = "text",
                         id_column: str = "doc_id", k: int = 5,
-                        num_parts: int = 64, batch_size: int = 4096,
-                        max_gram_df: int = 65536,
+                        batch_size: int = 4096, max_gram_df: int = 65536,
                         measure: str = "jaccard"):
     """EXACT word-k-gram set-similarity pairs over the whole corpus —
     the inverted-index set-similarity join (SSJoin/prefix-filter family,
@@ -845,7 +839,7 @@ def exact_jaccard_pairs(ds, threshold: float, column: str = "text",
 
     Distribution (never all-pairs): one scan emits per-doc DISTINCT gram
     hashes with the doc's set size attached; grams co-partition by
-    hash(gram) % num_parts; each partition emits co-occurring doc pairs
+    hash(gram) % exchange.fanout(); each partition emits co-occurring doc pairs
     (intersections accumulate as counts — work is OUTPUT-size bound,
     sum_g C(df_g, 2), not corpus^2) with a map-side pair combine; one
     grouped_sums shuffle of (pair, partial_inter) rows finishes the
@@ -866,6 +860,7 @@ def exact_jaccard_pairs(ds, threshold: float, column: str = "text",
             f"exact_jaccard_pairs: unknown measure {measure!r} "
             "(expected 'jaccard' or 'containment')")
     thr_x = int(threshold * 10000)
+    n_parts = exchange.fanout()
 
     def gram_rows(batch: pa.Table) -> pa.Table:
         texts = batch.column(column).to_pylist()
@@ -892,7 +887,7 @@ def exact_jaccard_pairs(ds, threshold: float, column: str = "text",
             }
         )
         return out.append_column(
-            PART, pa.array(partition_ids(out, ["gram"], num_parts)))
+            PART, pa.array(partition_ids(out, ["gram"], n_parts)))
 
     def emit_pairs(gdf: pd.DataFrame) -> pd.DataFrame:
         gdf = gdf.sort_values(["gram", "doc"], kind="stable")
@@ -1050,8 +1045,7 @@ def embedding_verified_pairs(ds, emb_column: str = "embedding",
 def embedding_dedup(ds, emb_column: str = "embedding",
                     key_column: str = "vec_id", threshold: float = 0.95,
                     n_planes: int = 12, seed: int = 11,
-                    batch_size: int = 4096,
-                    num_buckets: int = 32) -> dict[str, Any]:
+                    batch_size: int = 4096) -> dict[str, Any]:
     """Embedding-cosine near-dup clusters: hyperplane-LSH verified pairs
     (embedding_verified_pairs) -> distributed connected components
     (graph.connected_components — pointer-doubling min-label BSP), the
@@ -1061,14 +1055,13 @@ def embedding_dedup(ds, emb_column: str = "embedding",
     (node, component) output, which is output-sized by definition."""
     out = _clusters_via_components(embedding_verified_pairs(
         ds, emb_column, key_column, threshold, n_planes, seed, batch_size
-    ), num_buckets)
+    ))
     out["n_pairs"] = out.pop("n_verified_pairs")
     return out
 
 
 def near_dedup_corpus(ds, threshold: float, column: str = "text",
                       id_column: str = "doc_id", k: int = 5,
-                      num_parts: int = 64, num_buckets: int = 32,
                       keep_columns=None):
     """END-TO-END exact near-dedup: the surviving corpus after removing
     every near-duplicate except one canonical representative per cluster.
@@ -1104,9 +1097,8 @@ def near_dedup_corpus(ds, threshold: float, column: str = "text",
             list(dict.fromkeys([id_column, *keep_columns]))
         )
     pairs = exact_jaccard_pairs(ds, threshold=threshold, column=column,
-                                id_column=id_column, k=k,
-                                num_parts=num_parts)
-    comp = connected_components(pairs, num_buckets=num_buckets)
+                                id_column=id_column, k=k)
+    comp = connected_components(pairs)
 
     def losers(batch: pa.Table) -> pa.Table:
         keep = pc.invert(pc.equal(batch.column("node"),
@@ -1116,7 +1108,7 @@ def near_dedup_corpus(ds, threshold: float, column: str = "text",
     drop = comp.map_batches(losers, batch_format="pyarrow",
                             zero_copy_batch=True)
     return hash_join(survivors, drop, key=id_column, right_key="node",
-                     how="anti", num_buckets=num_buckets)
+                     how="anti")
 
 
 _POP16 = np.array([bin(i).count("1") for i in range(1 << 16)],
@@ -1135,7 +1127,7 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
-                  num_parts: int = 64, batch_size: int = 65536,
+                  batch_size: int = 65536,
                   max_band_members: int = 65536):
     """EXACT near-duplicate value pairs of an int64 hash column: every
     unordered pair of DISTINCT values within bitwise Hamming distance
@@ -1164,6 +1156,7 @@ def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
     if not 1 <= n_bands <= 64:
         raise ValueError("max_distance must be in [0, 63]")
     offs = [i * 64 // n_bands for i in range(n_bands + 1)]
+    n_parts = exchange.fanout()
 
     def local_unique(batch: pa.Table) -> pa.Table:
         v = batch.column(column).combine_chunks().drop_null().to_numpy(
@@ -1178,7 +1171,7 @@ def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
 
     uniq = by_key(ds.select_columns([column]).map_batches(
         local_unique, batch_format="pyarrow", batch_size=batch_size,
-    ), ["val"], part_unique, num_parts, batch_format="pandas")
+    ), ["val"], part_unique, batch_format="pandas")
 
     def explode(batch: pa.Table) -> pa.Table:
         v = batch.column("val").to_numpy(zero_copy_only=False)
@@ -1197,8 +1190,7 @@ def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
         bk_all = np.concatenate(bks)
         tbl = pa.table({"bk": pa.array(bk_all),
                         "val": pa.array(np.tile(v, n_bands))})
-        return pack_parts(tbl, partition_ids(tbl, ["bk"], num_parts),
-                          num_parts)
+        return pack_parts(tbl, partition_ids(tbl, ["bk"], n_parts), n_parts)
 
     exploded = uniq.map_batches(explode, batch_format="pyarrow",
                                 batch_size=batch_size)
@@ -1245,7 +1237,7 @@ def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
         return out.drop_duplicates(["a", "b"])
 
     pairs = by_part(exploded, emit_verified, batch_format="pandas")
-    deduped = _dedupe_pairs(pairs, num_parts=num_parts)
+    deduped = _dedupe_pairs(pairs)
     # typed empty survives a pair-free corpus: an empty groupby emits a
     # schema-less sentinel block that would otherwise erase the columns
     # (round-1 lesson); rewrite such blocks and seed the schema
@@ -1264,7 +1256,7 @@ def hamming_pairs(ds, column: str = "phash", max_distance: int = 3,
 
 def incremental_dedup(ds, column: str, key_column: str, index,
                       out_index_path: str | None = None,
-                      num_buckets: int = 64, batch_size: int = 8192):
+                      batch_size: int = 8192):
     """INCREMENTAL ingest dedup — the daily-shard shape of a continuously
     growing corpus: drop rows whose ``column`` content already exists in
     a persisted ``index`` of prior-run content hashes, then exact-dedup
@@ -1300,8 +1292,7 @@ def incremental_dedup(ds, column: str, key_column: str, index,
         index = read_table(index, columns=["content_hash"])
     hashed = add_content_hash(ds, column, batch_size=batch_size)
     fresh = hash_join(hashed, index.select_columns(["content_hash"]),
-                      key="content_hash", how="anti",
-                      num_buckets=num_buckets, batch_size=batch_size)
+                      key="content_hash", how="anti", batch_size=batch_size)
     survivors = exact_dedup(fresh.drop_columns(["content_hash"]),
                             column, key_column, batch_size=batch_size)
     if out_index_path is not None:
@@ -1411,19 +1402,17 @@ def _deletion_neighborhood(col):
     return pa.chunked_array(keys), np.concatenate(idxs)
 
 
-def _pack_buckets(tbl: pa.Table, num_parts: int) -> pa.Table:
+def _pack_buckets(tbl: pa.Table, n: int) -> pa.Table:
     """Blob-packed exchange rows of a deletion-neighborhood table: the
     string ``bucket_key`` is replaced by its int64 hash ``bkey``, which
     also picks the partition."""
     tbl = tbl.drop_columns(["bucket_key"]).append_column(
         "bkey", pa.array(hash64(tbl.column("bucket_key").combine_chunks())
                          .astype(np.int64)))
-    return pack_parts(tbl, partition_ids(tbl, ["bkey"], num_parts),
-                      num_parts)
+    return pack_parts(tbl, partition_ids(tbl, ["bkey"], n), n)
 
 
-def edit1_pairs(ds, column: str, num_parts: int = 64,
-                batch_size: int = 65536, max_len: int = 128,
+def edit1_pairs(ds, column: str, batch_size: int = 65536, max_len: int = 128,
                 max_bucket_members: int = 256):
     """All unordered pairs of DISTINCT ``column`` values at Levenshtein
     distance EXACTLY 1 (one substitution, insertion or deletion) —
@@ -1471,7 +1460,8 @@ def edit1_pairs(ds, column: str, num_parts: int = 64,
     distinct = by_key(ds.select_columns([column]).map_batches(
         uniq, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [column], uniq_merge, num_parts)
+    ), [column], uniq_merge)
+    n_parts = exchange.fanout()
 
     def explode(batch: pa.Table) -> pa.Table:
         col = batch.column(column).combine_chunks()
@@ -1483,7 +1473,7 @@ def edit1_pairs(ds, column: str, num_parts: int = 64,
         # equal-char runs produce duplicate variants of the same value —
         # collapse before the shuffle
         return _pack_buckets(
-            tbl.group_by(["bucket_key", "val"]).aggregate([]), num_parts)
+            tbl.group_by(["bucket_key", "val"]).aggregate([]), n_parts)
 
     exploded = distinct.map_batches(explode, batch_format="pyarrow",
                                     batch_size=batch_size)
@@ -1509,8 +1499,7 @@ def edit1_pairs(ds, column: str, num_parts: int = 64,
                              "b": pd.array(b_out, dtype="object")})
 
     candidates = _dedupe_pairs(
-        by_part(exploded, emit_pairs, batch_format="pandas"),
-        num_parts=num_parts)
+        by_part(exploded, emit_pairs, batch_format="pandas"))
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch.column("a").combine_chunks()
@@ -1559,7 +1548,7 @@ def _emit_cross_pairs(bk: np.ndarray, keys: np.ndarray, side: np.ndarray,
 
 
 def edit1_join(left, right, left_col: str, right_col: str,
-               num_parts: int = 64, batch_size: int = 65536,
+               batch_size: int = 65536,
                max_len: int = 128, max_bucket_members: int = 256):
     """Cross-TABLE fuzzy equi-join on string keys at Levenshtein
     distance <= 1 (exact match, one substitution, insertion or
@@ -1598,7 +1587,8 @@ def edit1_join(left, right, left_col: str, right_col: str,
     ).union(right.select_columns([right_col]).map_batches(
         uniq(right_col, 1), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
-    )), ["val"], uniq_merge, num_parts)
+    )), ["val"], uniq_merge)
+    n_parts = exchange.fanout()
 
     def explode(batch: pa.Table) -> pa.Table:
         col = batch.column("val").combine_chunks()
@@ -1608,7 +1598,7 @@ def edit1_join(left, right, left_col: str, right_col: str,
             "bucket_key": keys.combine_chunks(),
             "val": col.take(take),
             "side": batch.column("side").combine_chunks().take(take),
-        }).group_by(["bucket_key", "val", "side"]).aggregate([]), num_parts)
+        }).group_by(["bucket_key", "val", "side"]).aggregate([]), n_parts)
 
     exploded = distinct.map_batches(explode, batch_format="pyarrow",
                                     batch_size=batch_size)
@@ -1631,8 +1621,7 @@ def edit1_join(left, right, left_col: str, right_col: str,
                              "b": pd.array(b_out, dtype="object")})
 
     candidates = _dedupe_pairs(
-        by_part(exploded, emit_pairs, batch_format="pandas"),
-        num_parts=num_parts)
+        by_part(exploded, emit_pairs, batch_format="pandas"))
 
     out_l = left_col if left_col != right_col else f"{left_col}_left"
     out_r = right_col if left_col != right_col else f"{right_col}_right"
@@ -1651,8 +1640,7 @@ def edit1_join(left, right, left_col: str, right_col: str,
 
 def hamming_histogram(ds, column: str = "phash", fraction: float = 1.0,
                       seed: int = 1, max_sample: int = 16384,
-                      num_blocks: int = 32, num_parts: int = 32,
-                      batch_size: int = 65536):
+                      num_blocks: int = 32, batch_size: int = 65536):
     """Pairwise Hamming-DISTANCE DISTRIBUTION over a deterministic
     sample of the DISTINCT values of an int64 hash column — the radius
     calibrator for every banded near-dup pass (hamming_pairs'
@@ -1703,7 +1691,7 @@ def hamming_histogram(ds, column: str = "phash", fraction: float = 1.0,
 
     uniq = by_key(ds.select_columns([column]).map_batches(
         local_unique, batch_format="pyarrow", batch_size=batch_size,
-    ), ["val"], part_unique, num_parts, batch_format="pandas")
+    ), ["val"], part_unique, batch_format="pandas")
 
     # refuse BEFORE anything reaches the driver: materialize the sampled
     # distinct set in the object store, gate on its metadata count, and

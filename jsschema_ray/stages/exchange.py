@@ -32,7 +32,12 @@ exchange then moves O(batches x partitions) rows, not O(exploded rows).
 
 ``fanout`` is the one rule for how many partitions an exchange splits
 into: one per cluster CPU, more only when a partition would otherwise
-hold over ``ROWS_PER_PARTITION`` input rows.
+hold over ``ROWS_PER_PARTITION`` input rows. Every exchange asks it, once
+per call and on the driver, and uses that one count for every side of
+the exchange; no operator takes a partition count. ``by_key`` asks it
+itself. Stage functions look it up as ``exchange.fanout()`` at call time
+and pass no rows, because a lazy Dataset's row count costs an execution;
+the validation pipeline passes its footer row count.
 
 Callers: windows, aggregates, quantiles, sampling, stats, referential,
 transform, uniqueness (its Dataset-level functions), dedup, join, text,
@@ -61,7 +66,7 @@ PART = "__part"
 ROWS_PER_PARTITION = 2 ** 22
 
 
-def fanout(rows: int) -> int:
+def fanout(rows: int = 0) -> int:
     """The number of partitions of an exchange over ``rows`` input rows:
     every CPU of the cluster reduces one, and no partition covers more
     than ``ROWS_PER_PARTITION`` rows. Before Ray Data has started Ray,
@@ -126,13 +131,13 @@ def by_part(ds, fn, batch_format: str = "pyarrow"):
     return ds.groupby(PART).map_groups(call, batch_format=batch_format)
 
 
-def by_key(ds, keys: list[str], fn, num_partitions: int,
-           batch_format: str = "pyarrow"):
-    """Hash-partition ``ds`` on ``keys`` into ``num_partitions`` groups and
-    run ``fn`` once per group, so all rows of a key arrive in one call.
+def by_key(ds, keys: list[str], fn, batch_format: str = "pyarrow"):
+    """Hash-partition ``ds`` on ``keys`` into ``fanout()`` groups and run
+    ``fn`` once per group, so all rows of a key arrive in one call.
     Float key columns reach ``fn`` signed-zero-normalized. The partition
     column is added by a task-pool map with ``batch_size=None``, which Ray
     fuses into the caller's preceding map step."""
+    n = fanout()
 
     def add_part(batch: pa.Table) -> pa.Table:
         for k in keys:
@@ -141,7 +146,7 @@ def by_key(ds, keys: list[str], fn, num_partitions: int,
             if pa.types.is_floating(col.type):
                 batch = batch.set_column(i, k, normalize_zeros(col))
         return batch.append_column(
-            PART, pa.array(partition_ids(batch, keys, num_partitions)))
+            PART, pa.array(partition_ids(batch, keys, n)))
 
     return by_part(ds.map_batches(add_part, batch_format="pyarrow",
                                   batch_size=None, zero_copy_batch=True),

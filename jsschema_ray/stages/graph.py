@@ -26,8 +26,10 @@ Scale shape: the edge set is symmetrized ONCE and materialized (2|E| rows
 of two int64s); each round is two hash-partitioned joins (reusing
 stages/join.hash_join — Acero per bucket) plus one grouped MIN
 (aggregates.grouped_extrema: per-batch partial minima, merged per
-partition after the keyed exchange, exchange.by_key, one partition per
-cluster CPU).  Nothing per-round touches the driver except the int64
+partition after the keyed exchange, exchange.by_key).  Every exchange of
+every round asks exchange.fanout (one partition per cluster CPU), so the
+rounds split alike; a cluster resized mid-call changes the layout, never
+the labels.  Nothing per-round touches the driver except the int64
 checksum.  Nodes that appear in no edge are their own singleton components
 and are simply absent from the output (same contract as the SQL mirror,
 which also derives its node set from the edge list).
@@ -83,7 +85,7 @@ def _quiet_empty_schema_warning():
 
 
 def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
-                         num_buckets: int = 64, max_rounds: int = 64,
+                         max_rounds: int = 64,
                          batch_size: int = 262144):
     """Connected components of the undirected graph given by the pair
     Dataset ``pairs`` (one row per edge, int64 endpoints).  Returns a
@@ -141,7 +143,7 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         # neighbor flood: deliver label(dst) to src
         nbr = hash_join(
             edges, labels, key="dst", right_key="node",
-            num_buckets=num_buckets, how="inner", batch_size=batch_size,
+            how="inner", batch_size=batch_size,
         ).map_batches(
             lambda b: pa.table({"node": b.column("src"),
                                 "label": b.column("label")}),
@@ -155,7 +157,7 @@ def connected_components(pairs, a_col: str = "doc_a", b_col: str = "doc_b",
         )
         dbl = hash_join(
             as_edge, labels, key="lbl", right_key="node",
-            num_buckets=num_buckets, how="inner", batch_size=batch_size,
+            how="inner", batch_size=batch_size,
         ).map_batches(
             lambda b: pa.table({"node": b.column("orig"),
                                 "label": b.column("label")}),

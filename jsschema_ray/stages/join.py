@@ -14,10 +14,10 @@ Two strategies, chosen by ref-side size (ray_guide 'Joins and lookups'):
   with `pa.Table.join` (explicit partitioned hash join). Arrow keeps
   typed nulls through outer joins, so integer columns stay integer
   across buckets (no pandas float64 promotion).
-  Supports inner / left / right / outer / semi / anti. Skewed keys can be
-  salted by raising B; B defaults to 64 and should be ~2× cluster cores.
-  Partitioning assumption: any single bucket's rows (both sides) fit a
-  worker's heap.
+  Supports inner / left / right / outer / semi / anti. B is
+  ``exchange.fanout()``, asked once per join and used for both sides;
+  skewed keys are salted with ``hot_keys``. Partitioning assumption: any
+  single bucket's rows (both sides) fit a worker's heap.
 
 SQL join semantics throughout: NULL keys never match (Acero's default),
 unlike a pandas merge which pairs NaN keys.
@@ -32,6 +32,7 @@ import pyarrow as pa
 
 import ray
 
+from jsschema_ray.stages import exchange
 from jsschema_ray.stages.exchange import PART, by_part, partition_ids
 from jsschema_ray.state.hll import hash64, normalize_zeros
 
@@ -205,9 +206,9 @@ def broadcast_join(ds, small, key, how: str = "inner",
                           zero_copy_batch=True)
 
 
-def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
-              how: str = "left", direction: str = "backward",
-              batch_size: int = 65536, right_key: Optional[str] = None,
+def asof_join(left, right, key: str, ts: str, how: str = "left",
+              direction: str = "backward", batch_size: int = 65536,
+              right_key: Optional[str] = None,
               right_ts: Optional[str] = None,
               tolerance=None,
               right_agg: Optional[dict] = None):
@@ -218,14 +219,14 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
     `pandas.merge_asof` per bucket.
 
     Partitioning assumptions (documented per driver instruction): one
-    bucket's rows (both sides) fit a worker's heap — raise num_buckets
-    with cluster size; right-side (key, ts) pairs must be unique (dedupe/
-    aggregate first, or pass ``right_agg`` — e.g. {'price': 'max'} — to
-    aggregate duplicates per (key, ts) INSIDE the bucket body, correct
-    because a bucket holds every row of its keys, saving the caller a
-    whole groupby shuffle) or the matched row among equal timestamps is
-    undefined. ``how``: 'left' keeps unmatched left rows with typed nulls;
-    'inner' drops them."""
+    bucket's rows (both sides) fit a worker's heap — the bucket count is
+    ``exchange.fanout()``, which grows with the cluster; right-side
+    (key, ts) pairs must be unique (dedupe/aggregate first, or pass
+    ``right_agg`` — e.g. {'price': 'max'} — to aggregate duplicates per
+    (key, ts) INSIDE the bucket body, correct because a bucket holds
+    every row of its keys, saving the caller a whole groupby shuffle) or
+    the matched row among equal timestamps is undefined. ``how``: 'left'
+    keeps unmatched left rows with typed nulls; 'inner' drops them."""
     if how not in ("left", "inner"):
         raise ValueError("asof_join supports how in ('left','inner')")
     rk = right_key or key
@@ -260,6 +261,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
         col_types[key if name == rk else (ts if name == rts else name)] = t
     col_types[key] = key_type
     col_types[ts] = ts_type
+    n = exchange.fanout()
 
     def tag(side: int, key_name: str, ts_name: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -275,7 +277,7 @@ def asof_join(left, right, key: str, ts: str, num_buckets: int = 64,
                 out = out.set_column(
                     out.column_names.index(cname), cname, ccol
                 )
-            bucket = partition_ids(out, [key], num_buckets)
+            bucket = partition_ids(out, [key], n)
             for c in union_cols:
                 if c not in out.column_names:
                     out = out.append_column(
@@ -419,8 +421,7 @@ def range_join(left, right, value: str, lo: str, hi: str,
     return by_part(tagged, join_bin, batch_format="pandas")
 
 
-def hash_join(left, right, key, num_buckets: int = 64,
-              how: str = "inner", batch_size: int = 65536,
+def hash_join(left, right, key, how: str = "inner", batch_size: int = 65536,
               right_key=None, hot_keys=None, salt: int = 8):
     """Partitioned hash join of two Datasets on ``key`` (a column name or a
     LIST of names — composite keys bucket on a combined rolling hash and
@@ -430,8 +431,9 @@ def hash_join(left, right, key, num_buckets: int = 64,
     EXPLICIT SKEW SALTING (north_rule): pass ``hot_keys`` (values of the
     FIRST key column identified by a heavy-hitter pass, e.g.
     `stages/stats.top_k_exact`) to spread each hot key over ``salt``
-    buckets — left hot rows are striped round-robin across the salt range
-    (each row to exactly ONE salted bucket) while right hot rows are
+    of the ``exchange.fanout()`` buckets (fewer if there are fewer) —
+    left hot rows are striped round-robin across the salt range (each
+    row to exactly ONE salted bucket) while right hot rows are
     REPLICATED into every salted bucket, so every left row still meets
     every right row of its key exactly once. Exact for 'inner'/'left'
     (the replication factor is salt × hot right rows — keep hot_keys to
@@ -482,9 +484,10 @@ def hash_join(left, right, key, num_buckets: int = 64,
     union_cols = lcols + [c for c in rcols if c not in keys]
 
     hot_arr = None
+    n = exchange.fanout()
     # salt offsets past the bucket count would wrap onto a bucket twice
     # and meet a replicated right row twice
-    salt = min(salt, num_buckets)
+    salt = min(salt, n)
     if hot_keys is not None:
         hot_arr = normalize_zeros(
             pa.array(list(hot_keys)).cast(key_types[keys[0]])
@@ -509,7 +512,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
                 if norm is not kcol:  # float key: -0.0/+0.0 must bucket
                     kcol = norm       # AND Acero-join as one key
                     out = out.set_column(out.column_names.index(k), k, kcol)
-            bucket = partition_ids(out, keys, num_buckets)
+            bucket = partition_ids(out, keys, n)
             if hot_arr is not None and len(out):
                 hot = pc.fill_null(
                     pc.is_in(out.column(keys[0]).combine_chunks(),
@@ -527,7 +530,7 @@ def hash_join(left, right, key, num_buckets: int = 64,
                     salt_idx = (np.arange(int(rep.sum()))
                                 - np.repeat(np.cumsum(rep) - rep, rep))
                 # the salt offsets the key's own bucket
-                bucket = ((bucket + salt_idx) % num_buckets).astype(np.int32)
+                bucket = ((bucket + salt_idx) % n).astype(np.int32)
             # pad to the combined schema (typed nulls) so union is clean
             for c in union_cols:
                 if c not in out.column_names:
@@ -664,7 +667,7 @@ class BloomProbe:
 
 def bloom_semi_join(left, right, key, right_key=None,
                     num_bits: int = 1 << 23, num_hashes: int = 4,
-                    num_buckets: int = 64, concurrency=None,
+                    concurrency=None,
                     batch_size: int = 65536):
     """EXACT semi join (``WHERE key IN (SELECT right_key FROM right)``)
     with a Bloom-filter pre-filter: the shuffle-volume reduction for the
@@ -699,12 +702,11 @@ def bloom_semi_join(left, right, key, right_key=None,
         },
     )
     return hash_join(candidates, right, key, right_key=right_key,
-                     how="semi", num_buckets=num_buckets,
-                     batch_size=batch_size)
+                     how="semi", batch_size=batch_size)
 
 
 def join_cardinality(left, right, key, right_key=None,
-                     num_parts: int = 32, batch_size: int = 262144):
+                     batch_size: int = 262144):
     """EXACT pre-join fan-out audit — the 100 TB pre-flight every
     equi-join should run before committing to a shuffle: how many rows
     will ``left JOIN right ON key`` emit, and which key dominates?
@@ -748,16 +750,13 @@ def join_cardinality(left, right, key, right_key=None,
         left.select_columns([key]).map_batches(
             drop_null(key), batch_format="pyarrow",
             batch_size=batch_size, zero_copy_batch=True),
-        [key], {}, count_alias="__lc", num_parts=num_parts,
-        batch_size=batch_size)
+        [key], {}, count_alias="__lc", batch_size=batch_size)
     rc = grouped_sums(
         right.select_columns([rk]).map_batches(
             drop_null(rk), batch_format="pyarrow",
             batch_size=batch_size, zero_copy_batch=True),
-        [rk], {}, count_alias="__rc", num_parts=num_parts,
-        batch_size=batch_size)
-    matched = hash_join(lc, rc, key=key, right_key=rk,
-                        num_buckets=num_parts)
+        [rk], {}, count_alias="__rc", batch_size=batch_size)
+    matched = hash_join(lc, rc, key=key, right_key=rk)
 
     def bucket_partial(b: pa.Table) -> pa.Table:
         empty = pa.table({
@@ -843,7 +842,7 @@ def join_cardinality(left, right, key, right_key=None,
 
 
 def _band_rows(eqv: np.ndarray, vx: np.ndarray, ks: pa.ChunkedArray,
-               side: int, eps_x: int, num_parts: int) -> pa.Table:
+               side: int, eps_x: int, n: int) -> pa.Table:
     """Exchange rows of the band joins. A row's bucket is
     floor(vx / eps_x); a left lands once in its own bucket and a right is
     replicated to the 3 adjacent buckets, so any pair within eps_x meets
@@ -860,7 +859,7 @@ def _band_rows(eqv: np.ndarray, vx: np.ndarray, ks: pa.ChunkedArray,
         "k": ks, "vx": pa.array(vx),
     })
     return out.append_column(PART, pa.array(
-        partition_ids(out, ["eq", "__bucket"], num_parts)))
+        partition_ids(out, ["eq", "__bucket"], n)))
 
 
 def _band_emit(eps_x: int, how: str, keyed: bool):
@@ -918,8 +917,7 @@ def _band_emit(eps_x: int, how: str, keyed: bool):
 
 def band_join(left, right, key: str, value: str, right_key: str,
               right_value: str, eps_x: int, scale: int = 100,
-              num_parts: int = 64, batch_size: int = 65536,
-              how: str = "inner"):
+              batch_size: int = 65536, how: str = "inner"):
     """Numeric-tolerance pair join: every (left, right) row pair with
     ``|left.value - right.value| <= eps`` — the band/epsilon join of
     entity resolution and sensor alignment (match records whose amounts
@@ -955,6 +953,8 @@ def band_join(left, right, key: str, value: str, right_key: str,
 
     from jsschema_ray.stages.windows import round_half_away
 
+    n = exchange.fanout()
+
     def _x(col):
         v = col.to_numpy(zero_copy_only=False)
         return round_half_away(v * scale).astype(np.int64)
@@ -964,7 +964,7 @@ def band_join(left, right, key: str, value: str, right_key: str,
             b = b.filter(pc.is_valid(b.column(val_c)))
             ks = b.column(key_c).cast(pa.int64())
             return _band_rows(np.zeros(len(b), np.int64), _x(b.column(val_c)),
-                              ks, side, eps_x, num_parts)
+                              ks, side, eps_x, n)
         return fn
 
     l = left.select_columns([key, value]).map_batches(
@@ -979,8 +979,7 @@ def band_join(left, right, key: str, value: str, right_key: str,
 
 def keyed_band_join(left, right, eq: str, key: str, value: str,
                     right_eq: str, right_key: str, right_value: str,
-                    eps_x: int, num_parts: int = 64,
-                    batch_size: int = 65536):
+                    eps_x: int, batch_size: int = 65536):
     """Equi-key + numeric-tolerance pair join: every (left, right) pair
     with ``left.eq == right.eq AND |left.value - right.value| <= eps_x``
     — the temporal-proximity matching shape ("same user, events within
@@ -1004,6 +1003,7 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
 
     if eps_x < 1:
         raise ValueError(f"eps_x must be >= 1 unit, got {eps_x}")
+    n = exchange.fanout()
 
     def _prep(b: pa.Table, eq_c, key_c, val_c, side_val):
         mask = pc.and_(pc.is_valid(b.column(eq_c)),
@@ -1014,7 +1014,7 @@ def keyed_band_join(left, right, eq: str, key: str, value: str,
         # timestamps cast to epoch micros, integers pass through
         vx = b.column(val_c).cast(pa.int64()).to_numpy(zero_copy_only=False)
         return _band_rows(eqv, vx, b.column(key_c).cast(pa.int64()),
-                          side_val, eps_x, num_parts)
+                          side_val, eps_x, n)
 
     l = left.select_columns([eq, key, value]).map_batches(
         lambda b: _prep(b, eq, key, value, 0),

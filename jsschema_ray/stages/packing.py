@@ -22,8 +22,7 @@ map_batches nor groupby expresses alone, so it runs as TWO scans —
      cumsum seeded with the bin's offset.
 No stage ever materializes the corpus; the only all-to-all moves each row
 once, keyed by its bin. Partitioning assumption (documented): one bin's
-rows fit a worker — bin_width is the knob, exactly like num_parts in
-sampling.cap_per_key.
+rows fit a worker — bin_width is the knob.
 
 No reference analogue (the reference validates single JSON values —
 /root/reference/schema.go); this is a driver-mandated training-data

@@ -154,7 +154,7 @@ def quantile_disc(ds, column: str, q: float, **kw):
 
 
 def grouped_quantile_disc(ds, group_col: str, column: str, q: float,
-                          num_parts: int = 32, batch_size: int = 262144,
+                          batch_size: int = 262144,
                           qs: Optional[tuple] = None):
     """Exact per-group discrete quantile(s) with DuckDB QUANTILE_DISC
     rank semantics (k-th smallest, k = max(1, ceil(q * n_group)),
@@ -176,7 +176,8 @@ def grouped_quantile_disc(ds, group_col: str, column: str, q: float,
     (r5 upgrade: the former per-STRATUM Python loop and its documented
     low-cardinality contract are gone; the remaining contract is the
     standard one — a partition's distinct (group, value) pairs fit a
-    worker, raise num_parts with cluster size).
+    worker; ``exchange.fanout`` grows the partition count with the
+    cluster).
 
     Rank-parity caveat (documented): k is computed as ceil(q * n) in
     float64 exactly as SQL engines do; q values exactly representable in
@@ -209,12 +210,12 @@ def grouped_quantile_disc(ds, group_col: str, column: str, q: float,
             out[nm] = vals[np.searchsorted(csum, base + k, side="left")]
         return pd.DataFrame(out)
 
-    return _grouped_value_counts(ds, group_col, column, num_parts,
-                                 batch_size, select_part)
+    return _grouped_value_counts(ds, group_col, column, batch_size,
+                                 select_part)
 
 
-def _grouped_value_counts(ds, group_col: str, column: str, num_parts: int,
-                          batch_size: int, finish):
+def _grouped_value_counts(ds, group_col: str, column: str, batch_size: int,
+                          finish):
     """Shared histogram-trick pre-aggregation of the grouped quantile
     family: per batch, collapse to (group, value, cnt) rows (NULL values
     drop), then run ``finish`` (a pandas fn) once per hash(group)
@@ -233,7 +234,7 @@ def _grouped_value_counts(ds, group_col: str, column: str, num_parts: int,
 
     return by_key(ds.map_batches(pre, batch_format="pyarrow",
                                  batch_size=batch_size, zero_copy_batch=True),
-                  [group_col], finish, num_parts, batch_format="pandas")
+                  [group_col], finish, batch_format="pandas")
 
 
 def _sorted_segments(gdf, group_col: str, column: str):
@@ -256,7 +257,7 @@ def _sorted_segments(gdf, group_col: str, column: str):
 
 
 def grouped_quantile_cont(ds, group_col: str, column: str, q: float,
-                          num_parts: int = 32, batch_size: int = 262144):
+                          batch_size: int = 262144):
     """Exact per-group CONTINUOUS (interpolated) quantile — SQL
     PERCENTILE_CONT rank semantics: with the group's n non-null values
     sorted ascending (0-based v), h = (n-1)*q in float64,
@@ -307,12 +308,11 @@ def grouped_quantile_cont(ds, group_col: str, column: str, q: float,
         return pd.DataFrame({group_col: uniq, "n": n_g,
                              "q_cont": vlo + (vhi - vlo) * frac})
 
-    return _grouped_value_counts(ds, group_col, column, num_parts,
-                                 batch_size, select_part)
+    return _grouped_value_counts(ds, group_col, column, batch_size,
+                                 select_part)
 
 
-def value_cdf(ds, col: str, batch_size: int = 262144,
-              num_parts: int = 32):
+def value_cdf(ds, col: str, batch_size: int = 262144):
     """Integer-exact global CDF per DISTINCT non-null value of ``col``:
     (col, n_lt, n_le, n_total) — the score-percentile normalization step
     of a curation pipeline (percent_rank of a value = n_lt / (n_total-1),
@@ -350,7 +350,7 @@ def value_cdf(ds, col: str, batch_size: int = 262144,
     counts = by_key(ds.select_columns([col]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [col], merge_part, num_parts)
+    ), [col], merge_part)
 
     # range partition: one Dataset sort; blocks hold disjoint, ordered
     # value ranges and every distinct value exactly once
@@ -404,7 +404,7 @@ def value_cdf(ds, col: str, batch_size: int = 262144,
 
 
 def quantile_normalize(ds, col: str, keep: list | None = None,
-                       batch_size: int = 262144, num_parts: int = 32):
+                       batch_size: int = 262144):
     """Map every row's ``col`` value to its EXACT empirical CDF position —
     the rank/quantile normalization step of a curation pipeline (score →
     percentile before thresholding or blending across heterogeneous
@@ -424,10 +424,9 @@ def quantile_normalize(ds, col: str, keep: list | None = None,
 
     from jsschema_ray.stages.join import hash_join
 
-    cdf = value_cdf(ds, col, batch_size=batch_size, num_parts=num_parts)
+    cdf = value_cdf(ds, col, batch_size=batch_size)
     cols = ([c for c in (keep or []) if c != col]) + [col]
-    joined = hash_join(ds.select_columns(cols), cdf, key=col,
-                       how="inner", num_buckets=num_parts)
+    joined = hash_join(ds.select_columns(cols), cdf, key=col, how="inner")
 
     def finish(b: pa.Table) -> pa.Table:
         n_lt = b.column("n_lt").cast(pa.float64())
@@ -443,7 +442,7 @@ def quantile_normalize(ds, col: str, keep: list | None = None,
                               zero_copy_batch=True)
 
 
-def grouped_mad(ds, group_col: str, column: str, num_parts: int = 32,
+def grouped_mad(ds, group_col: str, column: str,
                 batch_size: int = 262144):
     """Exact per-group median absolute deviation with QUANTILE_DISC rank
     semantics on BOTH medians: MAD = median(|x - median(x)|) — the
@@ -467,7 +466,6 @@ def grouped_mad(ds, group_col: str, column: str, num_parts: int = 32,
     from jsschema_ray.stages.join import broadcast_join
 
     med = grouped_quantile_disc(ds, group_col, column, 0.5,
-                                num_parts=num_parts,
                                 batch_size=batch_size).map_batches(
         lambda b: b.rename_columns([group_col, "__med"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -485,7 +483,6 @@ def grouped_mad(ds, group_col: str, column: str, num_parts: int = 32,
     devs = joined.map_batches(absdev, batch_format="pyarrow",
                               batch_size=batch_size, zero_copy_batch=True)
     return grouped_quantile_disc(devs, group_col, "absdev", 0.5,
-                                 num_parts=num_parts,
                                  batch_size=batch_size).map_batches(
         lambda b: b.rename_columns([group_col, "mad"]),
         batch_format="pyarrow", zero_copy_batch=True)
@@ -493,7 +490,6 @@ def grouped_mad(ds, group_col: str, column: str, num_parts: int = 32,
 
 def grouped_tdigest_quantiles(ds, group_col: str, column: str,
                               qs: tuple = (0.5,), compression: float = 200.0,
-                              num_parts: int = 32,
                               batch_size: int = 262144):
     """APPROXIMATE per-group quantiles at UNBOUNDED group cardinality —
     the mergeable-sketch counterpart of :func:`grouped_quantile_disc`
@@ -515,8 +511,8 @@ def grouped_tdigest_quantiles(ds, group_col: str, column: str,
     (means, weights) centroids above it, so a hot group's shuffle
     volume is bounded by centroid count while a long-tail group costs
     exactly its values. Partials hash(group)-co-partition ONCE
-    (num_parts tasks, not one UDF call per group), and each partition
-    merges + queries its groups vectorized per blob set. Driver holds
+    (``exchange.fanout()`` tasks, not one UDF call per group), and each
+    partition merges + queries its groups vectorized per blob set. Driver holds
     nothing; 10^8 groups shuffle O(groups x batches-touching-them)
     blob rows. NULL values drop (SQL aggregate semantics); groups whose
     every value is NULL are absent (SQL GROUP BY over the non-null
@@ -591,11 +587,11 @@ def grouped_tdigest_quantiles(ds, group_col: str, column: str,
     return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group_col], merge_part, num_parts, batch_format="pandas")
+    ), [group_col], merge_part, batch_format="pandas")
 
 
 def decile_assign(ds, id_cols: list, col: str, k: int = 10,
-                  num_buckets: int = 64, batch_size: int = 262144):
+                  batch_size: int = 262144):
     """Per-row GLOBAL quantile-bucket assignment of ``col`` (decile for
     k=10) by the CUME_DIST rule — the value-based feature-binning step
     of a curation pipeline (a row at the p-th percentile lands in bucket
@@ -648,14 +644,13 @@ def decile_assign(ds, id_cols: list, col: str, k: int = 10,
         list(dict.fromkeys(list(id_cols) + [col]))
     ).map_batches(drop_null, batch_format="pyarrow",
                   batch_size=batch_size, zero_copy_batch=True)
-    return hash_join(rows, buckets, key=col, num_buckets=num_buckets,
-                     how="inner", batch_size=batch_size)
+    return hash_join(rows, buckets, key=col, how="inner",
+                     batch_size=batch_size)
 
 
 def grouped_winsorize(ds, group_col: str, column: str, q_lo: float = 0.1,
                       q_hi: float = 0.9, keep: Optional[list] = None,
-                      out_name: str = "winsorized", num_parts: int = 32,
-                      batch_size: int = 65536):
+                      out_name: str = "winsorized", batch_size: int = 65536):
     """Per-ROW winsorization (outlier clamping) within each group: appends
     ``out_name`` = ``column`` clamped to the group's exact DISCRETE
     [q_lo, q_hi] quantile bounds — the robust-preprocessing transform
@@ -687,7 +682,6 @@ def grouped_winsorize(ds, group_col: str, column: str, q_lo: float = 0.1,
         raise ValueError(f"need 0 <= q_lo <= q_hi <= 1, got "
                          f"({q_lo}, {q_hi})")
     bounds = grouped_quantile_disc(ds, group_col, column, q_lo,
-                                   num_parts=num_parts,
                                    batch_size=batch_size,
                                    qs=(q_lo, q_hi))
     lo_name = f"q{round(q_lo * 100):02d}_disc"
@@ -730,8 +724,7 @@ def grouped_winsorize(ds, group_col: str, column: str, q_lo: float = 0.1,
 
 
 def grouped_trimmed_mean(ds, group_col: str, column: str, p: float = 0.1,
-                         scale: int = 100, num_parts: int = 32,
-                         batch_size: int = 262144):
+                         scale: int = 100, batch_size: int = 262144):
     """Per-group TRIMMED MEAN of a 2-decimal column: drop the
     floor(n·p) smallest and floor(n·p) largest values of each group,
     average the rest — the robust central-tendency statistic (the
@@ -815,13 +808,12 @@ def grouped_trimmed_mean(ds, group_col: str, column: str, p: float = 0.1,
                              "n_kept": n_kept_g[keep_g],
                              "trimmed_mean": mean})
 
-    return _grouped_value_counts(ds, group_col, column, num_parts,
-                                 batch_size, finish)
+    return _grouped_value_counts(ds, group_col, column, batch_size, finish)
 
 
 def grouped_weighted_median(ds, group_col: str, column: str,
                             weight_col: str, scale: int = 100,
-                            num_parts: int = 32, batch_size: int = 262144,
+                            batch_size: int = 262144,
                             out_name: str = "w_median", q: float = 0.5):
     """Exact per-group LOWER WEIGHTED MEDIAN (or, via ``q``, any lower
     weighted quantile — smallest v with W(<= v) >= ceil(q * W_total);
@@ -901,11 +893,11 @@ def grouped_weighted_median(ds, group_col: str, column: str,
     return by_key(ds.map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group_col], select_part, num_parts, batch_format="pandas")
+    ), [group_col], select_part, batch_format="pandas")
 
 
 def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
-                 num_parts: int = 32, batch_size: int = 262144):
+                 batch_size: int = 262144):
     """Exact per-group GINI COEFFICIENT of a non-negative 2-decimal
     column — the standard inequality / concentration statistic of data
     curation (is one source/brand hoarding all the revenue/tokens?).
@@ -1004,12 +996,12 @@ def grouped_gini(ds, group_col: str, column: str, scale: int = 100,
     return by_key(ds.select_columns([group_col, column]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group_col], gini_part, num_parts, batch_format="pandas")
+    ), [group_col], gini_part, batch_format="pandas")
 
 
 def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
                          k_num: int = 3, k_den: int = 2,
-                         num_parts: int = 32, batch_size: int = 262144):
+                         batch_size: int = 262144):
     """Per-group TUKEY-FENCE outlier audit in PURE int64 arithmetic —
     the box-plot data-quality constraint (how many rows sit outside
     [Q1 - k*IQR, Q3 + k*IQR], default k = 3/2): output one row per
@@ -1107,11 +1099,11 @@ def grouped_iqr_outliers(ds, group_col: str, column: str, scale: int = 100,
     return by_key(ds.select_columns([group_col, column]).map_batches(
         pre, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group_col], fence_part, num_parts, batch_format="pandas")
+    ), [group_col], fence_part, batch_format="pandas")
 
 
 def rank_blend(ds, id_cols: list, cols: list, blend_col: str = "blend",
-               num_buckets: int = 64, batch_size: int = 262144):
+               batch_size: int = 262144):
     """Rank-ensemble scoring — the percentile-blend step real curation
     pipelines use to combine incommensurable quality signals (length,
     LM perplexity, dedup pressure, ...) into ONE comparable score
@@ -1189,7 +1181,7 @@ def rank_blend(ds, id_cols: list, cols: list, blend_col: str = "blend",
         ranks = cdf.map_batches(pr_map, batch_format="pyarrow",
                                 batch_size=None, zero_copy_batch=True)
         out = hash_join(out, ranks, key=c, how="inner",
-                        num_buckets=num_buckets, batch_size=batch_size)
+                        batch_size=batch_size)
 
     k = float(len(cols))
 

@@ -177,7 +177,6 @@ def _miss_report(column: str, parts: list[dict]) -> dict:
 
 
 def functional_dependency(ds, det_col: str, dep_col: str,
-                          num_parts: int = 64,
                           batch_size: int = 262144):
     """FUNCTIONAL-DEPENDENCY violation check: does ``det_col`` determine
     ``dep_col``? The classic data-profiling / key-candidate constraint
@@ -227,11 +226,10 @@ def functional_dependency(ds, det_col: str, dep_col: str,
     return by_key(ds.select_columns([det_col, dep_col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [det_col], per_partition, num_parts)
+    ), [det_col], per_partition)
 
 
-def id_gaps(ds, col: str, num_parts: int = 32,
-            batch_size: int = 262144):
+def id_gaps(ds, col: str, batch_size: int = 262144):
     """SEQUENCE-COMPLETENESS check over an int64 id column: every maximal
     run of MISSING ids between the observed min and max of the DISTINCT
     id set — (gap_start, gap_end, n_missing), all int64-exact. The
@@ -281,7 +279,7 @@ def id_gaps(ds, col: str, num_parts: int = 32,
     sorted_ids = by_key(ds.select_columns([col]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [col], merge_part, num_parts).sort(col).materialize()
+    ), [col], merge_part).sort(col).materialize()
 
     def block_ends(t: pa.Table) -> pa.Table:
         if not t.num_rows:
@@ -334,8 +332,7 @@ def id_gaps(ds, col: str, num_parts: int = 32,
 
 def reconcile_sums(detail, header, detail_key: str, header_key: str,
                    detail_col: str, header_col: str, scale: int = 100,
-                   k: int = 20, num_parts: int = 32,
-                   batch_size: int = 262144):
+                   k: int = 20, batch_size: int = 262144):
     """Cross-table AGGREGATE reconciliation — the data-quality
     constraint referential integrity does NOT cover: does each header
     row's declared total equal the SUM of its detail rows (order total
@@ -397,7 +394,7 @@ def reconcile_sums(detail, header, detail_key: str, header_key: str,
             zero_copy_batch=True),
         [detail_key], {"detail_cents": "detail_cents",
                        "__shadow": "__shadow"},
-        num_parts=num_parts, count_alias=None)
+        count_alias=None)
 
     def wrap_check(b: pa.Table) -> pa.Table:
         ic = b.column("detail_cents").to_numpy(zero_copy_only=False)
@@ -416,7 +413,7 @@ def reconcile_sums(detail, header, detail_key: str, header_key: str,
         batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True)
     j = hash_join(h, d_sums, key=header_key, right_key=detail_key,
-                  how="left", num_buckets=num_parts)
+                  how="left")
 
     def finish(b: pa.Table) -> pa.Table:
         det = pc.coalesce(b.column("detail_cents"),

@@ -124,7 +124,7 @@ def stratified_hash_sample(ds, key_column: str, strata_col: str,
 
 
 def cap_per_key(ds, key_column: str, n: int, order_col: str,
-                num_parts: int = 64, batch_size: int = 262144,
+                batch_size: int = 262144,
                 keep_columns: Optional[list[str]] = None):
     """At most ``n`` rows per distinct ``key_column`` value — the rows with
     the ``n`` smallest ``order_col`` values (ties broken by order_col then
@@ -139,7 +139,8 @@ def cap_per_key(ds, key_column: str, n: int, order_col: str,
          partition (never per-key groups).
 
     Partitioning assumption (documented): one partition's pre-trimmed rows
-    fit a worker; raise num_parts with cluster size."""
+    fit a worker; ``exchange.fanout`` grows the partition count with the
+    cluster."""
     proj = keep_columns or None
 
     def pretrim(batch: pa.Table) -> pa.Table:
@@ -162,7 +163,7 @@ def cap_per_key(ds, key_column: str, n: int, order_col: str,
     return by_key(ds.map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [key_column], cap_part, num_parts, batch_format="pandas")
+    ), [key_column], cap_part, batch_format="pandas")
 
 
 def weighted_hash_sample(ds, key_column: str, weight_col: str, scale: int,
@@ -245,8 +246,7 @@ def sample_exact_n(ds, key_column: str, n: int, seed: int = 1,
 
 
 def stratified_exact_n(ds, strata_col: str, counts: dict, key_column: str,
-                       seed: int = 1, num_parts: int = 64,
-                       batch_size: int = 262144,
+                       seed: int = 1, batch_size: int = 262144,
                        keep_columns: Optional[list[str]] = None):
     """Deterministic per-stratum EXACT-size quotas — the mixture-
     construction op of training-data curation ("exactly 2,000 wiki +
@@ -301,7 +301,7 @@ def stratified_exact_n(ds, strata_col: str, counts: dict, key_column: str,
     return by_key(ds.map_batches(
         pretrim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [strata_col], final_part, num_parts, batch_format="pandas")
+    ), [strata_col], final_part, batch_format="pandas")
 
 
 def split_assign(ds, key_column: str, fractions: tuple = (0.98, 0.01),

@@ -436,7 +436,6 @@ def top_k_rows(ds, value: str, tiebreak: str, k: int = 10,
 
 
 def grouped_distinct_sketch(ds, group_col: str, column: str, p: int = 12,
-                            num_parts: int = 32,
                             batch_size: int = 262144):
     """APPROXIMATE per-group COUNT(DISTINCT ``column``) at UNBOUNDED
     group cardinality — the HyperLogLog companion of
@@ -536,7 +535,7 @@ def grouped_distinct_sketch(ds, group_col: str, column: str, p: int = 12,
     return by_key(ds.map_batches(
         partial, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [group_col], merge_part, num_parts, batch_format="pandas")
+    ), [group_col], merge_part, batch_format="pandas")
 
 
 def benford_digits(ds, column: str, scale: int = 100,

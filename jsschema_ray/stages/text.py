@@ -408,8 +408,7 @@ def contamination_check(ds, eval_ds, column: str = "text",
 
 def near_contamination(ds, eval_ds, threshold: float = 0.7,
                        column: str = "text", id_column: str = "doc_id",
-                       k: int = 5, num_parts: int = 64,
-                       batch_size: int = 4096):
+                       k: int = 5, batch_size: int = 4096):
     """FUZZY decontamination: flag corpus docs whose word-k-gram Jaccard
     with ANY eval doc is >= threshold — the near-duplicate counterpart of
     :func:`contamination_check` (which needs a verbatim n-gram hit and so
@@ -463,8 +462,7 @@ def near_contamination(ds, eval_ds, threshold: float = 0.7,
         negate_ids, batch_format="pyarrow", batch_size=batch_size)
     pairs = exact_jaccard_pairs(
         corpus.union(ev), threshold=threshold, column=column,
-        id_column=id_column, k=k, num_parts=num_parts,
-        batch_size=batch_size)
+        id_column=id_column, k=k, batch_size=batch_size)
 
     def cross_hits(batch: pa.Table) -> pa.Table:
         # ordered pairs + negative eval ids => cross-side is a < 0 <= b
@@ -495,7 +493,7 @@ def near_contamination(ds, eval_ds, threshold: float = 0.7,
             all_clean, batch_format="pyarrow", batch_size=batch_size)
 
     joined = hash_join(corpus.select_columns([id_column]), hits,
-                       key=id_column, how="left", num_buckets=32)
+                       key=id_column, how="left")
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table({
@@ -635,8 +633,8 @@ def _term_frequencies(ds, id_column: str, column: str, batch_size: int):
 
 
 def tfidf_top_terms(ds, k: int = 5, column: str = "text",
-                    id_column: str = "doc_id", num_parts: int = 32,
-                    batch_size: int = 8192, n_docs: Optional[int] = None):
+                    id_column: str = "doc_id", batch_size: int = 8192,
+                    n_docs: Optional[int] = None):
     """Top-``k`` most DISTINCTIVE terms per document — the TF-IDF feature
     extraction of text curation, composed from the engine's existing
     shapes: per-batch term frequencies (docs never span Ray blocks, so a
@@ -667,8 +665,7 @@ def tfidf_top_terms(ds, k: int = 5, column: str = "text",
 
     tf = _term_frequencies(ds, id_column, column, batch_size)
     df = doc_frequency(ds, column=column, batch_size=batch_size)
-    joined = hash_join(tf, df, key="token", how="inner",
-                       num_buckets=num_parts)
+    joined = hash_join(tf, df, key="token", how="inner")
 
     def topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_column, "tf", "df", "token"],
@@ -678,13 +675,12 @@ def tfidf_top_terms(ds, k: int = 5, column: str = "text",
         out["tfidf"] = out["tf"] * np.log(n_docs / out["df"])
         return out
 
-    return by_key(joined, [id_column], topk, num_parts,
-                  batch_format="pandas")
+    return by_key(joined, [id_column], topk, batch_format="pandas")
 
 
 def chunk_documents(ds, column: str = "text", id_column: str = "doc_id",
                     chunk_words: int = 64, stride_words: int = 48,
-                    num_partitions: int = 64, batch_size: int = 4096,
+                    batch_size: int = 4096,
                     max_chunks_per_doc: int = 1 << 20):
     """Overlapping word-window CHUNKING — split each document into chunks
     of ``chunk_words`` words starting every ``stride_words`` (the
@@ -764,8 +760,7 @@ def chunk_documents(ds, column: str = "text", id_column: str = "doc_id",
         zero_copy_batch=True)
     agg = grouped_string_agg(exploded, key="__ck", col="word",
                              order_cols=["pos"], sep=" ",
-                             out_name="chunk_text",
-                             num_partitions=num_partitions)
+                             out_name="chunk_text")
 
     def finish(batch: pa.Table) -> pa.Table:
         ck = batch.column("__ck").to_numpy(zero_copy_only=False)
@@ -829,7 +824,7 @@ def top_bigrams(ds, column: str = "text", k: int = 40,
 
 
 def token_freq_score(ds, column: str = "text", id_column: str = "doc_id",
-                     num_parts: int = 32, batch_size: int = 8192):
+                     batch_size: int = 8192):
     """Per-document mean corpus term frequency — the integer-exact
     zeroth-order analogue of a unigram-LM quality score (CCNet-style
     curation ranks documents by language-model likelihood, arXiv:
@@ -862,8 +857,7 @@ def token_freq_score(ds, column: str = "text", id_column: str = "doc_id",
 
     tf = _term_frequencies(ds, id_column, column, batch_size)
     ctf = grouped_sums(tf, ["token"], {"ctf": "tf"}, count_alias=None)
-    joined = hash_join(tf, ctf, key="token", how="inner",
-                       num_buckets=num_parts)
+    joined = hash_join(tf, ctf, key="token", how="inner")
 
     def prods(batch: pa.Table) -> pa.Table:
         t = batch.column("tf").to_numpy(zero_copy_only=False)
@@ -905,8 +899,7 @@ def token_freq_score(ds, column: str = "text", id_column: str = "doc_id",
 
 
 def vocab_overlap(ds, key_column: str = "source",
-                  text_column: str = "text", num_partitions: int = 64,
-                  batch_size: int = 8192):
+                  text_column: str = "text", batch_size: int = 8192):
     """Pairwise vocabulary Jaccard between corpus slices: for every pair
     (a < b) of ``key_column`` values (sources/domains/splits), the
     Jaccard similarity of their DISTINCT token vocabularies — the
@@ -956,10 +949,8 @@ def vocab_overlap(ds, key_column: str = "source",
         rows, batch_format="pyarrow", batch_size=batch_size)
     pairs = cooccurrence_counts(exploded, "token", key_column,
                                 out_a="source_a", out_b="source_b",
-                                count_alias="n_common",
-                                num_partitions=num_partitions)
-    sizes = grouped_count_distinct(exploded, key_column, "token",
-                                   num_partitions=num_partitions)
+                                count_alias="n_common")
+    sizes = grouped_count_distinct(exploded, key_column, "token")
 
     def renamed(suffix: str):
         def rn(b: pa.Table) -> pa.Table:

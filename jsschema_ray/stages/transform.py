@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from jsschema_ray.schema.compiler import compile_schema
+from jsschema_ray.stages import exchange
 from jsschema_ray.stages.exchange import PART, by_part, partition_ids
 
 
@@ -126,7 +127,7 @@ def unnest_list(ds, list_col: str, id_cols: list[str],
 
 
 def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
-               num_parts: int = 32, batch_size: int = 65536):
+               batch_size: int = 65536):
     """Snapshot diff between two versions of a keyed table — the
     incremental-ingest regression audit (did yesterday's pipeline run
     add / drop / mutate rows it shouldn't have?): emits one
@@ -151,6 +152,7 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
     import numpy as np
 
     cols = [key] + list(compare_cols)
+    n_parts = exchange.fanout()
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -160,7 +162,7 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
                 raise ValueError(f"table_diff: NULL {key} on side "
                                  f"{'B' if side else 'A'}")
             return b.append_column(PART, pa.array(
-                partition_ids(b, [key], num_parts))) \
+                partition_ids(b, [key], n_parts))) \
                     .append_column("__side", pa.array(
                         np.full(b.num_rows, side, dtype=np.int8)))
         return fn
@@ -216,8 +218,7 @@ def table_diff(ds_a, ds_b, key: str, compare_cols: list[str],
     return by_part(a.union(b), classify)
 
 
-def upsert(base, updates, key: str, num_parts: int = 32,
-           batch_size: int = 65536):
+def upsert(base, updates, key: str, batch_size: int = 65536):
     """Keyed MERGE (upsert): every ``updates`` row wins its key; every
     ``base`` row whose key has NO update passes through — the
     incremental-ingest APPLY step (table_diff audits what changed;
@@ -257,6 +258,7 @@ def upsert(base, updates, key: str, num_parts: int = 32,
     cols = base_cols if base_cols is not None else upd_cols
     if cols is None:
         return base  # both sides empty: nothing to merge
+    n_parts = exchange.fanout()
 
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -267,7 +269,7 @@ def upsert(base, updates, key: str, num_parts: int = 32,
                     f"upsert: NULL {key} on side "
                     f"{'updates' if side else 'base'}")
             return b.append_column(PART, pa.array(
-                partition_ids(b, [key], num_parts))) \
+                partition_ids(b, [key], n_parts))) \
                     .append_column("__side", pa.array(
                         np.full(b.num_rows, side, dtype=np.int8)))
         return fn

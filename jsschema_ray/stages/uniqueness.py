@@ -36,6 +36,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from jsschema_ray.stages import exchange
 from jsschema_ray.stages.exchange import (PART, by_part, pack, pack_parts,
                                           partition_ids, unpack)
 from jsschema_ray.state.hll import normalize_zeros
@@ -107,16 +108,15 @@ def _top(dup: pa.Table, column: str, k: int) -> pa.Table:
         [("dup_count", "descending"), (column, "ascending")]).slice(0, k)
 
 
-def duplicate_keys(ds, column: str, batch_size: int = 262144,
-                   num_buckets: int = 64):
+def duplicate_keys(ds, column: str, batch_size: int = 262144):
     """Dataset of (column, dup_count) for keys appearing more than once.
 
     Reduce strategy: per-batch partial counts are packed per bucket
     (_precount), and each bucket reduces with one vectorized group_by —
     never a per-key Ray aggregate (order-of-magnitude slower, measured).
-    Size ``num_buckets`` ≈ cluster cores so every core gets one reduce."""
+    There are ``exchange.fanout()`` buckets, one reduce per cluster CPU."""
     partials = ds.select_columns([column]).map_batches(
-        _precount([column], num_buckets), batch_format="pyarrow",
+        _precount([column], exchange.fanout()), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
     )
 
@@ -127,14 +127,14 @@ def duplicate_keys(ds, column: str, batch_size: int = 262144,
     return by_part(partials, reduce_bucket)
 
 
-def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144,
-                         num_buckets: int = 64) -> dict[str, pa.Table]:
+def duplicate_keys_multi(ds, columns: list[str], batch_size: int = 262144
+                         ) -> dict[str, pa.Table]:
     """duplicate_keys for several key columns in ONE pass and ONE shuffle:
     each column's partial counts are packed per (column, bucket) and the
     bucket reduce handles all columns — halves the fixed all-to-all cost
     when a schema checks uniqueness on multiple keys (image_id + phash)."""
     partials = ds.select_columns(columns).map_batches(
-        _precount(columns, num_buckets), batch_format="pyarrow",
+        _precount(columns, exchange.fanout()), batch_format="pyarrow",
         batch_size=batch_size, zero_copy_batch=True,
     )
 
@@ -200,7 +200,7 @@ def reports(dups: dict[str, pa.Table]) -> dict[str, dict[str, Any]]:
 
 
 def distinct_rows(ds, columns: Optional[list[str]] = None,
-                  batch_size: int = 262144, num_parts: int = 64):
+                  batch_size: int = 262144):
     """SQL ``SELECT DISTINCT`` over ``columns`` (default: all columns) —
     the set-op companion to duplicate_keys (r3 §2.D completion).
 
@@ -212,13 +212,15 @@ def distinct_rows(ds, columns: Optional[list[str]] = None,
     row with a +0.0 output, matching DuckDB DISTINCT; NaNs merge to one
     row on both sides (pandas and SQL agree)."""
 
+    n_parts = exchange.fanout()
+
     def dedup(t: pa.Table) -> pa.Table:
         return pa.Table.from_pandas(t.to_pandas().drop_duplicates(),
                                     preserve_index=False, schema=t.schema)
 
     def pretrim(batch: pa.Table) -> pa.Table:
         return _keyed_partials(batch, columns or batch.column_names,
-                               "distinct_rows", num_parts, dedup)
+                               "distinct_rows", n_parts, dedup)
 
     def finish(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates()
@@ -230,12 +232,12 @@ def distinct_rows(ds, columns: Optional[list[str]] = None,
 
 
 def _keyed_partials(batch: pa.Table, sel: list[str], what: str,
-                    num_parts: int, collapse) -> pa.Table:
+                    n: int, collapse) -> pa.Table:
     """Map side shared by distinct_rows and the set ops: project ``sel``
     (primitive columns only), signed-zero-normalize float columns so
     -0.0/+0.0 are one row, ``collapse`` the batch to its distinct rows (or
-    row counts) and append ``__part`` over the ``sel`` columns, so equal
-    rows from any batch or input co-locate."""
+    row counts) and append ``__part`` (one of ``n``) over the ``sel``
+    columns, so equal rows from any batch or input co-locate."""
     out = batch.select(sel)
     for c in sel:
         t = out.schema.field(c).type
@@ -249,11 +251,11 @@ def _keyed_partials(batch: pa.Table, sel: list[str], what: str,
             out = out.set_column(out.column_names.index(c), c, norm)
     out = collapse(out)
     return out.append_column(
-        PART, pa.array(partition_ids(out, sel, num_parts)))
+        PART, pa.array(partition_ids(out, sel, n)))
 
 
 def candidate_keys(ds, combos: list[list[str]],
-                   batch_size: int = 262144, num_parts: int = 64):
+                   batch_size: int = 262144):
     """UNIQUE-KEY candidacy profile (the key-discovery scan of classic
     data-profiling systems — Metanome/HyUCC lineage, public literature):
     for each candidate column combination, the exact distinct-combination
@@ -279,8 +281,7 @@ def candidate_keys(ds, combos: list[list[str]],
     n_rows = ds.count()
     out = []
     for combo in combos:
-        nd = distinct_rows(ds, list(combo), batch_size=batch_size,
-                           num_parts=num_parts).count()
+        nd = distinct_rows(ds, list(combo), batch_size=batch_size).count()
         out.append((",".join(combo), n_rows, nd, nd == n_rows))
     return pd.DataFrame(out, columns=["combo", "n_rows", "n_distinct",
                                       "is_key"]).sort_values("combo") \
@@ -325,7 +326,7 @@ def group_size_histogram(ds, key_cols: list[str],
 
 
 def _run_setop(left, right, how: str, columns, right_columns,
-               batch_size: int, num_parts: int):
+               batch_size: int):
     """Shared engine for SQL EXCEPT / INTERSECT (DISTINCT) and EXCEPT ALL /
     INTERSECT ALL (BAG semantics: output multiplicity = max(0, count_left −
     count_right) / min(count_left, count_right)). Each side is tagged and
@@ -343,6 +344,7 @@ def _run_setop(left, right, how: str, columns, right_columns,
             "schema) so the right side can be renamed onto it"
         )
     bag = how.endswith("_all")
+    n_parts = exchange.fanout()
 
     def collapse(t: pa.Table) -> pa.Table:
         if not bag:
@@ -354,7 +356,7 @@ def _run_setop(left, right, how: str, columns, right_columns,
     def tagged(ds, side: int, sel_override):
         def pretrim(batch: pa.Table) -> pa.Table:
             sel = sel_override or columns or batch.column_names
-            out = _keyed_partials(batch, sel, f"{how}_rows", num_parts,
+            out = _keyed_partials(batch, sel, f"{how}_rows", n_parts,
                                   collapse)
             # RIGHT side aligns to the left's output column names so the
             # union and per-partition merge see one schema
@@ -411,26 +413,26 @@ def _run_setop(left, right, how: str, columns, right_columns,
 
 def except_all_rows(left, right, columns: Optional[list[str]] = None,
                     right_columns: Optional[list[str]] = None,
-                    batch_size: int = 262144, num_parts: int = 64):
+                    batch_size: int = 262144):
     """SQL ``EXCEPT ALL`` (bag difference): each row of ``left`` survives
     max(0, left_count − right_count) times. See _run_setop for the
     distribution shape."""
     return _run_setop(left, right, "except_all", columns, right_columns,
-                      batch_size, num_parts)
+                      batch_size)
 
 
 def intersect_all_rows(left, right, columns: Optional[list[str]] = None,
                        right_columns: Optional[list[str]] = None,
-                       batch_size: int = 262144, num_parts: int = 64):
+                       batch_size: int = 262144):
     """SQL ``INTERSECT ALL`` (bag intersection): each row appears
     min(left_count, right_count) times; same shape as except_all_rows."""
     return _run_setop(left, right, "intersect_all", columns,
-                      right_columns, batch_size, num_parts)
+                      right_columns, batch_size)
 
 
 def except_rows(left, right, columns: Optional[list[str]] = None,
                 right_columns: Optional[list[str]] = None,
-                batch_size: int = 262144, num_parts: int = 64):
+                batch_size: int = 262144):
     """SQL ``EXCEPT`` (set difference with DISTINCT output): the distinct
     rows of ``left`` (projected to ``columns``) that do not appear in
     ``right`` (projected to ``right_columns``, default the same names).
@@ -440,13 +442,13 @@ def except_rows(left, right, columns: Optional[list[str]] = None,
     co-partition on the same combined key hash, one merge per partition —
     the shuffle carries at most distinct rows, never the raw inputs."""
     return _run_setop(left, right, "except", columns, right_columns,
-                      batch_size, num_parts)
+                      batch_size)
 
 
 def intersect_rows(left, right, columns: Optional[list[str]] = None,
                    right_columns: Optional[list[str]] = None,
-                   batch_size: int = 262144, num_parts: int = 64):
+                   batch_size: int = 262144):
     """SQL ``INTERSECT`` (DISTINCT rows present in BOTH inputs); same
     distribution and NULL/zero semantics as except_rows."""
     return _run_setop(left, right, "intersect", columns, right_columns,
-                      batch_size, num_parts)
+                      batch_size)

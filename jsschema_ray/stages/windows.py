@@ -109,8 +109,7 @@ def hopping_windows(ds, ts: str = "ts", length_s: int = 7200,
 
 def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
                     value: str | None = "value",
-                    window_seconds: float = 600.0,
-                    num_partitions: int = 64):
+                    window_seconds: float = 600.0):
     """Per-key rolling time-RANGE aggregate — SQL's
     ``SUM(v) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN INTERVAL W
     PRECEDING AND CURRENT ROW)``.  Output one row per DISTINCT (key, ts):
@@ -120,15 +119,15 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
     collapsing them first is lossless AND makes the frame math peer-safe.
 
     Scale shape (same contract as session_windows): keys hash-partition
-    into ``num_partitions`` coarse groups; each partition is computed in
-    ONE vectorized pass with NO per-key loop — collapse to per-(key, ts)
-    rows, sort, then block-encode (key_rank * span + ts_offset) so a
-    single ``np.searchsorted`` finds every row's window start inside its
-    own key's block (the W-clamp keeps queries from crossing key
-    boundaries), and the windowed sums fall out of one global cumsum
-    difference.  The block encoding bounds keys-per-partition x time-span
-    to int64; the guard RAISES loudly (raise num_partitions) instead of
-    wrapping."""
+    into ``exchange.fanout()`` coarse groups; each partition is computed
+    in ONE vectorized pass with NO per-key loop — collapse to per-(key,
+    ts) rows, sort, then block-encode (key_rank * n_ts + ts_rank, ts_rank
+    the dense rank of ts in the partition) so a single
+    ``np.searchsorted`` finds every row's window start inside its own
+    key's block (a window start ranks at or below its row's ts, so no
+    query crosses a key boundary), and the windowed sums fall out of one
+    global cumsum difference.  keys x distinct ts is at most rows^2, so
+    the encoding cannot overflow int64 at any span."""
     import pyarrow as pa
 
     w_ns = int(round(window_seconds * 1e9))
@@ -171,18 +170,12 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
                 .to_numpy(zero_copy_only=False))[run_starts]
         # key rank over collapsed rows: count key changes at run starts
         kr = (np.cumsum(key_change[run_starts]) - 1).astype("int64")
-        n_keys = int(kr[-1]) + 1
-        tmin = int(tnum.min())
-        span = int(tnum.max()) - tmin + w_ns + 2
-        if n_keys and span > (2 ** 62) // n_keys:
-            raise ValueError(
-                f"rolling_windows block encoding would overflow int64: "
-                f"{n_keys} keys x {span} ns span in one partition — "
-                f"raise num_partitions (got {num_partitions})"
-            )
-        off = tnum - tmin
-        comp = kr * span + off
-        compq = kr * span + np.maximum(off - w_ns, 0)
+        uniq, rank = np.unique(tnum, return_inverse=True)
+        # a window starts at the first ts >= ts - W (saturating at the
+        # int64 minimum, below every ts)
+        start = np.maximum(tnum, np.iinfo(np.int64).min + w_ns) - w_ns
+        comp = kr * len(uniq) + rank
+        compq = kr * len(uniq) + np.searchsorted(uniq, start)
         left = np.searchsorted(comp, compq, side="left")
         cs = np.concatenate([[0], np.cumsum(run_vx)])
         cn = np.concatenate([[0], np.cumsum(run_c)])
@@ -194,15 +187,13 @@ def rolling_windows(ds, key: str = "user_id", ts: str = "ts",
             "w_n": pa.array((cn[idx + 1] - cn[left]).astype("int64")),
         })
 
-    return by_key(ds.select_columns(cols), [key], per_partition,
-                  num_partitions)
+    return by_key(ds.select_columns(cols), [key], per_partition)
 
 
 def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
                          tiebreak: str = "event_id",
                          value: str | None = "value",
-                         n_rows: int | None = 5,
-                         num_partitions: int = 64):
+                         n_rows: int | None = 5):
     """Per-key rolling ROWS-frame aggregate — SQL's
     ``SUM(v) OVER (PARTITION BY key ORDER BY ts, tiebreak
     ROWS BETWEEN n_rows-1 PRECEDING AND CURRENT ROW)``.  Unlike the
@@ -215,7 +206,7 @@ def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
     running totals (the cumulative-history feature), same single pass
     with the left edge pinned to the key-block start.
 
-    Scale shape: keys hash-partition into ``num_partitions`` coarse
+    Scale shape: keys hash-partition into ``exchange.fanout()`` coarse
     groups (the only shuffle); each partition is one vectorized pass —
     lexsort by (key, ts, tiebreak), find key-block starts from adjacent
     inequality, then every frame is a cumsum difference with the left
@@ -255,12 +246,11 @@ def rolling_rows_windows(ds, key: str = "user_id", ts: str = "ts",
             "w_n": pa.array((idx + 1 - left).astype("int64")),
         })
 
-    return by_key(ds.select_columns(cols), [key], per_partition,
-                  num_partitions)
+    return by_key(ds.select_columns(cols), [key], per_partition)
 
 
 def event_deltas(ds, key: str = "user_id", ts: str = "ts",
-                 tiebreak: str = "event_id", num_partitions: int = 64):
+                 tiebreak: str = "event_id"):
     """Per-key inter-arrival time — SQL's
     ``ts - LAG(ts) OVER (PARTITION BY key ORDER BY ts, tiebreak)`` as an
     int64 microsecond delta (NULL on each key's first event).  The
@@ -296,13 +286,11 @@ def event_deltas(ds, key: str = "user_id", ts: str = "ts",
             "delta_us": pa.array(delta, type=pa.int64(), mask=first),
         })
 
-    return by_key(ds.select_columns(cols), [key], per_partition,
-                  num_partitions)
+    return by_key(ds.select_columns(cols), [key], per_partition)
 
 
 def ntile(ds, key: str = "user_id", ts: str = "ts",
-          tiebreak: str = "event_id", k: int = 4,
-          num_partitions: int = 64):
+          tiebreak: str = "event_id", k: int = 4):
     """SQL ``NTILE(k) OVER (PARTITION BY key ORDER BY ts, tiebreak)`` —
     per-key equal-ish buckets under a total order (SQL sizing: with
     n = q*k + r, the first r tiles get q+1 rows).  The per-key
@@ -341,11 +329,11 @@ def ntile(ds, key: str = "user_id", ts: str = "ts",
         })
 
     return by_key(ds.select_columns([key, ts, tiebreak]), [key],
-                  per_partition, num_partitions)
+                  per_partition)
 
 
 def window_ranks(ds, key: str = "user_id", order: str = "ts",
-                 tiebreak: str = "event_id", num_partitions: int = 64):
+                 tiebreak: str = "event_id"):
     """The SQL rank family in one pass — per key, ordered by ``order``:
 
     * ``row_number``   — 1..n under the (order, tiebreak) TOTAL order;
@@ -420,11 +408,11 @@ def window_ranks(ds, key: str = "user_id", order: str = "ts",
         })
 
     return by_key(ds.select_columns([key, order, tiebreak]), [key],
-                  per_partition, num_partitions)
+                  per_partition)
 
 
 def first_last_per_key(ds, key: str, order: str, tiebreak: str,
-                       cols: list[str], num_partitions: int = 64):
+                       cols: list[str]):
     """Per-key FIRST_VALUE / LAST_VALUE under the (order, tiebreak)
     total order — first-touch / last-touch attribution.  Output one row
     per key: (key, first_<col>..., last_<col>...).
@@ -470,25 +458,24 @@ def first_last_per_key(ds, key: str, order: str, tiebreak: str,
                                      if c not in (key, order, tiebreak)]
     return by_key(ds.select_columns(want).map_batches(
         pre_trim, batch_format="pyarrow", zero_copy_batch=True
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def session_windows(ds, key: str = "user_id", ts: str = "ts",
                     gap_seconds: float = 1800.0,
-                    value: str | None = "value",
-                    num_partitions: int = 64):
+                    value: str | None = "value"):
     """Per-(key, session) aggregate: a new session starts when the time
     since the previous event of the same key exceeds ``gap_seconds``.
     Output: key, session_id (0-based per key), session_start (epoch s),
     n_events [, value_sum_x100].
 
-    Scale shape: keys are HASH-PARTITIONED into ``num_partitions`` coarse
+    Scale shape: keys are HASH-PARTITIONED into ``exchange.fanout()`` coarse
     groups and each partition is sessionized in ONE vectorized pandas pass
     (sort by key+ts, key-change|gap flag, per-key cumsum, one groupby
-    aggregate) — O(num_partitions) Ray groups instead of O(keys), so
+    aggregate) — one Ray group per cluster CPU instead of O(keys), so
     millions of user keys cost the same dispatch as 64. Partitioning
-    assumption: one coarse partition (≈ n_rows / num_partitions rows)
-    fits a worker's heap; raise num_partitions with cluster size."""
+    assumption: one coarse partition (≈ n_rows / ``exchange.fanout()``
+    rows) fits a worker's heap; the fan-out grows with the cluster."""
     import pyarrow as pa
 
     cols = [key, ts] + ([value] if value else [])
@@ -539,13 +526,11 @@ def session_windows(ds, key: str = "user_id", ts: str = "ts",
                 np.add.reduceat(vx, sess_starts))
         return pa.table(cols_out)
 
-    return by_key(ds.select_columns(cols), [key], per_partition,
-                  num_partitions)
+    return by_key(ds.select_columns(cols), [key], per_partition)
 
 
 def lag_lead(ds, key: str, order: str, tiebreak: str, col: str,
-             lags: tuple = (1,), leads: tuple = (1,),
-             num_partitions: int = 64):
+             lags: tuple = (1,), leads: tuple = (1,)):
     """Generic SQL ``LAG(col, n)`` / ``LEAD(col, n)`` per key under the
     (order, tiebreak) total order — the feature-engineering neighbor
     lookup generalizing :func:`event_deltas` (which is the lag-1 ts
@@ -598,12 +583,11 @@ def lag_lead(ds, key: str, order: str, tiebreak: str, col: str,
 
     return by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, col]))
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def funnel_stages(ds, key: str, order: str, tiebreak: str,
-                  stage_col: str, stages: list,
-                  num_partitions: int = 64):
+                  stage_col: str, stages: list):
     """Ordered funnel matching — for each key, greedily match the stage
     sequence (``stages[0]`` then the first ``stages[1]`` STRICTLY after
     it under the (order, tiebreak) total order, then ...): the
@@ -672,12 +656,12 @@ def funnel_stages(ds, key: str, order: str, tiebreak: str,
 
     return by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, stage_col]))
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
                      period_us: int = 604_800_000_000,
-                     num_partitions: int = 64, batch_size: int = 65536):
+                     batch_size: int = 65536):
     """Cohort retention matrix — the activation/retention report every
     event-analytics pipeline runs: bucket each key's FIRST-ever activity
     period as its cohort, then count distinct keys active at each offset
@@ -748,14 +732,14 @@ def cohort_retention(ds, key: str = "user_id", ts: str = "ts",
     pairs = by_key(ds.select_columns([key, ts]).map_batches(
         pre_trim, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
     return grouped_sums(pairs, ["cohort_week", "offset_weeks"], {},
                         count_alias="n_users", batch_size=batch_size)
 
 
 def hopping_distinct(ds, ts: str = "ts", key: str = "user_id",
                      length_s: int = 7200, hop_s: int = 3600,
-                     num_partitions: int = 64, batch_size: int = 65536):
+                     batch_size: int = 65536):
     """Sliding-window COUNT(DISTINCT key): distinct actives per hopping
     window of ``length_s`` starting every ``hop_s`` — the
     concurrent-users / rolling-actives metric. Output:
@@ -794,12 +778,10 @@ def hopping_distinct(ds, ts: str = "ts", key: str = "user_id",
         prep, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True)
     return grouped_count_distinct(exploded, "window_start", key,
-                                  num_partitions=num_partitions,
                                   batch_size=batch_size)
 
 
-def transition_counts(ds, key: str, order: str, tiebreak: str, col: str,
-                      num_partitions: int = 64):
+def transition_counts(ds, key: str, order: str, tiebreak: str, col: str):
     """First-order transition matrix of ``col`` per key — SQL
     ``LAG(col) OVER (PARTITION BY key ORDER BY order, tiebreak)`` rolled
     up to (from_value, to_value, n_transitions): the Markov-chain /
@@ -838,13 +820,12 @@ def transition_counts(ds, key: str, order: str, tiebreak: str, col: str,
 
     pairs = by_key(ds.select_columns(
         list(dict.fromkeys([key, order, tiebreak, col]))
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
     return grouped_sums(pairs, ["from_value", "to_value"], {},
                         count_alias="n_transitions")
 
 
 def interval_coverage(ds, key: str, start: str, end: str,
-                      num_partitions: int = 64,
                       batch_size: int = 65536):
     """Per-key total length of the UNION of [start, end) int64 intervals
     — the classic sweep-line "covered time" statistic (machine
@@ -862,12 +843,12 @@ def interval_coverage(ds, key: str, start: str, end: str,
     Scale shape (the rolling_windows contract): keys hash-co-partition;
     each partition runs ONE Arrow C sort by (key, s, e) and ONE
     vectorized sweep — the segmented running max is a single
-    ``np.maximum.accumulate`` over ``e + key_rank * span`` (monotone
-    block encoding: cross-key carry is impossible because every later
-    key's block sits strictly above the previous key's maximum), and the
-    per-key sums fall out of ``np.add.reduceat``. The block encoding
-    bounds keys-per-partition x value-span to int64; the guard RAISES
-    (raise num_partitions) instead of wrapping."""
+    ``np.maximum.accumulate`` over ``rank(e) + key_rank * n_e`` with
+    ``rank(e)`` the dense rank of ``e`` in the partition (monotone block
+    encoding: cross-key carry is impossible because every later key's
+    block sits strictly above the previous key's maximum; keys x
+    distinct ends is at most rows^2, so it cannot overflow int64), and
+    the per-key sums fall out of ``np.add.reduceat``."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -893,15 +874,9 @@ def interval_coverage(ds, key: str, start: str, end: str,
         kr = np.zeros(n, dtype=np.int64)
         kr[key_starts] = 1
         kr = np.cumsum(kr) - 1
-        n_keys = int(kr[-1]) + 1
-        lo = int(min(e.min(), s.min()))
-        span = int(e.max()) - lo + 2
-        if n_keys and span > (2 ** 62) // n_keys:
-            raise ValueError(
-                f"interval_coverage block encoding would overflow int64: "
-                f"{n_keys} keys x {span} value span in one partition — "
-                f"raise num_partitions (got {num_partitions})")
-        cm = np.maximum.accumulate((e - lo) + kr * span) - kr * span + lo
+        uniq, rank = np.unique(e, return_inverse=True)
+        block = kr * len(uniq)
+        cm = uniq[np.maximum.accumulate(rank + block) - block]
         # previous-max: inclusive cummax shifted one row; key-start rows
         # have no predecessor -> GREATEST(s, COALESCE(pm, s)) == clamp at s
         prev = np.empty(n, dtype=np.int64)
@@ -919,12 +894,11 @@ def interval_coverage(ds, key: str, start: str, end: str,
     return by_key(ds.select_columns([key, start, end]).map_batches(
         valid_rows, batch_format="pyarrow", batch_size=batch_size,
         zero_copy_batch=True,
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def monotonicity_violations(ds, key: str, order: str, tiebreak: str,
-                            col: str, strict: bool = False,
-                            num_partitions: int = 64):
+                            col: str, strict: bool = False):
     """SEQUENCE-VALIDITY audit: per key, how many ADJACENT steps of
     ``col`` go BACKWARDS under the (order, tiebreak) total order? The
     ingest sanity check of an event/metrics pipeline (timestamps out of
@@ -994,12 +968,11 @@ def monotonicity_violations(ds, key: str, order: str, tiebreak: str,
     return by_key(ds.select_columns([key, order, tiebreak, col]).map_batches(
         valid_rows, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def longest_streaks(ds, key: str, ts_col: str,
-                    unit_us: int = 86_400_000_000,
-                    num_partitions: int = 64):
+                    unit_us: int = 86_400_000_000):
     """GAPS-AND-ISLANDS activity audit: per key, the longest run of
     CONSECUTIVE active units (days by default) plus the total distinct
     active units and the number of maximal runs — the retention /
@@ -1078,7 +1051,7 @@ def longest_streaks(ds, key: str, ts_col: str,
     return by_key(ds.select_columns([key, ts_col]).map_batches(
         unit_pairs, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)
 
 
 def _run_stats_table(keycol, kstarts: np.ndarray, rstarts: np.ndarray,
@@ -1103,8 +1076,7 @@ def _run_stats_table(keycol, kstarts: np.ndarray, rstarts: np.ndarray,
     })
 
 
-def value_runs(ds, key: str, order: str, tiebreak: str, value: str,
-               num_partitions: int = 64):
+def value_runs(ds, key: str, order: str, tiebreak: str, value: str):
     """RUN-LENGTH audit (gaps-and-islands by VALUE CHANGE): per key,
     order the rows by the (order, tiebreak) total order and collapse
     maximal runs of EQUAL adjacent ``value`` — emitting row count, run
@@ -1161,4 +1133,4 @@ def value_runs(ds, key: str, order: str, tiebreak: str, value: str,
     return by_key(ds.select_columns([key, order, tiebreak, value]).map_batches(
         valid_rows, batch_format="pyarrow", batch_size=262144,
         zero_copy_batch=True,
-    ), [key], per_partition, num_partitions)
+    ), [key], per_partition)

@@ -28,3 +28,22 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def set_fanout(monkeypatch):
+    """The one seam for a test that needs a given partition layout:
+    ``set_fanout(n)`` makes every exchange the test starts afterwards
+    split into ``n`` partitions (stage functions ask ``exchange.fanout``
+    at call time, on the driver). ``set_fanout.asked`` counts the asks."""
+    from jsschema_ray.stages import exchange
+
+    def force(n: int) -> None:
+        def fanout(rows: int = 0) -> int:
+            force.asked += 1
+            return n
+
+        monkeypatch.setattr(exchange, "fanout", fanout)
+
+    force.asked = 0
+    return force

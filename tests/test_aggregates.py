@@ -60,7 +60,7 @@ def test_grouped_count_distinct_exact():
         "x": rng.integers(0, 30, n).astype("int64"),
     })
     ds = ray.data.from_pandas(pdf).repartition(7)
-    got = grouped_count_distinct(ds, "g", "x", num_partitions=5,
+    got = grouped_count_distinct(ds, "g", "x",
                                  batch_size=512).to_pandas()
     got = got.sort_values("g").reset_index(drop=True)
     want = (pdf.groupby("g")["x"].nunique().rename("n_distinct")
@@ -84,7 +84,7 @@ def test_argmax_per_group_deterministic():
         "payload": rng.integers(0, 10, n).astype("int64"),
     })
     ds = ray.data.from_pandas(pdf).repartition(6)
-    got = argmax_per_group(ds, "g", "v", "id", num_partitions=4,
+    got = argmax_per_group(ds, "g", "v", "id",
                            batch_size=256).to_pandas()
     got = got.sort_values("g").reset_index(drop=True)
 
@@ -141,8 +141,8 @@ def test_grouped_string_agg_ordered():
         "ord2": np.arange(n, dtype="int64"),             # unique tiebreak
     })
     ds = ray.data.from_pandas(pdf).repartition(6)
-    got = grouped_string_agg(ds, "u", "t", ["ord1", "ord2"], sep="-",
-                             num_partitions=4).to_pandas()
+    got = grouped_string_agg(ds, "u", "t", ["ord1", "ord2"],
+                             sep="-").to_pandas()
     got = got.sort_values("u").reset_index(drop=True)
     want = (pdf.sort_values(["u", "ord1", "ord2"])
             .groupby("u")["t"].agg("-".join).rename("path").reset_index())
@@ -173,8 +173,7 @@ def test_grouped_count_distinct_sql_null_parity():
     outs = []
     for t in (nulls, zeros):
         got = grouped_count_distinct(
-            ray.data.from_arrow(t).repartition(3), "g", "x",
-            num_partitions=4, batch_size=3,
+            ray.data.from_arrow(t).repartition(3), "g", "x", batch_size=3,
         ).to_pandas().sort_values("g", na_position="last").reset_index(
             drop=True)
         con = duckdb.connect()
@@ -206,7 +205,7 @@ def test_argmax_per_group_unsigned_and_int64_extremes():
         "id": np.arange(4, dtype="int64"),
     })
     got = argmax_per_group(ray.data.from_pandas(pdf).repartition(2),
-                           "g", "v", "id", num_partitions=2,
+                           "g", "v", "id",
                            batch_size=2).to_pandas()
     got = got.sort_values("g").reset_index(drop=True)
     assert list(got["v"]) == [2**64 - 1, 2**63]
@@ -218,7 +217,7 @@ def test_argmax_per_group_unsigned_and_int64_extremes():
         "id": np.arange(4, dtype="int64"),
     })
     got2 = argmax_per_group(ray.data.from_pandas(pdf2).repartition(2),
-                            "g", "v", "id", num_partitions=2,
+                            "g", "v", "id",
                             batch_size=2).to_pandas()
     got2 = got2.sort_values("g").reset_index(drop=True)
     assert list(got2["v"]) == [-5, 2**62]
@@ -239,7 +238,7 @@ def test_top_n_per_group_matches_pandas_and_handles_ties():
         "id": rng.permutation(n).astype("int64"),
     })
     ds = ray.data.from_pandas(pdf).repartition(6)
-    got = top_n_per_group(ds, "g", "v", "id", n=3, num_partitions=4,
+    got = top_n_per_group(ds, "g", "v", "id", n=3,
                           batch_size=256).to_pandas()
     got = got.sort_values(["g", "rn"]).reset_index(drop=True)
 
@@ -255,7 +254,7 @@ def test_top_n_per_group_matches_pandas_and_handles_ties():
     small = pd.DataFrame({"g": [0, 0, 1], "v": [1.0, 2.0, 5.0],
                           "id": [10, 11, 12]})
     got1 = top_n_per_group(ray.data.from_pandas(small), "g", "v", "id",
-                           n=5, num_partitions=2).to_pandas()
+                           n=5).to_pandas()
     assert len(got1) == 3 and set(got1["rn"]) <= {1, 2}
 
 
@@ -271,8 +270,7 @@ def test_top_n_per_group_unsigned_values_no_wraparound():
         "id": np.arange(5, dtype="int64"),
     })
     got = top_n_per_group(ray.data.from_pandas(pdf).repartition(2),
-                          "g", "v", "id", n=2,
-                          num_partitions=2).to_pandas()
+                          "g", "v", "id", n=2).to_pandas()
     got = got.sort_values(["g", "rn"]).reset_index(drop=True)
     assert got["v"].tolist() == [2**64 - 1, 2**63 + 5, 2, 1]
     assert got["rn"].tolist() == [1, 2, 1, 2]
@@ -926,7 +924,7 @@ class TestCooccurrenceCounts:
         vcol = pa.array([None if rng.random() < 0.02 else s
                          for s in v])
         tbl = pa.table({"k": kcol, "v": vcol})
-        out = self._run(tbl, num_partitions=8)
+        out = self._run(tbl)
 
         df = tbl.to_pandas().dropna(subset=["k", "v"])
         seen = collections.Counter()
@@ -1196,18 +1194,15 @@ def test_argmax_topn_nullable_int_group_across_batches(ray_session):
                    "id": pa.array([3, 4], pa.int64())})
     ds = ray.data.from_arrow([b1, b2])
 
-    am = argmax_per_group(ds, "g", "v", tiebreak="id",
-                          num_partitions=16).to_pandas()
+    am = argmax_per_group(ds, "g", "v", tiebreak="id").to_pandas()
     got = {(-1 if pd.isna(r.g) else int(r.g)): int(r.id)
            for r in am.itertuples()}
     assert got == {5: 3, 6: 4, -1: 1}, got
 
-    tn = top_n_per_group(ds, "g", "v", tiebreak="id", n=1,
-                         num_partitions=16).to_pandas()
+    tn = top_n_per_group(ds, "g", "v", tiebreak="id", n=1).to_pandas()
     assert len(tn) == 3  # one winner per group incl. the null group
 
-    tt = top_n_with_ties(ds, "g", "v", n=1,
-                         num_partitions=16).to_pandas()
+    tt = top_n_with_ties(ds, "g", "v", n=1).to_pandas()
     assert len(tt) == 3
 
 
@@ -1229,7 +1224,7 @@ def test_selection_exact_above_2_53_with_null_in_batch(ray_session):
                   "id": pa.array([0, 1, 2], pa.int64())})
     ds = ray.data.from_arrow(t)
 
-    am = argmax_per_group(ds, "g", "v", tiebreak="id", num_partitions=8)
+    am = argmax_per_group(ds, "g", "v", tiebreak="id")
     tbl = pa.concat_tables(
         __import__("ray").get(r) for r in am.to_arrow_refs())
     assert tbl.num_rows == 3
@@ -1237,13 +1232,12 @@ def test_selection_exact_above_2_53_with_null_in_batch(ray_session):
     assert keys == {big, big + 1, None}, keys  # exact ints, no collapse
     assert pa.types.is_integer(tbl.schema.field("g").type)
 
-    tn = top_n_per_group(ds, "g", "v", tiebreak="id", n=1,
-                         num_partitions=8)
+    tn = top_n_per_group(ds, "g", "v", tiebreak="id", n=1)
     tbl2 = pa.concat_tables(
         __import__("ray").get(r) for r in tn.to_arrow_refs())
     assert set(tbl2.column("g").to_pylist()) == {big, big + 1, None}
 
-    tt = top_n_with_ties(ds, "g", "v", n=1, num_partitions=8)
+    tt = top_n_with_ties(ds, "g", "v", n=1)
     tbl3 = pa.concat_tables(
         __import__("ray").get(r) for r in tt.to_arrow_refs())
     assert set(tbl3.column("g").to_pylist()) == {big, big + 1, None}

@@ -104,8 +104,7 @@ def test_by_key_one_call_per_key_without_part_column(batch_format):
         return g.assign(call=call)
 
     ds = ray.data.from_arrow(t).repartition(6)
-    got = by_key(ds, ["k", "f"], fn, 8,
-                 batch_format=batch_format).to_pandas()
+    got = by_key(ds, ["k", "f"], fn, batch_format=batch_format).to_pandas()
     assert sorted(got["v"]) == list(range(n))
     assert set(got.columns) == {"k", "f", "v", "call"}
     calls = got.groupby(["k", "f"])["call"].nunique()
@@ -238,3 +237,154 @@ def test_grouped_sums_matches_pyarrow_on_the_exchange(monkeypatch):
     assert not np.signbit(got.column("f").to_numpy()).any()
     names = [n for d in dags for n in _operator_names(d)]
     assert names and not [n for n in names if "Aggregate" in n], names
+
+
+#: the partition-count parameter names no exchange may take any more
+_COUNTS = {"num_parts", "num_buckets", "num_partitions"}
+
+
+def _count_params(fn) -> tuple[list[str], list[str]]:
+    """(count parameters of ``fn``, those of them that have a default)."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    defaulted = pos[len(pos) - len(a.defaults):] + [
+        k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    names = [p.arg for p in pos + a.kwonlyargs if p.arg in _COUNTS]
+    return names, [p.arg for p in defaulted if p.arg in _COUNTS]
+
+
+def test_one_fanout_rule():
+    """Every exchange asks ``exchange.fanout``: no public function of the
+    library takes a partition count, no function defaults one, and the
+    query and bench drivers neither define a rule of their own
+    (``_fanout``) nor pass a count."""
+    import ast
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    found = []
+    paths = sorted((root / "jsschema_ray").rglob("*.py"))
+    for path in paths + [root / "__ray_entry__.py", root / "bench.py"]:
+        rel = path.relative_to(root)
+        driver = path.parent == root
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names, defaulted = _count_params(node)
+                public = not node.name.startswith("_")
+                if names and (public or driver):
+                    found.append(f"{rel}:{node.lineno} {node.name}{names}")
+                elif defaulted:
+                    found.append(f"{rel}:{node.lineno} {node.name} "
+                                 f"defaults {defaulted}")
+                if driver and node.name == "_fanout":
+                    found.append(f"{rel}:{node.lineno} def _fanout")
+            elif driver and isinstance(node, ast.keyword) \
+                    and node.arg in _COUNTS:
+                found.append(f"{rel}:{node.value.lineno} {node.arg}=")
+    assert found == []
+
+
+def _docs():
+    """A small corpus with exact and near duplicates."""
+    base = ["the quick brown fox jumps over the lazy dog again",
+            "a stitch in time saves nine said the old tailor",
+            "all that glitters is not gold and never was gold",
+            "the early bird catches the worm but the mouse gets cheese"]
+    text = [base[i % 4] + ("" if i % 3 else f" extra {i}") for i in range(24)]
+    return pa.table({"doc_id": pa.array(range(24), pa.int64()),
+                     "text": text})
+
+
+def _keyed(n=600, seed=3):
+    rng = np.random.default_rng(seed)
+    return pa.table({
+        "id": pa.array(np.arange(n) * 2, pa.int64()),
+        "k": pa.array(rng.integers(0, 40, n), pa.int64()),
+        "v": pa.array(rng.integers(-50, 50, n), pa.int64()),
+        "ts": pa.array(rng.integers(0, 10**12, n).astype("datetime64[ns]")),
+        "flag": pa.array(rng.random(n) < 0.5),
+    })
+
+
+def _ds(table, blocks=3):
+    import ray.data
+
+    return ray.data.from_arrow(table).repartition(blocks)
+
+
+def _invariance_cases(tmp_path):
+    from jsschema_ray.sources.io import write_partitioned
+    from jsschema_ray.stages import (aggregates, dedup, drift, graph, join,
+                                     packing, quantiles, referential,
+                                     sampling, stats, text, transform,
+                                     uniqueness, windows)
+
+    t = _keyed()
+    kv = t.select(["k", "v"])
+    edges = pa.table({"doc_a": pa.array([1, 2, 3, 10, 20, 21, 5], pa.int64()),
+                      "doc_b": pa.array([2, 3, 4, 11, 21, 22, 1], pa.int64())})
+    runs = iter(range(100))
+    return {
+        "windows": lambda: windows.rolling_windows(
+            _ds(t), key="k", ts="ts", value="v"),
+        "aggregates": lambda: aggregates.top_n_with_ties(
+            _ds(kv), "k", "v", n=2),
+        "quantiles": lambda: quantiles.grouped_quantile_disc(
+            _ds(kv), "k", "v", 0.5),
+        "sampling": lambda: sampling.cap_per_key(_ds(t), "k", 3, "id"),
+        "stats": lambda: stats.grouped_distinct_sketch(_ds(kv), "k", "v"),
+        "referential": lambda: referential.id_gaps(_ds(t), "id"),
+        "transform": lambda: transform.table_diff(
+            _ds(kv.slice(0, 40).group_by("k").aggregate([("v", "min")])),
+            _ds(kv.slice(20, 40).group_by("k").aggregate([("v", "min")])),
+            "k", ["v_min"]),
+        "uniqueness": lambda: uniqueness.except_all_rows(
+            _ds(kv), _ds(kv.slice(0, 300))),
+        "io": lambda: write_partitioned(
+            _ds(kv), str(tmp_path / f"run{next(runs)}"), by="k"),
+        "dedup": lambda: dedup.exact_jaccard_pairs(
+            _ds(_docs()), threshold=0.5, k=3),
+        "dedup_minhash": lambda: dedup.minhash_candidate_pairs(
+            _ds(_docs()), num_perm=32, bands=8),
+        "dedup_simhash": lambda: dedup.simhash_verified_pairs(_ds(_docs())),
+        "join": lambda: join.hash_join(
+            _ds(kv), _ds(kv.slice(0, 50).rename_columns(["k", "w"])),
+            key="k", hot_keys=[kv.column("k")[0].as_py()], salt=16),
+        "text": lambda: text.tfidf_top_terms(_ds(_docs()), k=2),
+        "packing": lambda: packing.pack_sequences(
+            _ds(t.select(["id", "k"])), "id", "k", budget=100, bin_width=64),
+        "graph": lambda: graph.connected_components(_ds(edges)),
+        "drift": lambda: drift.categorical_drift(_ds(t), "k", "flag"),
+    }
+
+
+_CASES = ["windows", "aggregates", "quantiles", "sampling", "stats",
+          "referential", "transform", "uniqueness", "io", "dedup",
+          "dedup_minhash", "dedup_simhash", "join", "text", "packing",
+          "graph", "drift"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("case", _CASES)
+def test_results_do_not_depend_on_the_fanout(case, set_fanout, tmp_path):
+    """One function per partitioning module gives the same rows at
+    fan-out 1 and at fan-out 7 (the candidate-pair stages emit a pair
+    once per partition that holds it, so they compare as sets)."""
+    run = _invariance_cases(tmp_path)[case]
+    outs = []
+    for n in (1, 7):
+        set_fanout(n)
+        asked = set_fanout.asked
+        df = run().to_pandas()
+        assert set_fanout.asked > asked  # the stage asked the one rule
+        if case.startswith("dedup_"):
+            outs.append(set(zip(df["a"], df["b"])))
+        else:
+            outs.append(df.sort_values(list(df.columns))
+                        .reset_index(drop=True))
+    if case.startswith("dedup_"):
+        assert outs[0] == outs[1] and outs[0]
+    else:
+        assert len(outs[0])
+        import pandas as pd
+
+        pd.testing.assert_frame_equal(outs[0], outs[1])

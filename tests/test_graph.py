@@ -49,14 +49,16 @@ def test_mixed_topologies():
     edges += [(200, 201), (300, 301), (301, 302), (300, 302)]    # pair+tri
     random.seed(7)
     random.shuffle(edges)
-    assert _run(edges, num_buckets=8) == _brute(edges)
+    assert _run(edges) == _brute(edges)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_layout_independence_and_duplicates():
+def test_layout_independence_and_duplicates(set_fanout):
     edges = [(i % 13, (i * 7) % 13) for i in range(60) if i % 13 != (i * 7) % 13]
-    a = _run(edges, num_buckets=4)
-    b = _run(list(reversed(edges)) + edges, num_buckets=16)  # dup edges too
+    set_fanout(4)
+    a = _run(edges)
+    set_fanout(16)
+    b = _run(list(reversed(edges)) + edges)  # dup edges too
     assert a == b == _brute(edges)
 
 
@@ -81,7 +83,7 @@ def test_convergence_check_runs_no_aggregate(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", spy_execute)
     edges = [(1, 2), (2, 3), (10, 11)]
-    assert _run(edges, num_buckets=4) == _brute(edges) == [
+    assert _run(edges) == _brute(edges) == [
         (1, 1), (2, 1), (3, 1), (10, 10), (11, 10)]
     assert names and not [n for n in names if "Aggregate" in n]
 
@@ -92,7 +94,7 @@ def test_long_path_converges_logarithmically():
     edges = [(i, i + 1) for i in range(n - 1)]
     # doubling bound: labels reach the min in O(log n) rounds; 16 rounds
     # give slack over log2(512)=9 while a pure flood would need ~n
-    got = _run(edges, num_buckets=8, max_rounds=16)
+    got = _run(edges, max_rounds=16)
     assert got == [(i, 0) for i in range(n)]
 
 
@@ -101,7 +103,7 @@ def test_random_graph_against_reference():
     rng = random.Random(42)
     edges = [(rng.randrange(400), rng.randrange(400)) for _ in range(180)]
     edges = [(a, b) for a, b in edges if a != b]
-    assert _run(edges, num_buckets=8) == _brute(edges)
+    assert _run(edges) == _brute(edges)
 
 
 def test_connected_components_empty_edges_typed(ray_session):
@@ -116,7 +118,7 @@ def test_connected_components_empty_edges_typed(ray_session):
         "doc_a": pa.array([], pa.int64()),
         "doc_b": pa.array([], pa.int64()),
     }))
-    out = connected_components(pairs, num_buckets=4)
+    out = connected_components(pairs)
     assert out.count() == 0
     sch = out.schema()
     assert sch.names == ["node", "component"]

@@ -54,8 +54,7 @@ def test_matches_serial_reference_any_layout(ray_session):
     assert want, "corpus should contain true near-dup pairs"
     for blocks in (1, 7):
         ds = rd.from_arrow(t).repartition(blocks)
-        got = exact_jaccard_pairs(ds, threshold=0.6, k=3,
-                                  num_parts=8).to_pandas()
+        got = exact_jaccard_pairs(ds, threshold=0.6, k=3).to_pandas()
         assert set(zip(got.doc_a, got.doc_b)) == want
         # union arithmetic: inter <= union, both positive
         assert (got.n_inter <= got.n_union).all()
@@ -69,8 +68,7 @@ def test_minhash_clusters_subset_of_exact_pairs(ray_session):
 
     t = _corpus(seed=11)
     ds = rd.from_arrow(t)
-    exact = exact_jaccard_pairs(ds, threshold=0.7, k=3,
-                                num_parts=8).to_pandas()
+    exact = exact_jaccard_pairs(ds, threshold=0.7, k=3).to_pandas()
     parent = {}
 
     def find(x):
@@ -143,8 +141,7 @@ def test_near_dedup_corpus_keeps_one_per_cluster(ray_session):
 
     for blocks in (1, 5):
         out = near_dedup_corpus(rd.from_arrow(t).repartition(blocks),
-                                threshold=0.6, k=3, num_parts=8,
-                                num_buckets=4).to_pandas()
+                                threshold=0.6, k=3).to_pandas()
         assert set(out.doc_id) == want_survivors
         # output carries the input columns for surviving rows
         assert set(out.columns) == {"doc_id", "text"}
@@ -177,8 +174,7 @@ def test_hamming_pairs_exact_and_layout_independent(ray_session):
     t = pa.table({"phash": pa.array(vals, pa.int64())})
     for blocks in (1, 6):
         out = hamming_pairs(rd.from_arrow(t).repartition(blocks),
-                            column="phash", max_distance=3,
-                            num_parts=8).to_pandas()
+                            column="phash", max_distance=3).to_pandas()
         got = set(zip(out.a.astype(int), out.b.astype(int)))
         assert got == want
         assert len(out) == len(out.drop_duplicates(["a", "b"]))
@@ -191,7 +187,7 @@ def test_hamming_pairs_exact_and_layout_independent(ray_session):
     # contract is pinned at the Dataset level where composition happens)
     lone = pa.table({"phash": pa.array([0, -1], pa.int64())})  # ham 64
     empty = hamming_pairs(rd.from_arrow(lone), column="phash",
-                          max_distance=3, num_parts=4)
+                          max_distance=3)
     assert [f.name for f in empty.schema().base_schema] \
         == ["a", "b", "hamming"]
     assert empty.count() == 0
@@ -207,7 +203,7 @@ def test_hamming_pairs_band_blowup_refusal(ray_session):
     t = pa.table({"phash": pa.array(vals)})
     with pytest.raises(Exception, match="max_band_members"):
         hamming_pairs(rd.from_arrow(t), column="phash", max_distance=3,
-                      num_parts=2, max_band_members=10).to_pandas()
+                      max_band_members=10).to_pandas()
 
 
 def test_near_dedup_corpus_keep_columns_may_omit_text(ray_session):
@@ -221,11 +217,9 @@ def test_near_dedup_corpus_keep_columns_may_omit_text(ray_session):
 
     t = _corpus()
     full = near_dedup_corpus(rd.from_arrow(t).repartition(3),
-                             threshold=0.6, k=3, num_parts=8,
-                             num_buckets=4).to_pandas()
+                             threshold=0.6, k=3).to_pandas()
     slim = near_dedup_corpus(rd.from_arrow(t).repartition(3),
-                             threshold=0.6, k=3, num_parts=8,
-                             num_buckets=4,
+                             threshold=0.6, k=3,
                              keep_columns=["doc_id"]).to_pandas()
     assert set(slim.columns) == {"doc_id"}
     assert set(slim["doc_id"]) == set(full["doc_id"])

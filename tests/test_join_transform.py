@@ -16,7 +16,7 @@ def test_hash_join_matches_pandas(ray_session):
     got = hash_join(
         rd.from_pandas(left).repartition(2),
         rd.from_pandas(right).repartition(2),
-        key="k", right_key="rk", num_buckets=4,
+        key="k", right_key="rk",
     ).to_pandas().sort_values(["k", "lv", "rv"]).reset_index(drop=True)
     want = left.merge(right.rename(columns={"rk": "k"}), on="k").sort_values(
         ["k", "lv", "rv"]
@@ -93,34 +93,38 @@ def test_hash_join_outer_right_semi_anti(ray_session):
     l, r = rd.from_pandas(left), rd.from_pandas(right)
 
     outer = {row["k"]: row for row in
-             hash_join(l, r, key="k", how="outer", num_buckets=4).take_all()}
+             hash_join(l, r, key="k", how="outer").take_all()}
     assert set(outer) == {1, 2}
     assert outer[2]["lv"] is None and outer[2]["rv"] == 200
 
     right_rows = {row["k"]: row for row in
-                  hash_join(l, r, key="k", how="right",
-                            num_buckets=4).take_all()}
+                  hash_join(l, r, key="k", how="right").take_all()}
     assert set(right_rows) == {1, 2}
 
-    semi = hash_join(r, l, key="k", how="semi", num_buckets=4).take_all()
+    semi = hash_join(r, l, key="k", how="semi").take_all()
     assert [(row["k"], row["rv"]) for row in semi] == [(1, 100)]
 
-    anti = hash_join(r, l, key="k", how="anti", num_buckets=4).take_all()
+    anti = hash_join(r, l, key="k", how="anti").take_all()
     assert [(row["k"], row["rv"]) for row in anti] == [(2, 200)]
 
 
-def test_hash_join_left_int_dtype_consistent_across_buckets(ray_session):
+def test_hash_join_left_int_dtype_consistent_across_buckets(ray_session,
+                                                            set_fanout):
     """how='left' with matches in one bucket and misses in another: every
     output block must carry the same (integer) type for the right payload."""
     import ray.data as rd
 
     from jsschema_ray.stages.join import hash_join
 
+    # the 8 buckets this test was written for: at 4, Ray's sort can hand
+    # out an empty range, whose block has no schema at all (the typed
+    # empty output for empty partitions is a separate, open item)
+    set_fanout(8)
+
     left = pd.DataFrame({"k": list(range(16)), "lv": list(range(16))})
     right = pd.DataFrame({"k": [0, 1, 2, 3], "rv": [5, 6, 7, 8]})
     out = hash_join(rd.from_pandas(left).repartition(3),
-                    rd.from_pandas(right), key="k", how="left",
-                    num_buckets=8)
+                    rd.from_pandas(right), key="k", how="left")
     import ray
 
     tbl = pa.concat_tables(
@@ -176,7 +180,7 @@ def test_asof_join_matches_pandas(ray_session):
     got = asof_join(
         rd.from_pandas(left).repartition(3),
         rd.from_pandas(right).repartition(2),
-        key="k", ts="ts", right_key="rk", right_ts="rts", num_buckets=8,
+        key="k", ts="ts", right_key="rk", right_ts="rts",
     ).to_pandas().sort_values("eid").reset_index(drop=True)
 
     want = pd.merge_asof(
@@ -197,7 +201,6 @@ def test_asof_join_matches_pandas(ray_session):
         rd.from_pandas(left).repartition(3),
         rd.from_pandas(right).repartition(2),
         key="k", ts="ts", right_key="rk", right_ts="rts", how="inner",
-        num_buckets=8,
     ).to_pandas()
     assert len(inner) == int(m.sum())
     assert inner["val"].notna().all()
@@ -274,19 +277,19 @@ def test_hash_join_randomized_vs_pandas(seed, ray_session):
         got = hash_join(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            key="k", right_key="rk", how=how, num_buckets=8,
+            key="k", right_key="rk", how=how,
         ).to_pandas()
         want = left.merge(right.rename(columns={"rk": "k"}), on="k", how=how)
         pd.testing.assert_frame_equal(canon(got), canon(want),
                                       check_dtype=False), how
     # semi / anti vs isin reference
     semi = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k",
-                     right_key="rk", how="semi", num_buckets=8).to_pandas()
+                     right_key="rk", how="semi").to_pandas()
     want_semi = left[left["k"].isin(set(right["rk"]))]
     pd.testing.assert_frame_equal(canon(semi), canon(want_semi),
                                   check_dtype=False)
     anti = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k",
-                     right_key="rk", how="anti", num_buckets=8).to_pandas()
+                     right_key="rk", how="anti").to_pandas()
     want_anti = left[~left["k"].isin(set(right["rk"]))]
     if len(want_anti) == 0:
         # an all-empty Dataset loses its schema through to_pandas — only
@@ -309,7 +312,7 @@ def test_hash_join_mixed_key_types_unified(ray_session):
     right = pd.DataFrame({"k": pd.array([1.0, 3.0], dtype="float64"),
                           "rv": ["x", "y"]})
     got = hash_join(
-        rd.from_pandas(left), rd.from_pandas(right), key="k", num_buckets=4
+        rd.from_pandas(left), rd.from_pandas(right), key="k"
     ).to_pandas().sort_values("lv").reset_index(drop=True)
     assert got["lv"].tolist() == ["a", "c"]
     assert got["rv"].tolist() == ["x", "y"]
@@ -328,8 +331,7 @@ def test_hash_join_mixed_key_beyond_2_53_refuses(ray_session):
                          "lv": ["a", "b"]})
     right = pd.DataFrame({"k": pd.array([float(big)], dtype="float64"),
                           "rv": ["x"]})
-    ds = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k",
-                   num_buckets=4)
+    ds = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k")
     with pytest.raises(Exception, match="round-trip|2\\^53"):
         ds.take_all()
 
@@ -354,7 +356,7 @@ def test_asof_join_mixed_key_types_unified(ray_session):
     })
     got = asof_join(
         rd.from_pandas(left), rd.from_pandas(right),
-        key="k", ts="t", num_buckets=4,
+        key="k", ts="t",
     ).to_pandas().sort_values("lv").reset_index(drop=True)
     assert got["price"].tolist() == [100, 200, 300]
 
@@ -374,8 +376,8 @@ def test_signed_zero_float_keys_match_sql_semantics(ray_session):
 
     left = pd.DataFrame({"k": np.array([0.0, 1.0]), "lv": ["a", "b"]})
     right = pd.DataFrame({"k": np.array([-0.0, 1.0]), "rv": ["x", "y"]})
-    got = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k",
-                    num_buckets=8).to_pandas()
+    got = hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                    key="k").to_pandas()
     assert sorted(zip(got["lv"], got["rv"])) == [("a", "x"), ("b", "y")]
 
     got = broadcast_join(rd.from_pandas(left), right, key="k").to_pandas()
@@ -415,7 +417,7 @@ def test_hash_join_duckdb_differential_adversarial_keys(ray_session, how):
     right.loc[::13, "k"] = None
 
     got = hash_join(rd.from_pandas(left), rd.from_pandas(right), key="k",
-                    num_buckets=8, how=how).to_pandas()
+                    how=how).to_pandas()
     con = duckdb.connect()
     con.register("l", left)
     con.register("r", right)
@@ -454,7 +456,7 @@ def test_hash_join_composite_keys(ray_session):
     got = hash_join(
         rd.from_pandas(left).repartition(2),
         rd.from_pandas(right).repartition(2),
-        key=["a", "b"], right_key=["ra", "rb"], num_buckets=8,
+        key=["a", "b"], right_key=["ra", "rb"],
     ).to_pandas().sort_values(["lv", "rv"]).reset_index(drop=True)
     # expected: (1,10)->P, (2,30)->Q; null keys never match
     assert sorted(zip(got["lv"], got["rv"])) == [("v", "P"), ("y", "Q")]
@@ -480,7 +482,7 @@ def test_distinct_rows_matches_sql_semantics(ray_session):
     })
     for parts in (2, 5):
         got = distinct_rows(
-            rd.from_pandas(pdf).repartition(parts), num_parts=4
+            rd.from_pandas(pdf).repartition(parts)
         ).to_pandas().sort_values(["s", "x"]).reset_index(drop=True)
         assert len(got) == 4
         zero = got[got["x"] == 0.0]["x"]
@@ -581,7 +583,7 @@ def test_setops_differential_vs_duckdb(ray_session):
         ).df()
         got = fn(rd.from_pandas(left).repartition(3),
                  rd.from_pandas(right).repartition(2),
-                 columns=["k", "s"], num_parts=8).to_pandas()
+                 columns=["k", "s"]).to_pandas()
         got = got.sort_values(["k", "s"], na_position="last").reset_index(
             drop=True
         )
@@ -621,7 +623,7 @@ def test_setops_int64_above_2_53_with_nulls(ray_session):
         ).df()
         got = fn(rd.from_arrow(lt).repartition(3),
                  rd.from_arrow(rt).repartition(2),
-                 columns=["k"], num_parts=4).to_pandas()
+                 columns=["k"]).to_pandas()
         got = got.sort_values("k", na_position="last").reset_index(
             drop=True)
         assert [x for x in got["k"] if pd.notna(x)] == \
@@ -648,10 +650,10 @@ def test_bloom_semi_join_exact_vs_plain_semi(ray_session):
     lds = ray.data.from_pandas(left).repartition(5)
     rds = ray.data.from_pandas(right).repartition(3)
     got = bloom_semi_join(lds, rds, key="k", right_key="rk",
-                          num_bits=64, num_hashes=2,  # fp-heavy on purpose
-                          num_buckets=8).to_pandas()
+                          num_bits=64,
+                          num_hashes=2).to_pandas()  # fp-heavy on purpose
     want = hash_join(lds, rds, key="k", right_key="rk",
-                     how="semi", num_buckets=8).to_pandas()
+                     how="semi").to_pandas()
     got = got.sort_values(["k", "x"]).reset_index(drop=True)
     want = want.sort_values(["k", "x"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(got, want)
@@ -673,7 +675,7 @@ def test_bloom_semi_join_nulls_and_mixed_widths(ray_session):
     right = pa.table({"k": pa.array([-1, 7, 9], pa.int32())})
     out = bloom_semi_join(ray.data.from_arrow(left),
                           ray.data.from_arrow(right), key="k",
-                          num_bits=256, num_buckets=4).to_pandas()
+                          num_bits=256).to_pandas()
     assert sorted(out.x.tolist()) == [0, 1, 4]  # -1 matches, null doesn't
 
 
@@ -686,7 +688,7 @@ def test_bloom_semi_join_empty_right(ray_session):
     right = pa.table({"k": pa.array([], pa.int64())})
     out = bloom_semi_join(ray.data.from_arrow(left),
                           ray.data.from_arrow(right), key="k",
-                          num_bits=256, num_buckets=4).to_pandas()
+                          num_bits=256).to_pandas()
     assert len(out) == 0
 
 
@@ -804,7 +806,7 @@ def test_except_all_right_columns_rename(ray_session):
     assert got.values.tolist() == [[1, "x"], [1, "y"], [2, "z"]]
 
 
-def test_hash_join_salt_wider_than_buckets(ray_session):
+def test_hash_join_salt_wider_than_buckets(ray_session, set_fanout):
     """A salt range wider than the bucket count must not meet a
     replicated right row twice: output equals the unsalted join."""
     import numpy as np
@@ -818,8 +820,9 @@ def test_hash_join_salt_wider_than_buckets(ray_session):
     right = pd.DataFrame({"k": np.array([777, 1, 2], np.int64),
                           "rv": [1, 2, 3]})
     ldf, rdf = rd.from_pandas(left), rd.from_pandas(right)
-    plain = hash_join(ldf, rdf, key="k", num_buckets=4).to_pandas()
-    salted = hash_join(ldf, rdf, key="k", num_buckets=4, hot_keys=[777],
+    set_fanout(4)
+    plain = hash_join(ldf, rdf, key="k").to_pandas()
+    salted = hash_join(ldf, rdf, key="k", hot_keys=[777],
                        salt=16).to_pandas()
     cols = ["k", "lv", "rv"]
     assert len(plain) == 22

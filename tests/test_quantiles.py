@@ -336,7 +336,7 @@ def test_decile_assign_matches_cume_dist_mirror(ray_session):
         "x": np.r_[vals, [np.nan, np.nan, 12.0]],
     })
     ds = ray.data.from_pandas(pdf).repartition(4)
-    got = decile_assign(ds, ["rid"], "x", k=10, num_buckets=8,
+    got = decile_assign(ds, ["rid"], "x", k=10,
                         batch_size=128).to_pandas() \
         .sort_values("rid").reset_index(drop=True)
     assert len(got) == 901  # the two NULL rows dropped

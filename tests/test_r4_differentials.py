@@ -34,8 +34,8 @@ def test_bloom_semi_join_randomized_vs_duckdb(ray_session, seed):
     lds = _ray().from_arrow(pa.Table.from_pandas(lhs)).repartition(4)
     rds = _ray().from_arrow(pa.Table.from_pandas(rhs)).repartition(2)
     got = bloom_semi_join(lds, rds, key="k", right_key="rk",
-                          num_bits=128, num_hashes=3,  # fp-heavy
-                          num_buckets=8).to_pandas()
+                          num_bits=128,
+                          num_hashes=3).to_pandas()  # fp-heavy
     got = got.sort_values("x").reset_index(drop=True)
     want = duckdb.sql(
         "SELECT k, x FROM lhs WHERE k IN (SELECT rk FROM rhs) "
@@ -116,7 +116,7 @@ def test_funnel_randomized_vs_duckdb_cascade(ray_session, seed):
     ds = _ray().from_arrow(pa.Table.from_pandas(pdf)).repartition(5)
     got = funnel_stages(ds, key="user_id", order="ts",
                         tiebreak="event_id", stage_col="event_type",
-                        stages=["A", "B", "C"], num_partitions=4) \
+                        stages=["A", "B", "C"]) \
         .to_pandas().sort_values("user_id").reset_index(drop=True)
     want = duckdb.sql("""
         WITH s1 AS (SELECT user_id, ts, event_id FROM pdf

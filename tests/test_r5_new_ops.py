@@ -47,7 +47,7 @@ class TestGroupedWeightedMedian:
             "w": rng.integers(0, 9, n).astype(float),  # includes zeros
         })
         got = grouped_weighted_median(
-            _ds({c: df[c] for c in df}), "g", "v", "w", num_parts=4
+            _ds({c: df[c] for c in df}), "g", "v", "w"
         ).to_pandas().sort_values("g").reset_index(drop=True)
         exp = self._mirror(df)
         assert np.array_equal(got["g"].to_numpy(), exp["g"].to_numpy())
@@ -97,7 +97,7 @@ class TestEdit1Pairs:
         vals = ["".join(rng.choice(list("abc"), rng.integers(1, 5)))
                 for _ in range(300)] + ["", "a", None, "abba", "abba"]
         got = edit1_pairs(
-            _ds({"s": pa.array(vals, pa.string())}), "s", num_parts=8
+            _ds({"s": pa.array(vals, pa.string())}), "s"
         ).to_pandas().sort_values(["name_a", "name_b"]).reset_index(
             drop=True)
         exp = self._mirror(vals)
@@ -126,7 +126,7 @@ class TestGroupedSumsPartitioned:
         df = {"k": rng.integers(0, 15000, n),
               "x": rng.integers(-100, 100, n)}
         a = grouped_sums(
-            _ds(df), ["k"], {"sx": "x"}, count_alias="n", num_parts=8
+            _ds(df), ["k"], {"sx": "x"}, count_alias="n"
         ).to_pandas().sort_values("k").reset_index(drop=True)
         b = pd.DataFrame(df).groupby("k").agg(
             sx=("x", "sum"), n=("x", "size")).reset_index()
@@ -138,8 +138,7 @@ class TestGroupedSumsPartitioned:
         t = {"k": pa.array([0.0, -0.0, None, None, 1.0], pa.float64()),
              "x": pa.array([1, 2, 4, 8, 16], pa.int64())}
         got = grouped_sums(
-            _ds(t, n_blocks=2), ["k"], {"sx": "x"}, count_alias=None,
-            num_parts=4
+            _ds(t, n_blocks=2), ["k"], {"sx": "x"}, count_alias=None
         ).to_pandas().sort_values("k").reset_index(drop=True)
         m = {(-1 if pd.isna(k) else k): v
              for k, v in zip(got["k"], got["sx"])}
@@ -148,8 +147,7 @@ class TestGroupedSumsPartitioned:
     def test_multikey(self, ray_session):
         t = {"a": ["x", "x", "y"], "b": [1, 1, 1], "v": [2, 3, 4]}
         got = grouped_sums(
-            _ds(t, n_blocks=2), ["a", "b"], {"sv": "v"}, count_alias=None,
-            num_parts=4
+            _ds(t, n_blocks=2), ["a", "b"], {"sv": "v"}, count_alias=None
         ).to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
         assert got["sv"].tolist() == [5, 4]
 
@@ -206,9 +204,8 @@ class TestWeightedQuantileParam:
         })
         for q in (0.25, 0.5, 0.75, 1.0):
             got = grouped_weighted_median(
-                _ds({c: df[c] for c in df}), "g", "v", "w", q=q,
-                num_parts=4).to_pandas().sort_values("g").reset_index(
-                drop=True)
+                _ds({c: df[c] for c in df}), "g", "v", "w", q=q
+            ).to_pandas().sort_values("g").reset_index(drop=True)
             exp = duckdb.sql(f"""
                 WITH c AS (SELECT g AS grp, v,
                            CAST(ROUND(w * 100) AS BIGINT) AS wt FROM df),

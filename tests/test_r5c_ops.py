@@ -47,7 +47,7 @@ class TestIntervalCoverage:
         got = interval_coverage(
             _ds({c: pa.array(df[c].to_numpy(), pa.int64())
                  for c in ("k", "s", "e")}),
-            "k", "s", "e", num_partitions=16,
+            "k", "s", "e",
         ).to_pandas().sort_values("k").reset_index(drop=True)
         exp = self._mirror(df)
         assert (got["covered"].to_numpy()
@@ -88,14 +88,29 @@ class TestIntervalCoverage:
         nullrow = got[got["k"].isna()]
         assert nullrow["covered"].tolist() == [20]
 
-    def test_block_encoding_overflow_raises(self, ray_session):
+    def test_wide_span_in_one_partition(self, ray_session, set_fanout):
+        """Keys whose values span 2^62 in ONE partition: the sweep
+        encodes the dense rank of ``e``, so nothing overflows int64, and
+        the union lengths equal a pandas sweep."""
         big = 1 << 61
-        ds = _ds({"k": pa.array([1, 2], pa.int64()),
-                  "s": pa.array([0, 0], pa.int64()),
-                  "e": pa.array([big, big], pa.int64())}, 1)
-        with pytest.raises(Exception, match="overflow|raise num_partitions"):
-            interval_coverage(ds, "k", "s", "e",
-                              num_partitions=1).to_pandas()
+        df = pd.DataFrame({"k": [1, 2, 1, 3, 2],
+                           "s": [0, 0, big - 5, -big, 3],
+                           "e": [big, big, big + 3, big, 4]})
+        set_fanout(1)
+        got = interval_coverage(
+            _ds({c: pa.array(df[c], pa.int64()) for c in df}, 1),
+            "k", "s", "e").to_pandas().sort_values("k").reset_index(
+            drop=True)
+        d = df.sort_values(["k", "s", "e"])
+        prev = d.groupby("k")["e"].cummax().groupby(d["k"]).shift(
+            fill_value=np.iinfo(np.int64).min)
+        d["c"] = (d["e"] - np.maximum(d["s"], prev)).clip(lower=0)
+        want = d.groupby("k").agg(covered=("c", "sum"),
+                                  n_intervals=("c", "size")).reset_index()
+        assert want["covered"].tolist() == [big + 3, big, 2 * big]
+        assert got["k"].tolist() == want["k"].tolist()
+        assert got["covered"].tolist() == want["covered"].tolist()
+        assert got["n_intervals"].tolist() == want["n_intervals"].tolist()
 
 
 class TestGroupedSkewness:

@@ -39,7 +39,7 @@ class TestGroupedExtrema:
         out = grouped_extrema(
             _ds(t, 8), ["k"],
             {"v_min": ("v", "min"), "v_max": ("v", "max"),
-             "w_max": ("w", "max")}, num_parts=8).to_pandas()
+             "w_max": ("w", "max")}).to_pandas()
         exp = df.groupby("k").agg(v_min=("v", "min"), v_max=("v", "max"),
                                   w_max=("w", "max")).reset_index()
         got = out.sort_values("k").reset_index(drop=True)
@@ -53,8 +53,8 @@ class TestGroupedExtrema:
             "k": pa.array([1, 1, None, None, 2], pa.int64()),
             "v": pa.array([5.0, 3.0, 9.0, 1.0, None]),
         })
-        out = grouped_extrema(_ds(t, 2), ["k"], {"v_min": ("v", "min")},
-                              num_parts=2).to_pandas()
+        out = grouped_extrema(_ds(t, 2), ["k"],
+                              {"v_min": ("v", "min")}).to_pandas()
         got = {(-1 if pd.isna(r.k) else int(r.k)):
                (None if pd.isna(r.v_min) else r.v_min)
                for r in out.itertuples()}
@@ -82,7 +82,7 @@ class TestTableDiff:
         ta = pa.Table.from_pandas(a, preserve_index=False)
         tb = pa.Table.from_pandas(b, preserve_index=False)
         out = table_diff(_ds(ta, 6), _ds(tb, 3), "k",
-                         ["p", "v"], num_parts=8).to_pandas()
+                         ["p", "v"]).to_pandas()
         con = duckdb.connect()
         con.register("a", ta)
         con.register("b", tb)
@@ -103,7 +103,7 @@ class TestTableDiff:
     def test_identical_tables_empty_diff(self, ray_session):
         t = pa.table({"k": pa.array([1, 2, 3], pa.int64()),
                       "x": pa.array([None, "b", "c"])})
-        out = table_diff(_ds(t, 2), _ds(t, 3), "k", ["x"], num_parts=4)
+        out = table_diff(_ds(t, 2), _ds(t, 3), "k", ["x"])
         # NULL == NULL is unchanged (IS DISTINCT FROM semantics)
         assert out.count() == 0
 
@@ -113,15 +113,13 @@ class TestTableDiff:
         b = pa.table({"k": pa.array([2], pa.int64()),
                       "x": pa.array(["c"])})
         with pytest.raises(Exception, match="duplicate k"):
-            table_diff(_ds(a, 1), _ds(b, 1), "k", ["x"],
-                       num_parts=2).materialize()
+            table_diff(_ds(a, 1), _ds(b, 1), "k", ["x"]).materialize()
 
     def test_null_key_raises(self, ray_session):
         a = pa.table({"k": pa.array([1, None], pa.int64()),
                       "x": pa.array(["a", "b"])})
         with pytest.raises(Exception, match="NULL k"):
-            table_diff(_ds(a, 1), _ds(a, 1), "k", ["x"],
-                       num_parts=2).materialize()
+            table_diff(_ds(a, 1), _ds(a, 1), "k", ["x"]).materialize()
 
 
 def _brute_pareto(df):
@@ -145,8 +143,7 @@ class TestParetoFront:
             "y": rng.integers(0, 40, n).astype("int64"),  # dense: ties
         })
         out = pareto_front(_ds(pa.Table.from_pandas(
-            df, preserve_index=False), 6), "x", "y",
-            num_parts=8).to_pandas()
+            df, preserve_index=False), 6), "x", "y").to_pandas()
         got = out.sort_values(["x", "y"]).reset_index(drop=True)
         exp = _brute_pareto(df)
         pd.testing.assert_frame_equal(got.astype("int64"),
@@ -158,14 +155,14 @@ class TestParetoFront:
         # (3, 4) survives (strictly lower y than every smaller x)
         t = pa.table({"x": pa.array([1, 2, 3], pa.int64()),
                       "y": pa.array([5, 5, 4], pa.int64())})
-        out = pareto_front(_ds(t, 2), "x", "y", num_parts=2).to_pandas()
+        out = pareto_front(_ds(t, 2), "x", "y").to_pandas()
         pts = sorted(map(tuple, out[["x", "y"]].to_numpy().tolist()))
         assert pts == [(1, 5), (3, 4)]
 
     def test_single_point_and_nulls_drop(self, ray_session):
         t = pa.table({"x": pa.array([7, None], pa.int64()),
                       "y": pa.array([3, 1], pa.int64())})
-        out = pareto_front(_ds(t, 1), "x", "y", num_parts=2).to_pandas()
+        out = pareto_front(_ds(t, 1), "x", "y").to_pandas()
         assert out.to_dict("records") == [{"x": 7, "y": 3, "n": 1}]
 
 

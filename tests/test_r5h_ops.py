@@ -205,7 +205,7 @@ class TestReconcileSums:
             "total": pa.array([15.25, 11.00, 2.50, 8.0]),
         })
         out = (reconcile_sums(_ds(detail, 3), _ds(header, 2), "k", "hk",
-                              "v", "total", k=10, num_parts=4)
+                              "v", "total", k=10)
                .to_pandas().set_index("hk"))
         # header 1: 1525 vs 1525 -> diff 0; header 2: 1100 vs 1000 -> 100
         # header 3: no details -> 250 vs 0; NULL-key rows drop both sides
@@ -225,7 +225,7 @@ class TestReconcileSums:
         header = pa.table({"hk": pa.array([1], pa.int64()),
                            "total": pa.array([5.0])})
         out = reconcile_sums(_ds(detail, 1), _ds(header, 1), "k", "hk",
-                             "v", "total", k=5, num_parts=2).to_pandas()
+                             "v", "total", k=5).to_pandas()
         assert out.hk.tolist() == [1]  # orphan detail key 9 not reported
 
     def test_overflow_guard(self, ray_session):
@@ -252,7 +252,7 @@ class TestUpsert:
             "k": pa.array([2, 9], pa.int64()),          # replace 2, insert 9
             "v": pa.array(["B", "new"]),
         })
-        out = (upsert(_ds(base, 3), _ds(updates, 2), "k", num_parts=4)
+        out = (upsert(_ds(base, 3), _ds(updates, 2), "k")
                .to_pandas().sort_values(["k", "v"]).reset_index(drop=True))
         assert out.k.tolist() == [1, 2, 3, 9]   # BOTH dup-base rows replaced
         assert out.v.tolist() == ["a", "B", "c", "new"]
@@ -281,7 +281,7 @@ class TestUpsert:
                          "v": ["p", "q"]})
         empty = pa.table({"k": pa.array([], pa.int64()),
                           "v": pa.array([], pa.string())})
-        out = (upsert(_ds(base, 2), _ds(empty, 1), "k", num_parts=2)
+        out = (upsert(_ds(base, 2), _ds(empty, 1), "k")
                .to_pandas().sort_values("k").reset_index(drop=True))
         assert out.k.tolist() == [5, 6] and out.v.tolist() == ["p", "q"]
 
@@ -308,8 +308,7 @@ class TestJoinCardinality:
             [1] * 5 + [2] * 3 + [3] * 1 + [None], pa.int64())})
         right = pa.table({"k": pa.array(
             [1] * 2 + [2] * 4 + [9] * 7 + [None], pa.int64())})
-        out = join_cardinality(_ds(left, 3), _ds(right, 3), "k",
-                               num_parts=4).to_pandas()
+        out = join_cardinality(_ds(left, 3), _ds(right, 3), "k").to_pandas()
         assert len(out) == 1
         r = out.iloc[0]
         # matched: k=1 -> 5*2=10, k=2 -> 3*4=12; k=3/9 unmatched
@@ -322,8 +321,7 @@ class TestJoinCardinality:
 
         left = pa.table({"k": pa.array([1, 2], pa.int64())})
         right = pa.table({"k": pa.array([8, 9], pa.int64())})
-        out = join_cardinality(_ds(left, 1), _ds(right, 1), "k",
-                               num_parts=2).to_pandas()
+        out = join_cardinality(_ds(left, 1), _ds(right, 1), "k").to_pandas()
         r = out.iloc[0]
         assert r.n_join_rows == 0 and r.n_join_keys == 0
         assert r.top_key_rows == 0 and pd.isna(r.top_key)
@@ -333,8 +331,7 @@ class TestJoinCardinality:
 
         left = pa.table({"k": pa.array([5, 5, 7, 7], pa.int64())})
         right = pa.table({"k": pa.array([5, 7], pa.int64())})
-        out = join_cardinality(_ds(left, 2), _ds(right, 1), "k",
-                               num_parts=3).to_pandas()
+        out = join_cardinality(_ds(left, 2), _ds(right, 1), "k").to_pandas()
         assert out.iloc[0].top_key == 5   # equal products 2 and 2
 
 

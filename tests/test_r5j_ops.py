@@ -105,7 +105,7 @@ def test_quantile_normalize_ties_and_nulls(ray_session):
     ids = np.arange(7, dtype=np.int64)
     ds = _ds(pa.table({"id": pa.array(ids), "v": vals}), n_blocks=3)
     got = pd.DataFrame(
-        quantile_normalize(ds, "v", keep=["id"], num_parts=4).take_all()
+        quantile_normalize(ds, "v", keep=["id"]).take_all()
     ).sort_values("id").reset_index(drop=True)
     # NULL row drops (inner join back)
     assert got["id"].tolist() == [0, 1, 2, 3, 5, 6]

@@ -155,7 +155,7 @@ def test_write_partitioned_resume_and_roundtrip(ray_session, tmp_path):
     out = str(tmp_path / "sink")
     ds = rd.from_pandas(pdf).repartition(3)
 
-    m1 = write_partitioned(ds, out, by="k", num_parts=4).to_pandas()
+    m1 = write_partitioned(ds, out, by="k").to_pandas()
     assert len(m1) == 4 and not m1.skipped.any()
     assert sorted(os.listdir(out)) == sorted(
         ["k=en", "k=de", "k=__NULL__", "k=fr%2Fx"])
@@ -163,13 +163,13 @@ def test_write_partitioned_resume_and_roundtrip(ray_session, tmp_path):
         assert os.path.exists(os.path.join(out, d, "_DONE"))
 
     # full re-run: everything committed -> everything skipped
-    m2 = write_partitioned(ds, out, by="k", num_parts=4).to_pandas()
+    m2 = write_partitioned(ds, out, by="k").to_pandas()
     assert m2.skipped.all()
 
     # crash simulation: lose one partition entirely -> only it rewrites
     import shutil
     shutil.rmtree(os.path.join(out, "k=de"))
-    m3 = write_partitioned(ds, out, by="k", num_parts=4).to_pandas() \
+    m3 = write_partitioned(ds, out, by="k").to_pandas() \
         .set_index("k")
     assert not m3.loc["de", "skipped"]
     assert m3.drop(index=["de"]).skipped.all()

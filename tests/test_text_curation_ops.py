@@ -133,8 +133,8 @@ def test_tfidf_top_terms_layout_independent_and_scored(ray_session):
                   "text": pa.array(docs, pa.string())})
     outs = []
     for blocks in (1, 3):
-        out = tfidf_top_terms(rd.from_arrow(t).repartition(blocks), k=2,
-                              num_parts=4).to_pandas()
+        out = tfidf_top_terms(rd.from_arrow(t).repartition(blocks),
+                              k=2).to_pandas()
         out = out.sort_values(["doc_id", "token"]).reset_index(drop=True)
         outs.append(out)
         assert out.groupby("doc_id").size().max() <= 2
@@ -328,7 +328,7 @@ def test_token_freq_score_reference_and_exclusions(ray_session):
         ],
     })
     ds = ray.data.from_pandas(docs).repartition(3)
-    got = token_freq_score(ds, num_parts=4, batch_size=2).to_pandas() \
+    got = token_freq_score(ds, batch_size=2).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert got.doc_id.tolist() == [0, 1, 2, 4]  # 3 and 5 excluded
 
@@ -349,8 +349,8 @@ def test_token_freq_score_reference_and_exclusions(ray_session):
     assert scores.loc[2] == scores.min()
 
     # layout independence
-    got2 = token_freq_score(ray.data.from_pandas(docs).repartition(1),
-                            num_parts=2).to_pandas() \
+    got2 = token_freq_score(ray.data.from_pandas(docs).repartition(1)) \
+        .to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
     assert np.array_equal(got.freq_score.to_numpy(),
                           got2.freq_score.to_numpy())

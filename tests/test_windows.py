@@ -1,6 +1,6 @@
 """Session-window sessionization: correctness vs a pandas reference at a
 key count (15k) where any per-key dispatch would dominate — the stage must
-produce O(num_partitions) Ray groups regardless of key count
+produce one Ray group per exchange partition regardless of key count
 (stages/windows.py). bench.py --scaling measures the wall-clock shape."""
 
 import pytest
@@ -68,7 +68,6 @@ def test_session_windows_randomized_differential(ray_session, seed, gap):
     })
     got = session_windows(
         rd.from_pandas(pdf).repartition(4), gap_seconds=gap,
-        num_partitions=8,
     ).to_pandas().sort_values(["user_id", "session_id"]).reset_index(
         drop=True)
 
@@ -122,7 +121,7 @@ def test_rolling_windows_vs_naive_reference():
         "value": rng.normal(0, 10, n).round(3),
     })
     ds = ray.data.from_pandas(pdf)
-    got = rolling_windows(ds, window_seconds=w, num_partitions=4).to_pandas()
+    got = rolling_windows(ds, window_seconds=w).to_pandas()
     got = got.sort_values(["user_id", "ts"]).reset_index(drop=True)
 
     vx = (np.sign(pdf["value"]) *
@@ -142,23 +141,35 @@ def test_rolling_windows_vs_naive_reference():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_rolling_windows_overflow_guard():
-    """The block-encoding guard must refuse loudly, not wrap: two keys
-    spread over a ~150-year span in ONE partition exceeds int64."""
+def test_rolling_windows_wide_span_in_one_partition(set_fanout):
+    """Keys spread over a ~292-year span (2^63 ns, the int64 range) in
+    ONE partition: the block encoding ranks timestamps instead of
+    offsetting them, so it cannot overflow, and every window equals the
+    pandas reference."""
     import ray.data
 
     from jsschema_ray.stages.windows import rolling_windows
 
+    t = [-2**62, 2**61, 2**61 + 1, 2**61 + 2, 2**61 + 10**9, 2**62,
+         2**62 + 10**9, 5]
     pdf = pd.DataFrame({
-        "user_id": np.arange(4, dtype="int64"),
-        "ts": pd.to_datetime(
-            [0, 2**61, 2**61 + 1, 2**61 + 2]  # ns epoch, huge span
-        ),
-        "value": [1.0, 2.0, 3.0, 4.0],
+        "user_id": np.array([0, 1, 2, 3, 1, 0, 0, 0], dtype="int64"),
+        "ts": pd.to_datetime(t),  # ns epoch, huge span
+        "value": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
     })
-    ds = ray.data.from_pandas(pdf)
-    with pytest.raises(Exception, match="overflow|num_partitions"):
-        rolling_windows(ds, num_partitions=1).take_all()
+    set_fanout(1)
+    got = rolling_windows(ray.data.from_pandas(pdf)).to_pandas()
+    got = got.sort_values(["user_id", "ts"]).reset_index(drop=True)
+
+    rows = []
+    for (uid, ts), _ in pdf.groupby(["user_id", "ts"]):
+        m = (pdf["user_id"] == uid) & (pdf["ts"] <= ts) & (
+            pdf["ts"] >= ts - pd.Timedelta(seconds=600))
+        rows.append((uid, ts, int(round(pdf["value"][m].sum() * 100)),
+                     int(m.sum())))
+    want = pd.DataFrame(rows, columns=["user_id", "ts", "w_sum_x100", "w_n"])
+    assert want["w_n"].tolist() == [1, 1, 1, 2, 1, 2, 1, 1]
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -182,7 +193,7 @@ def test_rolling_rows_vs_naive_reference():
     })
     ds = ray.data.from_pandas(pdf)
     got = rolling_rows_windows(
-        ds, n_rows=nr, num_partitions=4
+        ds, n_rows=nr
     ).to_pandas().sort_values(["user_id", "event_id"]).reset_index(drop=True)
 
     vx = (np.sign(pdf["value"]) *
@@ -227,7 +238,7 @@ def test_running_totals_and_event_deltas():
     })
     ds = ray.data.from_pandas(pdf)
 
-    got = rolling_rows_windows(ds, n_rows=None, num_partitions=3
+    got = rolling_rows_windows(ds, n_rows=None
                                ).to_pandas().sort_values(
         ["user_id", "event_id"]).reset_index(drop=True)
     ref = pdf.assign(
@@ -243,7 +254,7 @@ def test_running_totals_and_event_deltas():
         check_dtype=False,
     )
 
-    got_d = event_deltas(ds, num_partitions=3).to_pandas().sort_values(
+    got_d = event_deltas(ds).to_pandas().sort_values(
         ["user_id", "event_id"]).reset_index(drop=True)
     ref_d = pdf.sort_values(["user_id", "ts", "event_id"]).reset_index(
         drop=True)
@@ -280,7 +291,7 @@ def test_ntile_sql_sizing():
     pdf = pd.concat(frames, ignore_index=True).sample(
         frac=1, random_state=0).reset_index(drop=True)
     ds = ray.data.from_pandas(pdf).repartition(5)
-    got = ntile(ds, k=4, num_partitions=3).to_pandas().sort_values(
+    got = ntile(ds, k=4).to_pandas().sort_values(
         ["user_id", "event_id"]).reset_index(drop=True)
     want = duckdb.sql("""
         SELECT user_id, event_id,
@@ -315,7 +326,7 @@ def test_rolling_rows_randomized_differential(seed, nr):
         "value": rng.normal(0, 7, n).round(2),
     })
     ds = ray.data.from_pandas(pdf).repartition(5)
-    got = rolling_rows_windows(ds, n_rows=nr, num_partitions=4
+    got = rolling_rows_windows(ds, n_rows=nr
                                ).to_pandas().sort_values(
         ["user_id", "event_id"]).reset_index(drop=True)
     want = duckdb.sql(f"""
@@ -357,7 +368,7 @@ def test_window_ranks_tie_semantics():
         user_id=np.array([0.0, -0.0, 1.5])[ints["user_id"] % 3])
     for pdf in (ints, zeros):
         ds = ray.data.from_pandas(pdf).repartition(5)
-        got = window_ranks(ds, num_partitions=4).to_pandas().sort_values(
+        got = window_ranks(ds).to_pandas().sort_values(
             ["user_id", "event_id"]).reset_index(drop=True)
         want = duckdb.sql("""
             SELECT user_id, event_id,
@@ -397,7 +408,7 @@ def test_first_last_per_key_ties():
     })
     ds = ray.data.from_pandas(pdf).repartition(4)
     got = first_last_per_key(ds, "user_id", "ts", "event_id",
-                             ["event_type"], num_partitions=3
+                             ["event_type"]
                              ).to_pandas().sort_values(
         "user_id").reset_index(drop=True)
     want = duckdb.sql("""
@@ -439,8 +450,8 @@ def test_lag_lead_boundaries_types_and_ties():
     })
     ds = ray.data.from_pandas(pdf).repartition(5)
     got = lag_lead(ds, key="user_id", order="ts", tiebreak="event_id",
-                   col="event_type", lags=(1, 3), leads=(2,),
-                   num_partitions=4).to_pandas().sort_values(
+                   col="event_type", lags=(1, 3), leads=(2,)
+                   ).to_pandas().sort_values(
         ["user_id", "event_id"]).reset_index(drop=True)
     want = duckdb.sql("""
         SELECT user_id, event_id,
@@ -487,8 +498,8 @@ def test_funnel_stages_greedy_chain_semantics():
         ds = ray.data.from_pandas(pdf).repartition(blocks)
         out = funnel_stages(ds, key="user_id", order="ts",
                             tiebreak="event_id", stage_col="event_type",
-                            stages=["view", "click", "purchase"],
-                            num_partitions=2).to_pandas() \
+                            stages=["view", "click", "purchase"]) \
+            .to_pandas() \
             .sort_values("user_id").reset_index(drop=True)
         outs.append(out)
     assert outs[0].equals(outs[1])
@@ -522,7 +533,7 @@ def test_cohort_retention_semantics(ray_session):
                at(1), at(0), pd.NaT],
     })
     ds = ray.data.from_pandas(pdf).repartition(3)
-    got = cohort_retention(ds, "user_id", "ts", num_partitions=4) \
+    got = cohort_retention(ds, "user_id", "ts") \
         .to_pandas().sort_values(["cohort_week", "offset_weeks"]) \
         .reset_index(drop=True)
     base_wk = int(base.value // 1000 // WK)
@@ -567,7 +578,7 @@ def test_hopping_distinct_semantics(ray_session):
     for blocks in (1, 4):
         ds = ray.data.from_pandas(pdf).repartition(blocks)
         got = hopping_distinct(ds, "ts", "user_id", length_s=7200,
-                               hop_s=3600, num_partitions=4) \
+                               hop_s=3600) \
             .to_pandas().sort_values("window_start") \
             .reset_index(drop=True)
         # hour0 events -> windows (h0-1, h0); hour1 -> (h0, h1):
@@ -610,8 +621,7 @@ def test_transition_counts_semantics(ray_session):
     want = serial()
     for blocks in (1, 5):
         ds = ray.data.from_pandas(pdf).repartition(blocks)
-        got = transition_counts(ds, "k", "o", "tb", "v",
-                                num_partitions=4).to_pandas() \
+        got = transition_counts(ds, "k", "o", "tb", "v").to_pandas() \
             .sort_values(["from_value", "to_value"]) \
             .reset_index(drop=True)
         pd.testing.assert_frame_equal(
