@@ -2,8 +2,8 @@
 
 ``entry()`` runs the flagship validation over the sf0.001 testdata;
 ``queries()`` exposes one callable per implemented operator from SURVEY.md
-§2 + the training-data operators (121 queries); ``oracle_sql()`` gives the
-DuckDB-equivalent SQL for every SQL-expressible query (114 — identical
+§2 + the training-data operators (205 queries); ``oracle_sql()`` gives the
+DuckDB-equivalent SQL for every SQL-expressible query (198 — identical
 column names AND dtypes; computed aggregates use integer-scaled sums
 rounded half-away-from-zero to match SQL ROUND, exact under any summation
 order, so the value hash cannot hit a float rounding boundary between

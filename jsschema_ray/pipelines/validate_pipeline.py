@@ -3,17 +3,17 @@ reference CLI flow (cmd/jsschema/jsschema.go:34-91 — read schema, validate
 data, report) planned per SURVEY.md §3.4. A pass is one scan of the input
 plus one map over the scan's pre-count files:
 
-  scan  one fused read->scan task per shard (``_run_rowlocal``), which
-        runs on each reader block of its shard: P1, the row-local mask
-        stage (kernels/columnar.py), over the rows of uncommitted shards,
-        writing their violation files; and the map side of x-stats/x-drift
-        (sketch partials, stages/stats.py), x-referential (miss counts),
-        x-decode (the decode check) and x-uniqueness (the block's key
-        pre-counts, stages/uniqueness.py, one blob per part written back
-        to back into one file under ``precount/``, reported as byte
-        ranges). Only these small partial rows and file ranges leave the
-        task, never raw rows. The driver commits each shard (an atomic
-        manifest) once all its rows are in, and the handlers finish from
+  scan  one task and one call per shard (``_run_rowlocal``), which reads
+        its whole shard with pyarrow and runs once over it: P1, the
+        row-local mask stage (kernels/columnar.py), if the shard is
+        uncommitted, writing its violation file; and the map side of
+        x-stats/x-drift (sketch partials, stages/stats.py), x-referential
+        (miss counts), x-decode (the decode check) and x-uniqueness (the
+        shard's key pre-counts, stages/uniqueness.py, one blob per part
+        written back to back into one file under ``precount/``, reported
+        as byte ranges). Only these small partial rows and file ranges
+        leave the task, never raw rows. The driver commits each shard (an
+        atomic manifest) as its call returns, and the handlers finish from
         the partials.
   x-uniqueness  no shuffle: the scan already split the pre-counts by
         part, so the reported ranges are grouped by part on the driver,
@@ -23,18 +23,16 @@ plus one map over the scan's pre-count files:
         are deleted after the map, and at pass start.
 
 Every ``x-*`` keyword (the Extras extension surface, reference
-interface.go:133) dispatches through the registry. Every read of the
-input goes through ``ValidationPipeline._read``: one task per shard, so
-partition == input shard file == task, and the parallelism is the shard
-count (an input should have at least as many shards as the cluster has
-CPUs). There is no batch-size knob: a batch is one reader block of one
-shard, bounded in bytes (``DataContext.target_max_block_size``), not in
-rows, and a scan batch that names two shards is refused. Each sketch
-partial covers one block of one shard, so the partials, and the report,
-do not depend on task timing. On resume P1 skips the shards committed
-under the same schema whose footer still matches, while the scan still
-covers all of them, since global constraints span the full input; an
-output dir committed under another schema is refused.
+interface.go:133) dispatches through the registry. partition == input
+shard file == scan task == scan call == one set of partials, and the
+parallelism is the shard count (an input should have at least as many
+shards as the cluster has CPUs). There is no batch-size knob: a task
+holds its whole shard in memory, so size shards like blocks. Each sketch
+partial covers one whole shard, so the partials, and the report, depend
+neither on task timing nor on how a shard is cut into row groups. On resume P1 skips the shards committed under the same schema
+whose footer still matches, while the scan still covers all of them,
+since global constraints span the full input; an output dir committed
+under another schema is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ import uuid
 from typing import Any, Optional
 
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data as rd
@@ -70,8 +67,8 @@ from jsschema_ray.stages.validate import ValidateBatch
 
 
 # -- the scan's map sides: (pipeline, input columns) -> None or (side name,
-# payload columns it reads, fn(pid, meta, batch) -> partial tables), where
-# pid is the batch's shard and meta the batch without payload columns
+# payload columns it reads, fn(pid, meta, shard) -> partial tables), where
+# shard is the rows of shard pid and meta those without payload columns
 
 def _stats_side(pipe: "ValidationPipeline", _columns: list[str]):
     # one accumulator for x-stats and x-drift: the spec folds the drift
@@ -104,7 +101,7 @@ def _decode_side(pipe: "ValidationPipeline", columns: list[str]):
 
 
 def _uniqueness_side(pipe: "ValidationPipeline", _columns: list[str]):
-    # the block's pre-count goes to a file, not through the driver: it
+    # the shard's pre-count goes to a file, not through the driver: it
     # holds O(distinct keys) rows, and only the reduce reads it
     keys = _unique_columns(pipe.schema["x-uniqueness"])
     precount = _precount(keys, pipe._fanout())
@@ -247,8 +244,8 @@ def _handle_decode(value: dict, ctx: ConstraintContext):
 class ValidationPipeline:
     """One validation pass per ``run`` over the parquet shards of
     ``input_dir``, writing manifests, violation files and ``report.json``
-    under ``output_dir``. Every read runs one task per shard, and every
-    batch is one reader block of one shard."""
+    under ``output_dir``. The scan reads each shard whole, in one task and
+    one call."""
 
     def __init__(
         self,
@@ -291,9 +288,6 @@ class ValidationPipeline:
                     f"input shards are not one table: {files[0]} has "
                     f"columns {want} but {f} has {got}; point --input "
                     "at a directory of same-schema shards")
-        if "path" in first.names:  # Ray's include_paths column
-            raise ValueError(f"{files[0]} has a column named 'path', "
-                             "the name the scan gives each row's shard")
         self._footer = first
         self._shards = {f: shard_identity(f, m) for f, m in zip(files, metas)}
         return files
@@ -381,18 +375,13 @@ class ValidationPipeline:
         self.manifest.write_job_report(report)
         return report
 
-    def _read(self, files: list[str], columns: Optional[list[str]] = None):
-        """The pass's one read: ``columns`` of ``files`` (by default every
-        column but the payload ones), one task per shard, so that a
-        ``map_batches(batch_size=None)`` on it fuses into the read and sees
-        one reader block of one shard per call. A ``"path"`` among
-        ``columns`` is each row's shard path (Ray's ``include_paths``)."""
-        if columns is None:
-            payload = self._payload_columns()
-            columns = [c for c in self._footer.names if c not in payload]
+    def _read(self, files: list[str]):
+        """``files`` as a Ray dataset of every column but the payload ones:
+        the plain read behind ``ctx.dataset()`` for user handlers. The
+        pass's own scan reads its shards itself (``_run_rowlocal``)."""
+        payload = self._payload_columns()
         return rd.read_parquet(
-            files, columns=[c for c in columns if c != "path"],
-            include_paths="path" in columns, override_num_blocks=len(files))
+            files, columns=[c for c in self._footer.names if c not in payload])
 
     def _schema_for_rowlocal(self) -> dict[str, Any]:
         """P1 never reads the wide payload column (pruned at the read,
@@ -409,9 +398,9 @@ class ValidationPipeline:
     def _run_rowlocal(self, files: list[str], todo: list[str]
                       ) -> dict[str, list[dict]]:
         """The pass's one scan: P1 over the shards in ``todo``, the map
-        sides over every shard. Each shard commits as soon as all its rows
-        are in (a killed run just redoes the uncommitted shards). Returns
-        the partial rows of each map side."""
+        sides over every shard. Each shard commits as its call returns (a
+        killed run just redoes the uncommitted shards). Returns the partial
+        rows of each map side."""
         columns = self._footer.names
         sides = {}
         for kw in self.schema:
@@ -423,6 +412,7 @@ class ValidationPipeline:
         # a payload column is read only for a side that needs it
         needed = {c for cols, _ in sides.values() for c in cols}
         payload = self._payload_columns()
+        read = [c for c in columns if c not in payload - needed]
         drop = sorted(needed & payload)
         stage = ValidateBatch(self._schema_for_rowlocal(), mode="violations",
                               key_column=self.key_column)
@@ -430,13 +420,16 @@ class ValidationPipeline:
         todo_ids = {partition_id_for(f) for f in todo}
 
         def scan(batch: pa.Table) -> pa.Table:
-            """(side, blob) rows: each map side's partial tables, and P1's
-            (partition, rows, violation_rows, file) row as side "p1"."""
-            pid = _partition_of(batch)
-            batch = batch.drop_columns(["path"])
-            meta = batch.drop_columns(drop)
+            """One shard, read whole: (side, blob) rows, each map side's
+            partial tables and P1's (partition, rows, violation_rows, file)
+            row as side "p1". No pyarrow threads: the task holds one CPU."""
+            path, = batch.column("path").to_pylist()
+            pid = partition_id_for(path)
+            with pq.ParquetFile(path) as f:
+                data = f.read(columns=read, use_threads=False)
+            meta = data.drop_columns(drop)
             out = [(name, t) for name, (_, fn) in sides.items()
-                   for t in fn(pid, meta, batch)]
+                   for t in fn(pid, meta, data)]
             if pid in todo_ids:
                 out.append(("p1", pa.Table.from_pylist(
                     [_write_violations(stage, meta, pid, vio_dir)])))
@@ -444,15 +437,12 @@ class ValidationPipeline:
                              "blob": pa.array([pack(t) for _, t in out],
                                               pa.binary())})
 
-        # fused with the read: raw rows never leave the task
-        scanned = self._read(
-            files, [c for c in columns if c not in payload - needed] + ["path"],
-        ).map_batches(scan, batch_format="pyarrow", zero_copy_batch=True,
-                      batch_size=None)
+        # one task and one call per shard: raw rows never leave the task
+        scanned = rd.from_items(
+            [{"path": f} for f in files], override_num_blocks=len(files),
+        ).map_batches(scan, batch_format="pyarrow", batch_size=None)
         partials: dict[str, list[dict]] = {name: [] for name in sides}
-        # shard -> [input path, footer rows, rows in, violation rows, files]
-        pending = {partition_id_for(f): [f, self._shards[f]["rows"], 0, 0, []]
-                   for f in todo}
+        pending = {partition_id_for(f): f for f in todo}
         for block in scanned.iter_batches(batch_format="pyarrow",
                                           batch_size=None):
             for side, blob in zip(block.column("side").to_pylist(),
@@ -461,21 +451,20 @@ class ValidationPipeline:
                     partials[side] += unpack(blob).to_pylist()
                     continue
                 r, = unpack(blob).to_pylist()
-                shard = pending[r["partition"]]
-                shard[2] += r["rows"]
-                shard[3] += r["violation_rows"]
-                shard[4] += [r["file"]] if r["file"] else []
-                if shard[2] == shard[1]:
-                    self._commit(r["partition"], *pending.pop(r["partition"]))
-        for pid, shard in pending.items():
-            if shard[2] != shard[1]:
-                raise RuntimeError(f"shard {pid}: the scan returned "
-                                   f"{shard[2]} of its {shard[1]} rows")
-            self._commit(pid, *shard)  # an empty shard
+                path = pending.pop(r["partition"])
+                n_rows = self._shards[path]["rows"]
+                if r["rows"] != n_rows:
+                    raise RuntimeError(f"shard {r['partition']}: the scan "
+                                       f"returned {r['rows']} of its "
+                                       f"{n_rows} rows")
+                self._commit(r["partition"], path, n_rows, r["violation_rows"],
+                             [r["file"]] if r["file"] else [])
+        if pending:
+            raise RuntimeError(f"the scan returned nothing for {sorted(pending)}")
         return partials
 
-    def _commit(self, pid: str, path: str, n_rows: int, _rows_in: int,
-                n_vio: int, vio_files: list[str]) -> None:
+    def _commit(self, pid: str, path: str, n_rows: int, n_vio: int,
+                vio_files: list[str]) -> None:
         """Commit a shard with exactly the violation files the scan
         reported: any other file in its directory is an orphan of a
         retried task or of an earlier run, and is deleted first."""
@@ -488,16 +477,6 @@ class ValidationPipeline:
             pid, path, metrics={"rows": n_rows, "violation_rows": n_vio},
             violation_files=sorted(vio_files), verdict=(n_vio == 0),
             schema=self._fingerprint, shard=self._shards.get(path))
-
-
-def _partition_of(batch: pa.Table) -> str:
-    """The partition id of the one shard whose rows ``batch`` holds. A
-    batch whose ``path`` column names several shards is refused, not
-    split: the scan's read gives every call one block of one shard."""
-    paths = pc.unique(batch.column("path")).to_pylist()
-    if len(paths) != 1:
-        raise RuntimeError(f"a scan batch spans {len(paths)} shards: {paths}")
-    return partition_id_for(paths[0])
 
 
 def _with_partition(table: pa.Table, pid: str) -> pa.Table:

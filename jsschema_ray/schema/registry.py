@@ -9,11 +9,9 @@ job report. The built-in global constraint classes (uniqueness,
 referential, stats, drift, decode) are themselves registered here, so user
 extensions are first-class peers of the built-ins. The built-ins do not
 call ``ctx.dataset()``: they finish from the partials of the pipeline's one
-scan (pipelines/validate_pipeline.py), and x-uniqueness reads its key
-columns for its exchange. User extensions read the input through
-``ctx.dataset()``, the pipeline's own read: one task per shard, so a
-``map_batches(batch_size=None)`` on it sees one reader block of one shard
-per call.
+scan (pipelines/validate_pipeline.py), and x-uniqueness reduces the
+pre-count files that scan wrote. User extensions read the input through
+``ctx.dataset()``, a plain Ray read of the input shards.
 
     @register_constraint("x-freshness")
     def check_freshness(spec, ctx):

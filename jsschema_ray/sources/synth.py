@@ -191,11 +191,11 @@ def write_image_dataset(
     with_bytes: bool = True,
     row_group_size: int = 8192,
 ) -> dict[str, list[str]]:
-    """Write a sharded parquet image dataset + merged manifest. Shard count
-    and small row groups set the read-task granularity: Ray schedules one
-    read task per file/row-group cluster, so shards ≥ 2× cores keeps every
-    core busy in downstream map stages. Deterministic across calls (same
-    seed/shape -> byte-identical rows)."""
+    """Write a sharded parquet image dataset + merged manifest. The shard
+    count sets the validation scan's granularity (one task per shard), so
+    shards ≥ 2× cores keeps every core busy; row groups matter only to
+    Ray's own parquet reader. Deterministic across calls (same seed/shape
+    -> byte-identical rows)."""
     os.makedirs(out_dir, exist_ok=True)
     per = n_rows // shards
     merged: dict[str, list[str]] = {f: [] for f in VIOLATION_FAMILIES}

@@ -15,7 +15,7 @@ Scale design (SURVEY.md §7 hard part 3 — Zipf-skewed phash):
      not a per-key Ray aggregate). ``duplicate_keys_multi`` brings a part's
      blobs together with the keyed exchange of stages/exchange.py
      (``by_part``). The validation pipeline needs no shuffle: its scan runs
-     ``_precount`` on each reader block and writes the blobs back to back
+     ``_precount`` on each shard and writes the blobs back to back
      into one file under ``precount/``, and its reduce reads each part's
      reported byte ranges in at most ``exchange.fanout`` tasks (one per
      cluster CPU);

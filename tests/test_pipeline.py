@@ -195,8 +195,6 @@ def test_pass_without_extensions_is_one_execution(img_dir, ray_session,
     ({"00000": {"id": ["a", "b"], "w": [1, 2]}, "00001": {"id": ["c"],
                                                          "w": ["3"]}},
      ["00000.parquet", "00001.parquet", "w: int64", "w: string"]),
-    # a column named like the shard path the scan reads with each row
-    ({"00000": {"id": ["a"], "path": ["x"]}}, ["00000.parquet", "'path'"]),
 ])
 def test_refused_inputs_start_no_execution(ray_session, tmp_path,
                                            monkeypatch, shards, named):
@@ -218,13 +216,40 @@ def test_refused_inputs_start_no_execution(ray_session, tmp_path,
     assert executions == []
 
 
+def test_a_column_named_path_is_an_ordinary_column(ray_session, tmp_path):
+    """A ``path`` column is validated like any other: its one bad row is
+    reported under its own shard."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src = tmp_path / "in"
+    src.mkdir()
+    pq.write_table(pa.table({"id": ["a", "b"], "path": ["/x", "/y"]}),
+                   str(src / "00000.parquet"))
+    pq.write_table(pa.table({"id": ["c", "d"], "path": ["/z", "rel"]}),
+                   str(src / "00001.parquet"))
+    schema = {"type": "object",
+              "properties": {"path": {"type": "string", "pattern": "^/"}}}
+    report = ValidationPipeline(schema, str(src), str(tmp_path / "out"),
+                                key_column="id").run()
+    assert {p: r["metrics"] for p, r in report["partitions"].items()} == {
+        "00000": {"rows": 2, "violation_rows": 0},
+        "00001": {"rows": 2, "violation_rows": 1}}
+    vio, = report["partitions"]["00001"]["violation_files"]
+    row, = pq.read_table(vio).to_pylist()
+    assert (row["key"], row["column"], row["keyword"], row["observed"]) == (
+        "d", "path", "pattern", "rel")
+    assert report["valid"] is False
+
+
 def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
                                           monkeypatch):
-    """The scan is a single ReadParquet->MapBatches(scan) operator with one
-    task per shard, and every scan call sees the rows of one shard: each
-    partial table it returns names a single partition. The uniqueness
-    pre-count runs inside the scan, so the only other execution is the
-    reduce over the byte ranges of its files."""
+    """The scan is a single ``Input -> MapBatches(scan)`` plan with one
+    task per shard, and every scan call reads one whole shard: each
+    partial table it returns names a single partition, and there is
+    exactly one P1 row per shard. The uniqueness pre-count runs inside the
+    scan, so the only other execution is the reduce over the byte ranges
+    of its files."""
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
     )
@@ -249,7 +274,7 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
     scans = [d for d in dags if "MapBatches(scan)" in d.name]
     assert len(scans) == 1
     scan, = scans
-    assert scan.name == "ReadParquet->MapBatches(scan)"
+    assert scan.name == "MapBatches(scan)"
     assert [d.name for d in scan.input_dependencies] == ["Input"]
     assert scan.metrics.num_tasks_finished == 4  # the shard count
     p1 = [t for t in partials if "violation_rows" in t.column_names]
@@ -257,8 +282,8 @@ def test_scan_is_one_fused_task_per_shard(img_dir, ray_session, tmp_path,
     assert p1 and stats
     for t in p1 + stats:
         assert len(set(t.column("partition").to_pylist())) == 1
-    assert {t.column("partition")[0].as_py() for t in p1} == {
-        f"part-{i:05d}" for i in range(4)}
+    assert sorted(r["partition"] for t in p1 for r in t.to_pylist()) == [
+        f"part-{i:05d}" for i in range(4)]
     # the uniqueness execution reads no input and sorts nothing: one map
     # over the byte ranges the scan reported, in at most F = 4 tasks (the
     # session's CPUs)
@@ -287,6 +312,36 @@ def test_two_passes_give_identical_global_sections(img_dir, ray_session,
     for k in GLOBAL_SECTIONS + ("drift",):
         assert json.dumps(first[k], sort_keys=True) == \
             json.dumps(second[k], sort_keys=True), k
+
+
+def test_report_does_not_depend_on_row_groups(img_dir, ray_session,
+                                              tmp_path):
+    """The same rows as shards of one row group and as shards of 20-row
+    row groups give byte-identical global sections and shard metrics: the
+    scan reads a shard whole, so its sketch partials follow the shard, not
+    the reader's blocks."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    src, _ = img_dir  # 2000-row shards, one row group each
+    cut = str(tmp_path / "cut")
+    write_image_dataset(cut, 8000, shards=4, violation_frac=0.02,
+                        row_group_size=20)
+    for d, groups in ((src, 1), (cut, 100)):
+        assert {pq.read_metadata(f).num_row_groups for f in
+                glob.glob(os.path.join(d, "*.parquet"))} == {groups}
+    profile = build_profile(
+        rd.read_parquet(src, columns=["w", "h", "caption"]),
+        ["w", "h", "caption_len"], batch_size=2048,
+    )
+    whole, rgs = (ValidationPipeline(IMAGE_SCHEMA, d, str(tmp_path / f"o{i}"),
+                                     drift_profile=profile).run()
+                  for i, d in enumerate((src, cut)))
+    for k in GLOBAL_SECTIONS + ("drift",):
+        assert json.dumps(whole[k], sort_keys=True) == \
+            json.dumps(rgs[k], sort_keys=True), k
+    assert {p: r["metrics"] for p, r in whole["partitions"].items()} == {
+        p: r["metrics"] for p, r in rgs["partitions"].items()}
 
 
 def test_violation_files_are_fsynced_before_their_commit(tmp_path,
@@ -343,7 +398,7 @@ def test_violation_files_are_fsynced_before_their_commit(tmp_path,
     assert len(synced) == 2 * len(rows)
     for r in rows:
         pipe._commit(r["partition"], r["partition"] + ".parquet", r["rows"],
-                     r["rows"], r["violation_rows"], [r["file"]])
+                     r["violation_rows"], [r["file"]])
     assert set(pipe.manifest.committed()) == {"a", "b"}
 
 
@@ -522,8 +577,8 @@ def test_killed_run_resumes_to_the_same_report(ray_session, tmp_path):
     the first shard commit; the resumed run gives the uninterrupted run's
     report and violation rows and leaves the committed shard untouched."""
     src = str(tmp_path / "in")
-    # 80-row row groups over 200-row shards: the scan reads each row group
-    # as a block of its own, so every shard spans three scan calls
+    # 80-row row groups over 200-row shards: the scan reads each shard
+    # whole all the same, in one call
     write_image_dataset(src, 1600, shards=8, violation_frac=0.05,
                         row_group_size=80)
     full, killed = str(tmp_path / "full"), str(tmp_path / "killed")

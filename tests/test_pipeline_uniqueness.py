@@ -1,4 +1,4 @@
-"""x-uniqueness in the validation pipeline: the scan writes each block's
+"""x-uniqueness in the validation pipeline: the scan writes each shard's
 key pre-counts, split by part, to one small file, and one map reduces each
 part from the byte ranges the scan reported, without a shuffle.
 The report's uniqueness sections must equal ``uniqueness_reports`` over
@@ -19,7 +19,7 @@ KEYS = ["id", "f", "big", "b"]
 BIG = 2 ** 60
 
 SHARDS = [
-    # duplicates within one block ("a", 0.5, BIG, b"x") and across shards
+    # duplicates within one shard ("a", 0.5, BIG, b"x") and across shards
     {"id": ["a", "a", "b", None, "c"],
      "f": [0.5, 0.5, -0.0, 1.5, None],
      "big": [BIG, BIG, BIG + 1, 7, None],
@@ -77,12 +77,13 @@ def test_sections_equal_uniqueness_reports_over_the_input(key_dir,
 
 def test_one_input_read_and_the_exchange_reads_only_reported_files(
         key_dir, ray_session, tmp_path, monkeypatch):
-    """Exactly one read per pass, and it reads the input shards. The reduce
-    is handed exactly the byte ranges the scan reported, in one pre-count
-    file per scan call, so a stray file planted under ``precount/`` during
-    the pass does not reach the report; no ``precount/`` outlives the pass;
-    the exchange carries at most scan calls x key columns x F ranges; and
-    no execution sorts."""
+    """The scan is handed exactly the input shards, and no Ray parquet
+    read runs in a pass. The reduce is handed exactly the byte ranges the
+    scan reported, in one pre-count file per scan call and one scan call
+    per shard (each of 3 row groups), so a stray file planted under
+    ``precount/`` during the pass does not reach the report; no
+    ``precount/`` outlives the pass; the exchange carries at most scan
+    calls x key columns x F ranges; and no execution sorts."""
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import (
         StreamingExecutor,
@@ -95,7 +96,7 @@ def test_one_input_read_and_the_exchange_reads_only_reported_files(
     planted = _precount(KEYS, 4)(pa.table({
         "id": ["zz"] * 4, "f": [1.0] * 4, "big": [1] * 4, "b": [b"zz"] * 4}))
 
-    reads, reported, handed, calls, names = [], [], [], [], []
+    reads, scanned, reported, handed, calls, names = [], [], [], [], [], []
     read_parquet, from_items = rd.read_parquet, rd.from_items
     unpack, execute = validate_pipeline.unpack, StreamingExecutor.execute
 
@@ -118,8 +119,11 @@ def test_one_input_read_and_the_exchange_reads_only_reported_files(
         return t
 
     def spy_from_items(items, **kwargs):
-        handed.extend((r["file"], r["offset"], r["length"])
-                      for item in items for r in item["ranges"])
+        if "path" in items[0]:  # the scan's shards
+            scanned.append(sorted(item["path"] for item in items))
+        else:
+            handed.extend((r["file"], r["offset"], r["length"])
+                          for item in items for r in item["ranges"])
         return from_items(items, **kwargs)
 
     def spy_execute(self, dag, *args, **kwargs):
@@ -137,14 +141,15 @@ def test_one_input_read_and_the_exchange_reads_only_reported_files(
 
     assert got["uniqueness"] == want
     inputs = sorted(glob.glob(os.path.join(key_dir, "*.parquet")))
-    assert reads == [inputs]
+    assert reads == []
+    assert scanned == [inputs]
     assert sorted(handed) == sorted(reported)
     files = {path for path, _, _ in reported}
     assert all(p.startswith(os.path.join(out, "precount") + os.sep)
                for p in files)
     assert not os.path.exists(os.path.join(out, "precount"))
-    # every scan call saw rows, and wrote one file
-    assert len(files) == len(calls) > len(inputs)
+    # one scan call per shard, whatever its row groups, and one file each
+    assert len(files) == len(calls) == len(inputs)
     assert len(reported) <= len(calls) * len(KEYS) * fanout(15)
     assert names and not [n for n in names if "Sort" in n]
 

@@ -3,7 +3,7 @@ These tests pin it, byte for byte, to the per-row Python build it replaced
 (kept below as the oracle), and guard the P1 hot path against per-row
 Python: one partition id per scan call, no per-value formatting of string
 and integer columns, and violations attributed to their own shard when a
-shard spans several scan batches."""
+shard has several row groups."""
 
 import os
 
@@ -205,8 +205,8 @@ def three_shards(tmp_path_factory):
                                  row_offset=i * ROWS_PER_SHARD)
         t = t.drop_columns(["bytes"]).append_column(
             "shard", pa.array([name] * t.num_rows))
-        # 100-row row groups: the scan reads each as a block of its own,
-        # so every shard spans three scan calls
+        # 100-row row groups: the scan reads each shard whole all the
+        # same, in one call
         pq.write_table(t, os.path.join(d, f"{name}.parquet"),
                        row_group_size=100)
         tables[name] = t
@@ -257,24 +257,15 @@ def test_partition_ids_per_scan_call(three_shards, ray_session, tmp_path,
         assert 0 < mine.num_rows
         assert set(mine.column("key").to_pylist()) <= set(
             table.column("image_id").to_pylist())
-    # one P1 row per scan call; each shard spans several calls
+    # one P1 row per scan call, and one scan call per shard
     p1 = [t for t in calls if "violation_rows" in t.column_names]
     assert all(t.num_rows == 1 for t in p1)
-    assert len(p1) > len(SHARDS)
+    assert len(p1) == len(SHARDS)
     in_workers = [line.split(" ", 1)[1] for line in
                   log.read_text().splitlines()
                   if int(line.split(" ", 1)[0]) != os.getpid()]
     assert len(SHARDS) <= len(in_workers) <= len(p1)
     assert {real(p) for p in in_workers} == set(SHARDS)
-
-
-def test_partition_of_refuses_a_batch_of_two_shards():
-    one = pa.table({"path": ["/d/00001.parquet"] * 2, "w": [1, 2]})
-    assert validate_pipeline._partition_of(one) == "00001"
-    two = pa.table({"path": ["/d/00001.parquet", "/d/00002.parquet"],
-                    "w": [1, 2]})
-    with pytest.raises(RuntimeError, match="spans 2 shards"):
-        validate_pipeline._partition_of(two)
 
 
 @pytest.mark.parametrize("key_column", ["image_id", None])
@@ -291,8 +282,7 @@ def test_violations_attributed_to_their_shard(three_shards, ray_session,
     ).to_table()
     stage = ValidateBatch(ROWLOCAL_SCHEMA, mode="violations",
                           key_column=key_column)
-    # without a key column the key is the row index within the scan
-    # batch, one reader block of the shard
+    # without a key column the key is the row index within the shard
     cols = ["key", "column", "path", "keyword", "observed", "expected"]
     cols = cols if key_column else cols[1:]
     for name, table in tables.items():
